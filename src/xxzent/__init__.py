@@ -40,6 +40,7 @@ from .entanglement import (
     concurrence_from_energy,
     correlators,
     mean_bond_correlators,
+    operator_bond_correlators,
     two_site_rdm,
     wootters_oracle,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "ground_state_gap",
     "lanczos_ground",
     "mean_bond_correlators",
+    "operator_bond_correlators",
     "scan",
     "scan_ed",
     "scan_spinwave",

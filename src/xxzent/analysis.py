@@ -96,21 +96,25 @@ def scan_ed(
     max_iter: int = ed.DEFAULT_MAX_ITER,
     seed: int = ed.DEFAULT_SEED,
 ) -> ConcurrenceCurve:
-    """Exact-diagonalization C(delta) curve with bond-averaged correlators."""
+    """ED C(delta) curve: one operator re-pointed per delta, bond means from its quadratic forms."""
     lattice = build_lattice(spec)
     basis = ed.enumerate_basis(lattice.n_sites, m)
+    op = ed.build_hamiltonian(lattice, 0.0, basis)
     samples = []
     for delta in np.asarray(deltas, dtype=float):
-        h = ed.build_hamiltonian(lattice, float(delta), basis)
+        h = op.at(float(delta))
         try:
             gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
         except ed.LanczosError as exc:
+            best = exc.best
             samples.append(
                 ScanSample(float(delta), math.nan, math.nan, math.nan, math.nan,
-                           ok=False, error=str(exc))
+                           ok=False, error=str(exc),
+                           iterations=best.iterations if best else 0,
+                           residual=best.residual if best else math.nan)
             )
             continue
-        g = entanglement.mean_bond_correlators(gs, basis, lattice)
+        g = entanglement.operator_bond_correlators(gs, h, lattice)
         c = entanglement.concurrence_corr(g)
         samples.append(
             ScanSample(float(delta), c, gs.energy / lattice.n_bonds, g.gzz, gs.energy,
@@ -167,18 +171,20 @@ def hellmann_feynman_residual(
     max_iter: int = ed.DEFAULT_MAX_ITER,
     seed: int = ed.DEFAULT_SEED,
 ) -> float:
-    """|dE0/ddelta - N_B Gzz| with a central difference of step h."""
+    """|dE0/ddelta - N_B Gzz| with a central difference of step h.
+
+    One operator serves all three solves. Gzz is measured bond by bond, not
+    from the operator's own H_zz, so a fault in H_zz cannot cancel out.
+    """
     lattice = build_lattice(spec)
     basis = ed.enumerate_basis(lattice.n_sites, m)
+    op = ed.build_hamiltonian(lattice, delta, basis)
 
-    def energy(d: float) -> float:
-        hmat = ed.build_hamiltonian(lattice, d, basis)
-        return ed.lanczos_ground(hmat, tol=tol, max_iter=max_iter, seed=seed, m=m).energy
+    def ground(d: float) -> ed.GroundState:
+        return ed.lanczos_ground(op.at(d), tol=tol, max_iter=max_iter, seed=seed, m=m)
 
-    de = (energy(delta + h) - energy(delta - h)) / (2.0 * h)
-    hmat = ed.build_hamiltonian(lattice, delta, basis)
-    gs = ed.lanczos_ground(hmat, tol=tol, max_iter=max_iter, seed=seed, m=m)
-    g = entanglement.mean_bond_correlators(gs, basis, lattice)
+    de = (ground(delta + h).energy - ground(delta - h).energy) / (2.0 * h)
+    g = entanglement.mean_bond_correlators(ground(delta), basis, lattice)
     return abs(de - lattice.n_bonds * g.gzz)
 
 

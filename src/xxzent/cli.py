@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, analysis, ed, spinwave, verify
+from . import __version__, analysis, ed, entanglement, spinwave, verify
 from .lattice import LatticeSpec, build_lattice
 
 EXIT_OK = 0
@@ -102,20 +102,15 @@ def cmd_ed(args: argparse.Namespace) -> int:
     if bad is not None:
         return bad
     lattice = build_lattice(spec)
-    from .entanglement import concurrence_corr, mean_bond_correlators
-
+    basis = ed.enumerate_basis(lattice.n_sites)
+    h = ed.build_hamiltonian(lattice, args.delta, basis)
     try:
-        basis, gs = ed.solve_ground(
-            lattice, args.delta, tol=args.tol, max_iter=args.max_iter, seed=args.seed
-        )
-        gap_info = ed.ground_state_gap(
-            lattice, args.delta, tol=args.tol, max_iter=args.max_iter, seed=args.seed
-        ) if len(basis) > 1 else None
+        gs, gap = ed.ground_state_gap(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    g = mean_bond_correlators(gs, basis, lattice)
-    c = concurrence_corr(g)
+    g = entanglement.operator_bond_correlators(gs, h, lattice)
+    c = entanglement.concurrence_corr(g)
     rows = [
         ("dimension", args.dim),
         ("linear_size", args.size),
@@ -129,7 +124,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),
         ("concurrence", _fmt(c)),
-        ("gap", _fmt(gap_info[2]) if gap_info else "undefined"),
+        ("gap", _fmt(gap)),
         ("solver", gs.method),
         ("iterations", gs.iterations),
         ("residual", _fmt(gs.residual)),
@@ -175,6 +170,7 @@ def _write_json(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
                 "ok": s.ok,
                 "error": s.error,
                 "iterations": s.iterations,
+                "residual": float(s.residual),
             }
             for s in curve.samples
         ],

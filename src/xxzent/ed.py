@@ -4,12 +4,18 @@ H = sum over nearest-neighbor bonds of (Sx.Sx + Sy.Sy + delta Sz.Sz) for
 spin-1/2. Total Sz is conserved, so everything works inside a fixed
 magnetization sector M = n_up - N/2. Configurations are N-bit integers,
 bit i = 1 meaning site i is up (sz = +1/2), kept in increasing order.
+
+H(delta) = H_xy + delta H_zz: the spin-flip CSR and the Ising diagonal do
+not depend on delta, so a sector operator is assembled once per lattice and
+re-pointed with `SparseHamiltonian.at`. Above DENSE_DIM_LIMIT (4,000 states)
+`ground_state_gap` takes the ground state and E1 from one two-pair Lanczos
+run, the run that the `iterations` line of `xxzent ed` counts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,12 +98,20 @@ def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """Diagonal Ising part plus symmetric spin-flip part in CSR form."""
+    """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal)."""
 
     dimension: int
-    diagonal: np.ndarray
+    zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
+    diagonal: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "diagonal", self.delta * self.zz)
+
+    def at(self, delta: float) -> "SparseHamiltonian":
+        """The same sector operator at another delta, without re-assembly."""
+        return replace(self, delta=delta)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.offdiag @ v + self.diagonal * v
@@ -123,14 +137,14 @@ def build_hamiltonian(lattice: Lattice, delta: float, basis: SectorBasis) -> Spa
         raise ValueError("basis and lattice disagree on the number of sites")
     states = basis.states
     n = len(states)
-    diag = np.zeros(n)
+    zz = np.zeros(n)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     for bond in lattice.bonds:
         bi = basis.bit(bond.i)
         bj = basis.bit(bond.j)
         anti = bi != bj
-        diag += delta * np.where(anti, -0.25, 0.25)
+        zz += np.where(anti, -0.25, 0.25)
         src = np.nonzero(anti)[0]
         if len(src) == 0:
             continue
@@ -145,7 +159,7 @@ def build_hamiltonian(lattice: Lattice, delta: float, basis: SectorBasis) -> Spa
         off = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
     else:
         off = sp.csr_matrix((n, n))
-    return SparseHamiltonian(dimension=n, diagonal=diag, offdiag=off, delta=delta)
+    return SparseHamiltonian(dimension=n, zz=zz, offdiag=off, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -307,26 +321,24 @@ def solve_ground(
 
 
 def ground_state_gap(
-    lattice: Lattice,
-    delta: float,
-    m: float = 0.0,
+    h: SparseHamiltonian,
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = DEFAULT_SEED,
-) -> tuple[float, float, float]:
-    """Two lowest sector eigenvalues and their gap.
+    m: float = 0.0,
+) -> tuple[GroundState, float]:
+    """Ground state and gap E1 - E0 of one assembled sector operator.
 
-    Dense path for small sectors, two-value Lanczos otherwise. Dimension-1
-    sectors have no gap and raise SectorError.
+    Above DENSE_DIM_LIMIT one two-pair Lanczos run yields both; at or below
+    it the ground state comes from Lanczos and the gap from the dense pair.
+    Dimension-1 sectors have no gap and raise SectorError.
     """
-    basis = enumerate_basis(lattice.n_sites, m)
-    if len(basis) < 2:
+    if h.dimension < 2:
         raise SectorError("sector has dimension 1: gap undefined")
-    h = build_hamiltonian(lattice, delta, basis)
-    if h.dimension <= DENSE_DIM_LIMIT:
-        e0, e1 = dense_low_pair(h)
-    else:
+    if h.dimension > DENSE_DIM_LIMIT:
         gs, e1 = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m, n_low=2)
-        e0 = gs.energy
-    return e0, e1, e1 - e0
+        return gs, e1 - gs.energy
+    gs = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
+    e0, e1 = dense_low_pair(h)
+    return gs, e1 - e0

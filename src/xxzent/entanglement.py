@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ed import GroundState, SectorBasis
+from .ed import GroundState, SectorBasis, SparseHamiltonian
 from .lattice import Bond, Lattice
 
 TRACE_TOL = 1e-12
@@ -137,6 +137,22 @@ def mean_bond_correlators(
         gz += g.gzz
     nb = lattice.n_bonds
     return BondCorrelators(gxx=gx / nb, gyy=gy / nb, gzz=gz / nb)
+
+
+def operator_bond_correlators(
+    state: GroundState | np.ndarray, h: SparseHamiltonian, lattice: Lattice
+) -> BondCorrelators:
+    """Bond-averaged correlators as two quadratic forms of the assembled H.
+
+    mean Gxx = mean Gyy = <H_xy> / (2 N_B) and mean Gzz = <H_zz> / N_B, with
+    H_zz the delta-free Ising diagonal. Exact for the bond average on any
+    lattice; `mean_bond_correlators` is the independent bond-by-bond route.
+    """
+    psi = _amplitudes(state)
+    nb = lattice.n_bonds
+    gxx = float(psi @ (h.offdiag @ psi)) / (2 * nb)
+    gzz = float(psi @ (h.zz * psi)) / nb
+    return BondCorrelators(gxx=gxx, gyy=gxx, gzz=gzz)
 
 
 def concurrence_block(rdm: TwoSiteRDM) -> float:

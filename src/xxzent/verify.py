@@ -46,20 +46,29 @@ def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-def concurrence_routes(spec: LatticeSpec, delta: float, **solver) -> dict[str, float]:
-    """The four concurrence routes evaluated on one ED ground state."""
+def concurrence_routes(spec: LatticeSpec, deltas, **solver) -> dict[float, dict[str, float]]:
+    """The four concurrence routes at each delta, on one operator per lattice.
+
+    The correlator and energy routes measure correlators bond by bond,
+    independently of the assembled operator.
+    """
     lattice = build_lattice(spec)
-    basis, gs = ed.solve_ground(lattice, delta, **solver)
+    basis = ed.enumerate_basis(lattice.n_sites)
+    op = ed.build_hamiltonian(lattice, 0.0, basis)
     bond = lattice.bonds[0]
-    rdm = entanglement.two_site_rdm(gs, basis, bond)
-    g = entanglement.mean_bond_correlators(gs, basis, lattice)
-    eps0 = gs.energy / lattice.n_bonds
-    return {
-        "block": entanglement.concurrence_block(rdm),
-        "correlator": entanglement.concurrence_corr(g),
-        "energy": entanglement.concurrence_from_energy(eps0, g.gzz, delta),
-        "oracle": entanglement.wootters_oracle(rdm.as_matrix()),
-    }
+    routes = {}
+    for delta in map(float, deltas):
+        gs = ed.lanczos_ground(op.at(delta), **solver)
+        rdm = entanglement.two_site_rdm(gs, basis, bond)
+        g = entanglement.mean_bond_correlators(gs, basis, lattice)
+        eps0 = gs.energy / lattice.n_bonds
+        routes[delta] = {
+            "block": entanglement.concurrence_block(rdm),
+            "correlator": entanglement.concurrence_corr(g),
+            "energy": entanglement.concurrence_from_energy(eps0, g.gzz, delta),
+            "oracle": entanglement.wootters_oracle(rdm.as_matrix()),
+        }
+    return routes
 
 
 def check_route_equivalence(
@@ -68,8 +77,7 @@ def check_route_equivalence(
     results = []
     for spec in ed_cases:
         worst = 0.0
-        for delta in deltas:
-            routes = concurrence_routes(spec, float(delta), **solver)
+        for routes in concurrence_routes(spec, deltas, **solver).values():
             vals = list(routes.values())
             worst = max(worst, max(vals) - min(vals))
         results.append(

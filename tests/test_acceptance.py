@@ -86,8 +86,7 @@ def test_criterion_02_route_equivalence(acceptance_log):
     worst = 0.0
     worst_at = None
     for spec in cases:
-        for delta in deltas:
-            routes = verify.concurrence_routes(spec, delta)
+        for delta, routes in verify.concurrence_routes(spec, deltas).items():
             spread = max(routes.values()) - min(routes.values())
             if spread > worst:
                 worst, worst_at = spread, (spec.dimension, spec.linear_size, delta)

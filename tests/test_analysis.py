@@ -124,6 +124,20 @@ def test_scan_keeps_failed_samples_as_gaps(monkeypatch):
     assert curve.samples[0].ok and curve.samples[2].ok
 
 
+def test_scan_ed_assembles_once(monkeypatch):
+    calls = {"n": 0}
+    original = ed.build_hamiltonian
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ed, "build_hamiltonian", counted)
+    curve = scan_ed(LatticeSpec(1, 4), delta_grid(0.0, 2.0, 0.05))
+    assert len(curve.samples) == 41 and curve.all_ok()
+    assert calls["n"] == 1
+
+
 # ------------------------------------------------------------- identities
 
 

@@ -1,14 +1,20 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
-from xxzent import cli, ed, verify
-from xxzent.lattice import LatticeSpec
+from xxzent import cli, ed, entanglement, verify
+from xxzent.lattice import LatticeSpec, build_lattice
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _parse_report(text: str) -> dict:
@@ -33,6 +39,37 @@ def test_ed_report_four_ring(capsys):
     assert float(report["gzz"]) == pytest.approx(-1.0 / 6.0, abs=1e-11)
     assert float(report["gap"]) == pytest.approx(1.0, abs=1e-10)
     assert report["solver"] == "lanczos"
+
+
+def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
+    # 16-site ring: 12,870 states, above DENSE_DIM_LIMIT, so one two-pair
+    # Lanczos run gives both the ground state and the gap
+    calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
+    for name in calls:
+        original = getattr(ed, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ed, name, counted)
+    rc = cli.main(["ed", "--dim", "1", "--size", "16"])
+    assert rc == cli.EXIT_OK
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 1, "lanczos_ground": 1}
+    monkeypatch.undo()
+    report = _parse_report(capsys.readouterr().out)
+    assert int(report["sector_dimension"]) == 12870 > ed.DENSE_DIM_LIMIT
+
+    lattice = build_lattice(LatticeSpec(1, 16))
+    basis, gs = ed.solve_ground(lattice, 1.0)
+    g = entanglement.mean_bond_correlators(gs, basis, lattice)
+    assert float(report["energy"]) == pytest.approx(gs.energy, abs=verify.ROUTE_TOL)
+    for key in ("gxx", "gyy", "gzz"):
+        assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
+    assert float(report["residual"]) <= 1e-11
+    h = ed.build_hamiltonian(lattice, 1.0, basis)
+    low = np.sort(sla.eigsh(h.as_sparse(), k=2, which="SA")[0])
+    assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
 
 def test_ed_refuses_infeasible_sector(capsys):
@@ -95,6 +132,7 @@ def test_scan_json_round_trip(tmp_path):
     assert sample["delta"] == 1.0
     assert sample["ok"] is True
     assert sample["concurrence"] == pytest.approx(0.5, abs=1e-11)
+    assert all(0.0 <= s["residual"] <= ed.DEFAULT_TOL for s in payload["samples"])
 
 
 def test_scan_spinwave_engine(capsys):
@@ -183,12 +221,14 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
 
 def test_fault_injection_breaks_derivative_identity(monkeypatch):
     # flipping the Ising part's sign must be caught by the dE/ddelta check:
-    # the flipped model's energy slope is minus the measured correlator sum
+    # the flipped model's energy slope is minus the Gzz measured bond by bond.
+    # The fault sits in H_zz itself, so every delta reached through at()
+    # carries it.
     original = ed.build_hamiltonian
 
     def flipped(lattice, delta, basis):
         h = original(lattice, delta, basis)
-        return ed.SparseHamiltonian(h.dimension, -h.diagonal, h.offdiag, h.delta)
+        return ed.SparseHamiltonian(h.dimension, -h.zz, h.offdiag, h.delta)
 
     monkeypatch.setattr(ed, "build_hamiltonian", flipped)
     results = verify.check_hellmann_feynman(ed_cases=(LatticeSpec(1, 6),), deltas=(1.5,))
@@ -206,6 +246,16 @@ def test_entrypoint_raises_system_exit(monkeypatch):
     with pytest.raises(SystemExit) as info:
         cli.entrypoint()
     assert info.value.code == cli.EXIT_OK
+
+
+def test_module_entry_point_without_install():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "xxzent.cli", "ed", "--dim", "1", "--size", "4"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0
+    assert "concurrence: 0.5" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("xxzent") is None, reason="console script not on PATH")

@@ -224,9 +224,10 @@ def test_max_iter_exhaustion_raises_with_best():
 
 def test_gap_four_ring():
     lat = build_lattice(LatticeSpec(1, 4))
-    e0, e1, gap = ed.ground_state_gap(lat, 1.0)
-    assert e0 == pytest.approx(-2.0, abs=1e-12)
-    assert e1 == pytest.approx(-1.0, abs=1e-12)
+    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 0.0))
+    gs, gap = ed.ground_state_gap(h)
+    assert gs.energy == pytest.approx(-2.0, abs=1e-12)
+    assert gs.energy + gap == pytest.approx(-1.0, abs=1e-12)
     assert gap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -243,8 +244,9 @@ def test_gap_lanczos_pair_matches_dense():
 
 def test_gap_dimension_one_sector_raises():
     lat = build_lattice(LatticeSpec(1, 4))
+    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 2.0))  # fully polarized
     with pytest.raises(ed.SectorError):
-        ed.ground_state_gap(lat, 1.0, m=2.0)  # fully polarized, dim 1
+        ed.ground_state_gap(h, m=2.0)
 
 
 def test_polarized_sector_energy():

@@ -190,6 +190,26 @@ def test_concurrence_corr_zero_clamp():
     assert ent.concurrence_corr(g) == 0.0
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "spec, m",
+    [(LatticeSpec(2, 4), 0.0), (LatticeSpec(1, 8), 0.0), (LatticeSpec(1, 7, periodic=False), 0.5)],
+)
+def test_operator_bond_correlators_match_bond_loop(spec, m, delta):
+    # the quadratic forms <H_xy>/(2 N_B) and <H_zz>/N_B are bond averages, so
+    # they equal the bond-by-bond mean on periodic and open lattices alike;
+    # delta = 0 pins Gzz to the delta-free H_zz
+    lattice = build_lattice(spec)
+    basis = ed.enumerate_basis(lattice.n_sites, m)
+    h = ed.build_hamiltonian(lattice, 0.0, basis).at(delta)
+    gs = ed.lanczos_ground(h, m=m)
+    quad = ent.operator_bond_correlators(gs, h, lattice)
+    loop = ent.mean_bond_correlators(gs, basis, lattice)
+    assert quad.gxx == pytest.approx(loop.gxx, abs=1e-12)
+    assert quad.gyy == pytest.approx(loop.gyy, abs=1e-12)
+    assert quad.gzz == pytest.approx(loop.gzz, abs=1e-12)
+
+
 def test_mean_bond_correlators_translation_invariance(ring4):
     lattice, basis, gs = ring4
     per_bond = [ent.correlators(gs, basis, b) for b in lattice.bonds]
