@@ -28,17 +28,6 @@ def summarize(name: str, curve: analysis.ConcurrenceCurve) -> None:
     )
 
 
-def write_csv(path: str, curve: analysis.ConcurrenceCurve, grid_note: str) -> None:
-    meta = [
-        ("engine", curve.engine),
-        ("model", curve.provenance),
-        ("grid", grid_note),
-        ("version", cli.__version__),
-    ]
-    with open(path, "w") as fh:
-        cli._write_csv(curve, meta, fh)
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results")
@@ -53,16 +42,15 @@ def main() -> None:
     sw_grid = delta_grid(0.0, 2.0, args.sw_step)
 
     curves = {
-        "ed_2d_L4": (analysis.scan_ed(LatticeSpec(2, 4), ed_grid),
-                     f"from=0 to=2 step={args.ed_step}"),
+        "ed_2d_L4": (analysis.scan_ed(LatticeSpec(2, 4), ed_grid), args.ed_step),
         "spinwave_d2": (analysis.scan_spinwave(2, sw_grid, k_points=args.kgrid_2d),
-                        f"from=0 to=2 step={args.sw_step}"),
+                        args.sw_step),
         "spinwave_d3": (analysis.scan_spinwave(3, sw_grid, k_points=args.kgrid_3d),
-                        f"from=0 to=2 step={args.sw_step}"),
+                        args.sw_step),
     }
-    for name, (curve, note) in curves.items():
+    for name, (curve, step) in curves.items():
         path = os.path.join(args.outdir, f"{name}.csv")
-        write_csv(path, curve, note)
+        cli.write_curve(curve, (0.0, 2.0, step), path)
         summarize(name, curve)
         print(f"{'':>14}  wrote {path}")
 

@@ -14,7 +14,6 @@ from .analysis import (
     FitResult,
     ScanSample,
     delta_grid,
-    scan,
     scan_ed,
     scan_spinwave,
 )
@@ -45,7 +44,7 @@ from .entanglement import (
     wootters_oracle,
 )
 from .lattice import Bond, Lattice, LatticeSpec, build_lattice
-from .spinwave import SpinWaveModel, bogoliubov_factors, gamma
+from .spinwave import bogoliubov_factors
 
 __all__ = [
     "Bond",
@@ -61,7 +60,6 @@ __all__ = [
     "SectorBasis",
     "SectorError",
     "SparseHamiltonian",
-    "SpinWaveModel",
     "bogoliubov_factors",
     "build_hamiltonian",
     "build_lattice",
@@ -72,12 +70,10 @@ __all__ = [
     "delta_grid",
     "dense_ground_oracle",
     "enumerate_basis",
-    "gamma",
     "ground_state_gap",
     "lanczos_ground",
     "mean_bond_correlators",
     "operator_bond_correlators",
-    "scan",
     "scan_ed",
     "scan_spinwave",
     "sector_dimension",

@@ -133,32 +133,21 @@ def scan_spinwave(
     deltas,
     *,
     k_points: int | None = None,
-    spin: float = 0.5,
-    h: float = spinwave.DEFAULT_FD_STEP,
 ) -> ConcurrenceCurve:
     """Spin-wave C(delta) curve; energy_total is NaN (thermodynamic limit)."""
     n_k = k_points or spinwave.default_k_points(dimension)
     samples = []
     for delta in np.asarray(deltas, dtype=float):
         d = float(delta)
-        eps = spinwave.energy_per_bond(d, dimension, n_k, spin)
-        g = spinwave.gzz_per_bond(d, dimension, n_k, h=h, spin=spin)
-        c = 2.0 * max(-eps - 0.25 + (d - 1.0) * g, 0.0)
+        eps = spinwave.energy_per_bond(d, dimension, n_k)
+        g = spinwave.gzz_per_bond(d, dimension, n_k)
+        c = entanglement.concurrence_from_energy(eps, g, d)
         samples.append(ScanSample(d, c, eps, g, math.nan))
-    prov = f"spinwave d={dimension} kgrid={n_k} spin={spin} h={h}"
+    prov = (
+        f"spinwave d={dimension} kgrid={n_k} spin={spinwave.SPIN} "
+        f"h={spinwave.DEFAULT_FD_STEP}"
+    )
     return ConcurrenceCurve("spinwave", prov, tuple(samples))
-
-
-def scan(model: LatticeSpec | spinwave.SpinWaveModel, deltas, **kwargs) -> ConcurrenceCurve:
-    """Dispatch on the model type."""
-    if isinstance(model, LatticeSpec):
-        return scan_ed(model, deltas, **kwargs)
-    if isinstance(model, spinwave.SpinWaveModel):
-        return scan_spinwave(
-            model.dimension, deltas, k_points=model.resolved_k_points,
-            spin=model.spin, **kwargs,
-        )
-    raise TypeError(f"cannot scan a {type(model).__name__}")
 
 
 def hellmann_feynman_residual(

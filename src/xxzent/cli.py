@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--step", type=float, default=0.05)
     p_scan.add_argument("--kgrid", type=int, default=None,
                         help="spin-wave quadrature points per direction")
-    p_scan.add_argument("--spin", type=float, default=0.5)
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
@@ -73,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p_sw.add_argument("--delta", type=float, default=1.0)
     p_sw.add_argument("--kgrid", type=int, default=None)
-    p_sw.add_argument("--spin", type=float, default=0.5)
 
     p_ver = sub.add_parser("verify", help="run the machine-check suites")
     p_ver.add_argument("--suite", choices=("all",) + tuple(verify.SUITES),
@@ -135,16 +133,6 @@ def cmd_ed(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _curve_metadata(args: argparse.Namespace, curve: analysis.ConcurrenceCurve) -> list[tuple[str, str]]:
-    meta = [
-        ("engine", curve.engine),
-        ("model", curve.provenance),
-        ("grid", f"from={_fmt(args.delta_from)} to={_fmt(args.delta_to)} step={_fmt(args.step)}"),
-        ("version", __version__),
-    ]
-    return meta
-
-
 def _write_csv(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
     for key, val in meta:
         stream.write(f"# {key}: {val}\n")
@@ -179,6 +167,27 @@ def _write_json(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
     stream.write("\n")
 
 
+def write_curve(curve: analysis.ConcurrenceCurve, grid, out: str | None,
+                fmt: str = "csv") -> None:
+    """Write the curve after its metadata block to the path out (stdout if None).
+
+    grid is the (from, to, step) triple the deltas were made from.
+    """
+    start, stop, step = grid
+    meta = [
+        ("engine", curve.engine),
+        ("model", curve.provenance),
+        ("grid", f"from={_fmt(start)} to={_fmt(stop)} step={_fmt(step)}"),
+        ("version", __version__),
+    ]
+    writer = _write_csv if fmt == "csv" else _write_json
+    if out:
+        with open(out, "w") as fh:
+            writer(curve, meta, fh)
+    else:
+        writer(curve, meta, sys.stdout)
+
+
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.step <= 0:
         parser.error("--step must be positive")
@@ -196,16 +205,8 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         if args.dim < 2:
             parser.error("spin-wave engine needs --dim 2 or 3")
-        curve = analysis.scan_spinwave(
-            args.dim, grid, k_points=args.kgrid, spin=args.spin
-        )
-    meta = _curve_metadata(args, curve)
-    writer = _write_csv if args.format == "csv" else _write_json
-    if args.out:
-        with open(args.out, "w") as fh:
-            writer(curve, meta, fh)
-    else:
-        writer(curve, meta, sys.stdout)
+        curve = analysis.scan_spinwave(args.dim, grid, k_points=args.kgrid)
+    write_curve(curve, (args.delta_from, args.delta_to, args.step), args.out, args.format)
     if not curve.all_ok():
         failed = sum(1 for s in curve.samples if not s.ok)
         print(f"warning: {failed} of {len(curve.samples)} points failed", file=sys.stderr)
@@ -214,22 +215,17 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_spinwave(args: argparse.Namespace) -> int:
-    model = spinwave.SpinWaveModel(args.dim, args.delta, spin=args.spin, k_points=args.kgrid)
-    n_k = model.resolved_k_points
-    e_site = spinwave.energy_per_site(args.delta, args.dim, n_k, args.spin)
-    eps = e_site / args.dim
-    g = spinwave.gzz_per_bond(args.delta, args.dim, n_k, spin=args.spin)
-    c = spinwave.concurrence(args.delta, args.dim, n_k, spin=args.spin)
+    s = analysis.scan_spinwave(args.dim, [args.delta], k_points=args.kgrid).samples[0]
     for key, val in (
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),
-        ("branch", model.branch),
-        ("kgrid", n_k),
-        ("spin", _fmt(args.spin)),
-        ("energy_per_site", _fmt(e_site)),
-        ("energy_per_bond", _fmt(eps)),
-        ("gzz", _fmt(g)),
-        ("concurrence", _fmt(c)),
+        ("branch", "ising" if args.delta >= 1.0 else "planar"),
+        ("kgrid", args.kgrid or spinwave.default_k_points(args.dim)),
+        ("spin", _fmt(spinwave.SPIN)),
+        ("energy_per_site", _fmt(s.energy_per_bond * args.dim)),
+        ("energy_per_bond", _fmt(s.energy_per_bond)),
+        ("gzz", _fmt(s.gzz)),
+        ("concurrence", _fmt(s.concurrence)),
     ):
         print(f"{key}: {val}")
     return EXIT_OK

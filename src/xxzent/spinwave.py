@@ -10,48 +10,22 @@ limit by Brillouin-zone quadrature (d >= 2):
   Planar, 0 <= delta <= 1: x = (1+delta)/2, y = (1-delta)/2,
       e = -(z/2) S^2 + (z S / 2) <sqrt((1 + y g)^2 - x^2 g^2) - (1 + y g)>.
 
-Here g is the structure factor (2/z) sum_m cos k_m, z = 2d, and <.> is the
-BZ average on a midpoint-shifted uniform grid. Both branches coincide at
-delta = 1. Gzz per bond is the derivative of the bond energy within one
-branch (one-sided at the branch edges); the nearest-neighbor concurrence
-follows from the energy density.
+Here g is the structure factor (2/z) sum_m cos k_m, z = 2d, S = SPIN = 1/2
+(concurrence is a two-qubit measure), and <.> is the BZ average on a
+midpoint-shifted uniform grid. Both branches coincide at delta = 1. Gzz per
+bond is the derivative of the bond energy within one branch (one-sided at
+the branch edges); analysis.scan_spinwave turns the two into the
+nearest-neighbor concurrence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
 DEFAULT_FD_STEP = 1e-4
 BOGOLIUBOV_EDGE = 1e-12
-
-
-@dataclass(frozen=True)
-class SpinWaveModel:
-    """Evaluation point for the spin-wave branch formulas."""
-
-    dimension: int
-    delta: float
-    spin: float = 0.5
-    k_points: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError("spin-wave branches are defined for d >= 2")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.spin <= 0:
-            raise ValueError("spin must be positive")
-
-    @property
-    def resolved_k_points(self) -> int:
-        return self.k_points or default_k_points(self.dimension)
-
-    @property
-    def branch(self) -> str:
-        return "ising" if self.delta >= 1.0 else "planar"
 
 
 def default_k_points(dimension: int) -> int:
@@ -64,12 +38,6 @@ def bz_axis(k_points: int) -> np.ndarray:
         raise ValueError("need at least 2 points per direction")
     n = np.arange(k_points)
     return -np.pi + np.pi * (2 * n + 1) / k_points
-
-
-def gamma(k: np.ndarray | tuple[float, ...], z: int) -> np.ndarray | float:
-    """Structure factor (2/z) sum_m cos k_m for momenta of length z/2."""
-    k = np.asarray(k, dtype=float)
-    return (2.0 / z) * np.cos(k).sum(axis=-1)
 
 
 def gamma_grid(dimension: int, k_points: int) -> np.ndarray:
@@ -102,7 +70,7 @@ def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndar
 
 
 def energy_per_site_ising(
-    delta: float, dimension: int, k_points: int | None = None, spin: float = 0.5
+    delta: float, dimension: int, k_points: int | None = None
 ) -> float:
     """Ising-branch ground-state energy per site (delta >= 1)."""
     if delta < 1.0:
@@ -112,11 +80,11 @@ def energy_per_site_ising(
     x = 1.0 / delta
     z = 2 * dimension
     fluct = np.sqrt(np.clip(1.0 - (x * g) ** 2, 0.0, None)) - 1.0
-    return delta * (-(z / 2.0) * spin**2 + (z * spin / 2.0) * float(fluct.mean()))
+    return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(fluct.mean()))
 
 
 def energy_per_site_planar(
-    delta: float, dimension: int, k_points: int | None = None, spin: float = 0.5
+    delta: float, dimension: int, k_points: int | None = None
 ) -> float:
     """Planar-branch ground-state energy per site (0 <= delta <= 1).
 
@@ -132,22 +100,24 @@ def energy_per_site_planar(
     a = 1.0 + y * g
     term = np.sqrt(np.clip(a**2 - (x * g) ** 2, 0.0, None)) - a
     z = 2 * dimension
-    return -(z / 2.0) * spin**2 + (z * spin / 2.0) * float(term.mean())
+    return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(term.mean())
 
 
 def energy_per_site(
-    delta: float, dimension: int, k_points: int | None = None, spin: float = 0.5
+    delta: float, dimension: int, k_points: int | None = None
 ) -> float:
     """Branch-dispatched energy per site; the branches agree at delta = 1."""
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     if delta >= 1.0:
-        return energy_per_site_ising(delta, dimension, k_points, spin)
-    return energy_per_site_planar(delta, dimension, k_points, spin)
+        return energy_per_site_ising(delta, dimension, k_points)
+    return energy_per_site_planar(delta, dimension, k_points)
 
 
 def energy_per_bond(
-    delta: float, dimension: int, k_points: int | None = None, spin: float = 0.5
+    delta: float, dimension: int, k_points: int | None = None
 ) -> float:
-    return energy_per_site(delta, dimension, k_points, spin) / dimension
+    return energy_per_site(delta, dimension, k_points) / dimension
 
 
 # branch domains for the finite-difference Gzz
@@ -175,7 +145,6 @@ def gzz_per_bond(
     k_points: int | None = None,
     *,
     h: float = DEFAULT_FD_STEP,
-    spin: float = 0.5,
     side: str = "auto",
 ) -> float:
     """d(energy per bond)/d(delta) within one branch, by finite differences.
@@ -192,7 +161,7 @@ def gzz_per_bond(
         raise ValueError("finite-difference step must be positive")
 
     def f(d: float) -> float:
-        return energy(d, dimension, k_points, spin) / dimension
+        return energy(d, dimension, k_points) / dimension
 
     if delta - h >= lo and delta + h <= hi:
         return (f(delta + h) - f(delta - h)) / (2.0 * h)
@@ -201,20 +170,3 @@ def gzz_per_bond(
     if delta - 2.0 * h >= lo:
         return (3.0 * f(delta) - 4.0 * f(delta - h) + f(delta - 2.0 * h)) / (2.0 * h)
     raise ValueError(f"step h={h} too large for the {branch} branch at delta={delta}")
-
-
-def concurrence(
-    delta: float,
-    dimension: int,
-    k_points: int | None = None,
-    *,
-    h: float = DEFAULT_FD_STEP,
-    spin: float = 0.5,
-    side: str = "auto",
-) -> float:
-    """Nearest-neighbor concurrence from the branch energy density."""
-    branch = _resolve_side(delta, side)
-    _, _, energy = _BRANCHES[branch]
-    eps = energy(delta, dimension, k_points, spin) / dimension
-    g = gzz_per_bond(delta, dimension, k_points, h=h, spin=spin, side=branch)
-    return 2.0 * max(-eps - 0.25 + (delta - 1.0) * g, 0.0)

@@ -30,6 +30,7 @@ CUSP_STABILITY = 0.05
 
 DEFAULT_ED_CASES = (LatticeSpec(1, 4), LatticeSpec(1, 8), LatticeSpec(2, 4))
 DEFAULT_DELTAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+ED_SCAN_STEP = 0.05
 DEFAULT_SW_DIMS = (2, 3)
 
 
@@ -113,14 +114,15 @@ def check_hellmann_feynman(
     return results
 
 
-def _ed_curves(ed_cases, step: float, **solver) -> dict[LatticeSpec, analysis.ConcurrenceCurve]:
-    grid = analysis.delta_grid(0.0, 2.0, step)
-    return {spec: analysis.scan_ed(spec, grid, **solver) for spec in ed_cases}
+def ed_curves() -> dict[LatticeSpec, analysis.ConcurrenceCurve]:
+    """The delta in [0, 2] scans that the concavity and argmax suites share."""
+    grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)
+    return {spec: analysis.scan_ed(spec, grid) for spec in DEFAULT_ED_CASES}
 
 
-def check_concavity(ed_cases=DEFAULT_ED_CASES, step: float = 0.05, **solver) -> list[CheckResult]:
+def check_concavity(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
     results = []
-    for spec, curve in _ed_curves(ed_cases, step, **solver).items():
+    for spec, curve in curves.items():
         d2 = analysis.concavity_check(curve)
         worst = float(d2.max())
         results.append(
@@ -129,15 +131,15 @@ def check_concavity(ed_cases=DEFAULT_ED_CASES, step: float = 0.05, **solver) -> 
                 passed=worst <= CONCAVITY_TOL,
                 measured=worst,
                 tolerance=CONCAVITY_TOL,
-                detail=f"max second difference of E0 on step-{step} grid",
+                detail=f"max second difference of E0 on step-{ED_SCAN_STEP} grid",
             )
         )
     return results
 
 
-def check_argmax(ed_cases=DEFAULT_ED_CASES, step: float = 0.05, **solver) -> list[CheckResult]:
+def check_argmax(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
     results = []
-    for spec, curve in _ed_curves(ed_cases, step, **solver).items():
+    for spec, curve in curves.items():
         report = analysis.extremum_and_derivative(curve)
         c = curve.concurrences()
         deltas = curve.deltas()
@@ -243,17 +245,24 @@ SUITES = {
     "argmax": check_argmax,
     "spinwave": check_spinwave,
 }
+CURVE_SUITES = ("concavity", "argmax")
 
 
 def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
-    """Run the named suites (or all of them) and collect their rows."""
+    """Run the named suites (or all of them) and collect their rows.
+
+    The concavity and argmax suites read one shared set of ED curves, built
+    here once per call when either is selected.
+    """
     if isinstance(names, str):
         names = (names,)
     selected = list(SUITES) if "all" in names else list(names)
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(SUITES)}")
+    curves = ed_curves() if any(n in CURVE_SUITES for n in selected) else None
     results: list[CheckResult] = []
     for name in selected:
-        results.extend(SUITES[name](**kwargs.get(name, {})))
+        args = (curves,) if name in CURVE_SUITES else ()
+        results.extend(SUITES[name](*args, **kwargs.get(name, {})))
     return results

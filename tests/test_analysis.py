@@ -15,14 +15,12 @@ from xxzent.analysis import (
     extremum_and_derivative,
     polynomial_inverse_l_fit,
     quadratic_fit_near_iso,
-    scan,
     scan_ed,
     scan_spinwave,
     second_differences,
     slope_identity_residuals,
 )
 from xxzent.lattice import LatticeSpec
-from xxzent.spinwave import SpinWaveModel
 
 
 # ------------------------------------------------------------------ grids
@@ -84,24 +82,19 @@ def test_scan_ed_four_ring():
     assert curve.samples[2].concurrence == pytest.approx(0.5, abs=1e-11)
 
 
-def test_scan_dispatch_on_model_type():
-    ed_curve = scan(LatticeSpec(1, 4), [0.5, 1.0])
-    sw_curve = scan(SpinWaveModel(2, 1.0, k_points=64), [0.5, 1.0])
-    assert ed_curve.engine == "ed"
-    assert sw_curve.engine == "spinwave"
-    assert math.isnan(sw_curve.samples[0].energy_total)
-    with pytest.raises(TypeError):
-        scan("a string", [1.0])
-
-
 def test_scan_spinwave_matches_direct_evaluation():
     from xxzent import spinwave as sw
+    from xxzent.entanglement import concurrence_from_energy
 
     curve = scan_spinwave(2, [0.8, 1.0, 1.3], k_points=64)
+    assert curve.engine == "spinwave"
     for sample in curve.samples:
+        eps = sw.energy_per_bond(sample.delta, 2, 64)
+        gzz = sw.gzz_per_bond(sample.delta, 2, 64)
         assert sample.concurrence == pytest.approx(
-            sw.concurrence(sample.delta, 2, 64), abs=1e-12
+            concurrence_from_energy(eps, gzz, sample.delta), abs=1e-12
         )
+        assert math.isnan(sample.energy_total)  # no finite total in the limit
 
 
 def test_scan_keeps_failed_samples_as_gaps(monkeypatch):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
-from xxzent import cli, ed, entanglement, verify
+from xxzent import analysis, cli, ed, entanglement, spinwave, verify
 from xxzent.lattice import LatticeSpec, build_lattice
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -196,6 +196,43 @@ def test_spinwave_report(capsys):
 def test_spinwave_rejects_bad_delta(capsys):
     rc = cli.main(["spinwave", "--dim", "2", "--delta", "-1.0"])
     assert rc == cli.EXIT_USAGE
+    point_err = capsys.readouterr().err
+    rc = cli.main(["scan", "--engine", "spinwave", "--dim", "2", "--kgrid", "16",
+                   "--from", "-0.5", "--to", "0.5", "--step", "0.5"])
+    assert rc == cli.EXIT_USAGE
+    # both commands reach the one delta >= 0 check in spinwave.energy_per_site
+    assert capsys.readouterr().err == point_err == "error: delta must be >= 0\n"
+
+
+def test_spin_is_not_an_option():
+    # concurrence is a two-qubit measure: the toolkit is spin-1/2 only
+    for argv in (["spinwave", "--dim", "2", "--spin", "1"],
+                 ["scan", "--engine", "spinwave", "--dim", "2", "--spin", "0"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == cli.EXIT_USAGE
+
+
+def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
+    # delta = 0.5: the energy plus the two central-difference points of Gzz
+    calls = {"n": 0}
+    original = spinwave.gamma_grid
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spinwave, "gamma_grid", counted)
+    rc = cli.main(["spinwave", "--dim", "2", "--delta", "0.5", "--kgrid", "64"])
+    assert rc == cli.EXIT_OK
+    assert calls["n"] == 3
+    monkeypatch.undo()
+    report = _parse_report(capsys.readouterr().out)
+    sample = analysis.scan_spinwave(2, [0.5], k_points=64).samples[0]
+    assert report["branch"] == "planar"
+    assert report["spin"] == "0.5"
+    assert report["gzz"] == cli._fmt(sample.gzz)
+    assert report["concurrence"] == cli._fmt(sample.concurrence)
 
 
 # --------------------------------------------------------------- verify
@@ -207,6 +244,32 @@ def test_verify_spinwave_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+
+
+def test_verify_scans_each_lattice_once_for_concavity_and_argmax(monkeypatch):
+    # scans are deterministic (acceptance criterion 10), so a repeated
+    # (lattice, grid) request is answered from the first run's curve
+    calls = {"n": 0}
+    done = {}
+    original = analysis.scan_ed
+
+    def counted(spec, deltas):
+        calls["n"] += 1
+        key = (spec, tuple(deltas))
+        if key not in done:
+            done[key] = original(spec, deltas)
+        return done[key]
+
+    monkeypatch.setattr(analysis, "scan_ed", counted)
+    both = verify.run_suites(("concavity", "argmax"))
+    assert calls["n"] == len(verify.DEFAULT_ED_CASES) == 3
+    alone = []
+    for suite in ("concavity", "argmax"):
+        calls["n"] = 0
+        alone += verify.run_suites(suite)
+        assert calls["n"] == 3
+    assert both == alone
+    assert len(both) == 6 and all(r.passed for r in both)
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

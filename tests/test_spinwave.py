@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xxzent import spinwave as sw
+from xxzent.analysis import scan_spinwave
 
 # per-site energies on the production grids, plus finer-grid converged values
 E_SITE_D2_ISO = -0.657947416515705  # 512 points/axis
@@ -42,19 +43,6 @@ def test_gamma_grid_strictly_inside_unit_interval():
         assert abs(g.mean()) < 1e-13
 
 
-def test_model_validation():
-    with pytest.raises(ValueError):
-        sw.SpinWaveModel(1, 1.0)
-    with pytest.raises(ValueError):
-        sw.SpinWaveModel(2, -0.2)
-    with pytest.raises(ValueError):
-        sw.SpinWaveModel(2, 1.0, spin=0.0)
-    m = sw.SpinWaveModel(2, 1.5)
-    assert m.resolved_k_points == 512
-    assert m.branch == "ising"
-    assert sw.SpinWaveModel(2, 0.3).branch == "planar"
-
-
 # ------------------------------------------------------------- Bogoliubov
 
 
@@ -79,6 +67,8 @@ def test_bogoliubov_rejects_gapless_points():
 
 
 def test_isotropic_energies_frozen():
+    assert sw.default_k_points(2) == 512  # the production grids of the constants
+    assert sw.default_k_points(3) == 96
     assert sw.energy_per_site(1.0, 2, 512) == pytest.approx(E_SITE_D2_ISO, abs=1e-12)
     assert sw.energy_per_site(1.0, 3, 96) == pytest.approx(E_SITE_D3_ISO, abs=1e-12)
     # production grids sit within 1e-7 of the converged fine-grid values
@@ -109,7 +99,7 @@ def test_branch_domain_enforced():
         sw.energy_per_site_ising(0.9, 2, 64)
     with pytest.raises(ValueError):
         sw.energy_per_site_planar(1.1, 2, 64)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="delta must be >= 0"):
         sw.energy_per_site(-0.5, 2, 64)
 
 
@@ -165,21 +155,22 @@ def test_gzz_rejects_wrong_branch():
 
 
 # -------------------------------------------------------------- concurrence
+# C(delta) comes from the branch energy and Gzz through scan_spinwave
 
 
 def test_concurrence_peak_values_frozen():
-    c2 = sw.concurrence(1.0, 2, 512)
-    c3 = sw.concurrence(1.0, 3, 96)
+    c2 = scan_spinwave(2, [1.0], k_points=512).samples[0].concurrence
+    c3 = scan_spinwave(3, [1.0], k_points=96).samples[0].concurrence
     assert c2 == pytest.approx(0.157947416515705, abs=1e-9)
     assert c3 == pytest.approx(0.097157998626396, abs=1e-9)
 
 
 def test_concurrence_positive_and_decaying_past_peak():
-    values = [sw.concurrence(d, 2, 128) for d in (1.0, 1.5, 2.0, 3.0, 6.0)]
+    values = scan_spinwave(2, [1.0, 1.5, 2.0, 3.0, 6.0], k_points=128).concurrences().tolist()
     assert all(v > 0 for v in values)
     assert values == sorted(values, reverse=True)
 
 
 def test_concurrence_peak_dominates_neighbors():
-    c = {d: sw.concurrence(d, 2, 128) for d in (0.9, 1.0, 1.1)}
-    assert c[1.0] > c[0.9] and c[1.0] > c[1.1]
+    c = scan_spinwave(2, [0.9, 1.0, 1.1], k_points=128).concurrences()
+    assert c[1] > c[0] and c[1] > c[2]
