@@ -23,15 +23,14 @@ def study(dimension: int, delta: float, sizes: list[int]) -> None:
     branch = "ising" if delta >= 1 else "planar"
     print(f"\nd={dimension}, delta={delta} ({branch} branch)")
     print(f"{'points/axis':>12} {'e_site':>22} {'drift from previous':>22}")
-    prev = None
+    energies = []
     for n in sizes:
-        e = sw.energy_per_site(delta, dimension, n)
-        drift = "" if prev is None else f"{e - prev:+.3e}"
+        e = sw.energy_per_site(delta, sw.gamma_grid(dimension, n))
+        drift = f"{e - energies[-1]:+.3e}" if energies else ""
         print(f"{n:>12} {e:>22.15f} {drift:>22}")
-        prev = e
-    if len(sizes) >= 2:
-        coarse = sw.energy_per_site(delta, dimension, sizes[-2])
-        extrap = richardson(coarse, prev)
+        energies.append(e)
+    if len(energies) >= 2:
+        extrap = richardson(energies[-2], energies[-1])
         print(f"{'extrapolated':>12} {extrap:>22.12f}   (N^-3 Richardson)")
 
 

@@ -134,15 +134,18 @@ def scan_spinwave(
     *,
     k_points: int | None = None,
 ) -> ConcurrenceCurve:
-    """Spin-wave C(delta) curve; energy_total is NaN (thermodynamic limit)."""
-    n_k = k_points or spinwave.default_k_points(dimension)
+    """Spin-wave C(delta) curve on one zone grid; energy_total is NaN (thermodynamic limit)."""
+    if dimension not in spinwave.DEFAULT_K_POINTS:
+        raise ValueError("spin-wave needs d = 2 or 3")
+    n_k = k_points or spinwave.DEFAULT_K_POINTS[dimension]
+    g = spinwave.gamma_grid(dimension, n_k)
     samples = []
     for delta in np.asarray(deltas, dtype=float):
         d = float(delta)
-        eps = spinwave.energy_per_bond(d, dimension, n_k)
-        g = spinwave.gzz_per_bond(d, dimension, n_k)
-        c = entanglement.concurrence_from_energy(eps, g, d)
-        samples.append(ScanSample(d, c, eps, g, math.nan))
+        eps = spinwave.energy_per_site(d, g) / dimension
+        gzz = spinwave.gzz_per_bond(d, g)
+        c = entanglement.concurrence_from_energy(eps, gzz, d)
+        samples.append(ScanSample(d, c, eps, gzz, math.nan))
     prov = (
         f"spinwave d={dimension} kgrid={n_k} spin={spinwave.SPIN} "
         f"h={spinwave.DEFAULT_FD_STEP}"

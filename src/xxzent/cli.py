@@ -25,6 +25,17 @@ EXIT_VERIFY = 5
 
 DEFAULT_BASIS_CAP = 20_000_000
 
+# flags that only exact diagonalization reads, with their defaults; `scan`
+# parses them as None so that one passed to the spin-wave engine is caught
+ED_FLAG_DEFAULTS = {
+    "size": 8,
+    "boundary": "periodic",
+    "tol": ed.DEFAULT_TOL,
+    "max_iter": ed.DEFAULT_MAX_ITER,
+    "seed": ed.DEFAULT_SEED,
+    "max_basis": DEFAULT_BASIS_CAP,
+}
+
 CSV_HEADER = "delta,concurrence,energy_per_bond,gzz,engine"
 
 
@@ -41,14 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_lattice_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
-        p.add_argument("--size", type=int, default=8, help="linear size L")
-        p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+        p.add_argument("--size", type=int, default=ED_FLAG_DEFAULTS["size"],
+                       help="linear size L")
+        p.add_argument("--boundary", choices=("periodic", "open"),
+                       default=ED_FLAG_DEFAULTS["boundary"])
 
     def add_solver_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=ed.DEFAULT_TOL)
-        p.add_argument("--max-iter", type=int, default=ed.DEFAULT_MAX_ITER)
-        p.add_argument("--seed", type=int, default=ed.DEFAULT_SEED)
-        p.add_argument("--max-basis", type=int, default=DEFAULT_BASIS_CAP,
+        p.add_argument("--tol", type=float, default=ED_FLAG_DEFAULTS["tol"])
+        p.add_argument("--max-iter", type=int, default=ED_FLAG_DEFAULTS["max_iter"])
+        p.add_argument("--seed", type=int, default=ED_FLAG_DEFAULTS["seed"])
+        p.add_argument("--max-basis", type=int, default=ED_FLAG_DEFAULTS["max_basis"],
                        help="refuse sectors larger than this")
 
     p_ed = sub.add_parser("ed", help="exact diagonalization at a single delta")
@@ -65,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--step", type=float, default=0.05)
     p_scan.add_argument("--kgrid", type=int, default=None,
                         help="spin-wave quadrature points per direction")
+    p_scan.set_defaults(**dict.fromkeys(ED_FLAG_DEFAULTS))
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--out", type=str, default=None, help="output path (default stdout)")
 
@@ -189,12 +203,19 @@ def write_curve(curve: analysis.ConcurrenceCurve, grid, out: str | None,
 
 
 def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    foreign = ED_FLAG_DEFAULTS if args.engine == "spinwave" else ("kgrid",)
+    given = [f"--{k.replace('_', '-')}" for k in foreign if getattr(args, k) is not None]
+    if given:
+        parser.error(f"{', '.join(given)}: not used by --engine {args.engine}")
     if args.step <= 0:
         parser.error("--step must be positive")
     if args.delta_to < args.delta_from:
         parser.error("--to must be >= --from")
     grid = analysis.delta_grid(args.delta_from, args.delta_to, args.step)
     if args.engine == "ed":
+        for key, default in ED_FLAG_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
         spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
         bad = _check_feasible(spec, args.max_basis)
         if bad is not None:
@@ -220,7 +241,7 @@ def cmd_spinwave(args: argparse.Namespace) -> int:
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),
         ("branch", "ising" if args.delta >= 1.0 else "planar"),
-        ("kgrid", args.kgrid or spinwave.default_k_points(args.dim)),
+        ("kgrid", args.kgrid or spinwave.DEFAULT_K_POINTS[args.dim]),
         ("spin", _fmt(spinwave.SPIN)),
         ("energy_per_site", _fmt(s.energy_per_bond * args.dim)),
         ("energy_per_bond", _fmt(s.energy_per_bond)),

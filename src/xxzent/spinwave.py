@@ -13,8 +13,12 @@ limit by Brillouin-zone quadrature (d >= 2):
 Here g is the structure factor (2/z) sum_m cos k_m, z = 2d, S = SPIN = 1/2
 (concurrence is a two-qubit measure), and <.> is the BZ average on a
 midpoint-shifted uniform grid. Both branches coincide at delta = 1. Gzz per
-bond is the derivative of the bond energy within one branch (one-sided at
-the branch edges); analysis.scan_spinwave turns the two into the
+bond is the derivative of the bond energy within the branch that delta
+implies (Ising at delta >= 1, one-sided at the branch edges).
+
+The quadratures take the grid g = gamma_grid(d, k_points) as an argument
+and read d from g.ndim, so a caller builds it once for all deltas;
+analysis.scan_spinwave does that and turns energy and Gzz into the
 nearest-neighbor concurrence.
 """
 
@@ -26,10 +30,6 @@ SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
 DEFAULT_FD_STEP = 1e-4
 BOGOLIUBOV_EDGE = 1e-12
-
-
-def default_k_points(dimension: int) -> int:
-    return DEFAULT_K_POINTS.get(dimension, 32)
 
 
 def bz_axis(k_points: int) -> np.ndarray:
@@ -69,99 +69,60 @@ def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def energy_per_site_ising(
-    delta: float, dimension: int, k_points: int | None = None
-) -> float:
-    """Ising-branch ground-state energy per site (delta >= 1)."""
+def energy_per_site_ising(delta: float, g: np.ndarray) -> float:
+    """Ising-branch ground-state energy per site (delta >= 1) on the zone grid g."""
     if delta < 1.0:
         raise ValueError(f"Ising branch needs delta >= 1, got {delta}")
-    n_k = k_points or default_k_points(dimension)
-    g = gamma_grid(dimension, n_k)
     x = 1.0 / delta
-    z = 2 * dimension
+    z = 2 * g.ndim
     fluct = np.sqrt(np.clip(1.0 - (x * g) ** 2, 0.0, None)) - 1.0
     return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(fluct.mean()))
 
 
-def energy_per_site_planar(
-    delta: float, dimension: int, k_points: int | None = None
-) -> float:
-    """Planar-branch ground-state energy per site (0 <= delta <= 1).
+def energy_per_site_planar(delta: float, g: np.ndarray) -> float:
+    """Planar-branch ground-state energy per site (0 <= delta <= 1) on the zone grid g.
 
     The integrand sqrt((1+y g)^2 - x^2 g^2) - (1+y g) stays finite at the
     zone corner g = -1, where 1 + y g = x and the root vanishes.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"planar branch needs 0 <= delta <= 1, got {delta}")
-    n_k = k_points or default_k_points(dimension)
-    g = gamma_grid(dimension, n_k)
     x = (1.0 + delta) / 2.0
     y = (1.0 - delta) / 2.0
     a = 1.0 + y * g
     term = np.sqrt(np.clip(a**2 - (x * g) ** 2, 0.0, None)) - a
-    z = 2 * dimension
+    z = 2 * g.ndim
     return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(term.mean())
 
 
-def energy_per_site(
-    delta: float, dimension: int, k_points: int | None = None
-) -> float:
+def energy_per_site(delta: float, g: np.ndarray) -> float:
     """Branch-dispatched energy per site; the branches agree at delta = 1."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     if delta >= 1.0:
-        return energy_per_site_ising(delta, dimension, k_points)
-    return energy_per_site_planar(delta, dimension, k_points)
+        return energy_per_site_ising(delta, g)
+    return energy_per_site_planar(delta, g)
 
 
-def energy_per_bond(
-    delta: float, dimension: int, k_points: int | None = None
-) -> float:
-    return energy_per_site(delta, dimension, k_points) / dimension
+def gzz_per_bond(delta: float, g: np.ndarray, *, h: float = DEFAULT_FD_STEP) -> float:
+    """d(energy per bond)/d(delta) within the branch delta lies in, by finite differences.
 
-
-# branch domains for the finite-difference Gzz
-_BRANCHES = {
-    "planar": (0.0, 1.0, energy_per_site_planar),
-    "ising": (1.0, np.inf, energy_per_site_ising),
-}
-
-
-def _resolve_side(delta: float, side: str) -> str:
-    if side == "auto":
-        # at exactly delta = 1 the Ising side is the convention; the
-        # concurrence is insensitive because of its (delta - 1) prefactor
-        return "ising" if delta >= 1.0 else "planar"
-    if side in ("left", "planar"):
-        return "planar"
-    if side in ("right", "ising"):
-        return "ising"
-    raise ValueError(f"side must be auto/left/right, got {side!r}")
-
-
-def gzz_per_bond(
-    delta: float,
-    dimension: int,
-    k_points: int | None = None,
-    *,
-    h: float = DEFAULT_FD_STEP,
-    side: str = "auto",
-) -> float:
-    """d(energy per bond)/d(delta) within one branch, by finite differences.
-
-    Central differences where the stencil fits inside the branch domain,
-    second-order one-sided stencils at the edges. Steps never straddle
-    delta = 1; asking for a delta outside the chosen branch raises.
+    At exactly delta = 1 the Ising side is the convention; the concurrence
+    is insensitive because of its (delta - 1) prefactor. Central differences
+    where the stencil fits inside the branch domain, second-order one-sided
+    stencils at the edges; steps never straddle delta = 1.
     """
-    branch = _resolve_side(delta, side)
-    lo, hi, energy = _BRANCHES[branch]
-    if not lo <= delta <= hi:
-        raise ValueError(f"delta={delta} outside the {branch} branch [{lo}, {hi}]")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
+    if delta >= 1.0:
+        branch, lo, hi, energy = "ising", 1.0, np.inf, energy_per_site_ising
+    else:
+        branch, lo, hi, energy = "planar", 0.0, 1.0, energy_per_site_planar
 
     def f(d: float) -> float:
-        return energy(d, dimension, k_points) / dimension
+        return energy(d, g) / g.ndim
 
     if delta - h >= lo and delta + h <= hi:
         return (f(delta + h) - f(delta - h)) / (2.0 * h)

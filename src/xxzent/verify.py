@@ -179,10 +179,10 @@ def check_bogoliubov() -> list[CheckResult]:
 def check_branch_continuity(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -> list[CheckResult]:
     results = []
     for d in dims:
-        n_k = k_points or spinwave.default_k_points(d)
+        n_k = k_points or spinwave.DEFAULT_K_POINTS[d]
+        g = spinwave.gamma_grid(d, n_k)
         gapv = abs(
-            spinwave.energy_per_site_ising(1.0, d, n_k)
-            - spinwave.energy_per_site_planar(1.0, d, n_k)
+            spinwave.energy_per_site_ising(1.0, g) - spinwave.energy_per_site_planar(1.0, g)
         )
         results.append(
             CheckResult(
@@ -205,7 +205,7 @@ def _sw_cusp(dimension: int, n_k: int, step: float) -> float:
 def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 0.01) -> list[CheckResult]:
     results = []
     for d in dims:
-        n_k = k_points or spinwave.default_k_points(d)
+        n_k = k_points or spinwave.DEFAULT_K_POINTS[d]
         jump = _sw_cusp(d, n_k, step)
         jump_fine = _sw_cusp(d, 2 * n_k, step)
         drift = abs(jump_fine - jump) / jump if jump else float("inf")

@@ -88,13 +88,23 @@ def test_scan_spinwave_matches_direct_evaluation():
 
     curve = scan_spinwave(2, [0.8, 1.0, 1.3], k_points=64)
     assert curve.engine == "spinwave"
+    g = sw.gamma_grid(2, 64)
     for sample in curve.samples:
-        eps = sw.energy_per_bond(sample.delta, 2, 64)
-        gzz = sw.gzz_per_bond(sample.delta, 2, 64)
+        eps = sw.energy_per_site(sample.delta, g) / 2
+        gzz = sw.gzz_per_bond(sample.delta, g)
         assert sample.concurrence == pytest.approx(
             concurrence_from_energy(eps, gzz, sample.delta), abs=1e-12
         )
         assert math.isnan(sample.energy_total)  # no finite total in the limit
+
+
+def test_scan_spinwave_needs_two_or_three_dimensions():
+    # no default zone grid exists outside d = 2, 3: refuse instead of guessing one
+    for dimension in (1, 4):
+        with pytest.raises(ValueError, match="spin-wave needs d = 2 or 3"):
+            scan_spinwave(dimension, [1.0])
+    with pytest.raises(ValueError, match="spin-wave needs d = 2 or 3"):
+        scan_spinwave(1, [1.0], k_points=8)
 
 
 def test_scan_keeps_failed_samples_as_gaps(monkeypatch):

@@ -159,6 +159,25 @@ def test_scan_usage_errors():
     assert info.value.code == cli.EXIT_USAGE
 
 
+def test_scan_rejects_engine_foreign_flags(capsys):
+    # a flag the chosen engine does not read is a usage error, not a silent no-op
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--engine", "spinwave", "--dim", "2", "--size", "5",
+                  "--boundary", "open", "--seed", "3", "--kgrid", "8",
+                  "--from", "1", "--to", "1", "--step", "0.1"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "--size, --boundary, --seed: not used by --engine spinwave" in capsys.readouterr().err
+    for flag, value in (("--tol", "1e-9"), ("--max-iter", "50"), ("--max-basis", "100")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["scan", "--engine", "spinwave", "--dim", "2", flag, value])
+        assert info.value.code == cli.EXIT_USAGE
+        assert f"{flag}: not used" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--dim", "1", "--size", "4", "--kgrid", "8"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "--kgrid: not used by --engine ed" in capsys.readouterr().err
+
+
 def test_scan_reports_partial_failure(tmp_path, capsys, monkeypatch):
     original = ed.lanczos_ground
     calls = {"n": 0}
@@ -214,7 +233,8 @@ def test_spin_is_not_an_option():
 
 
 def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
-    # delta = 0.5: the energy plus the two central-difference points of Gzz
+    # delta = 0.5: the energy and the two central-difference points of Gzz
+    # all integrate over the one zone grid the scan builds
     calls = {"n": 0}
     original = spinwave.gamma_grid
 
@@ -225,7 +245,7 @@ def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
     monkeypatch.setattr(spinwave, "gamma_grid", counted)
     rc = cli.main(["spinwave", "--dim", "2", "--delta", "0.5", "--kgrid", "64"])
     assert rc == cli.EXIT_OK
-    assert calls["n"] == 3
+    assert calls["n"] == 1
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
     sample = analysis.scan_spinwave(2, [0.5], k_points=64).samples[0]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from xxzent import spinwave as sw
 from xxzent.analysis import scan_spinwave
+from xxzent.verify import check_branch_continuity
 
 # per-site energies on the production grids, plus finer-grid converged values
 E_SITE_D2_ISO = -0.657947416515705  # 512 points/axis
@@ -67,51 +68,57 @@ def test_bogoliubov_rejects_gapless_points():
 
 
 def test_isotropic_energies_frozen():
-    assert sw.default_k_points(2) == 512  # the production grids of the constants
-    assert sw.default_k_points(3) == 96
-    assert sw.energy_per_site(1.0, 2, 512) == pytest.approx(E_SITE_D2_ISO, abs=1e-12)
-    assert sw.energy_per_site(1.0, 3, 96) == pytest.approx(E_SITE_D3_ISO, abs=1e-12)
+    assert sw.DEFAULT_K_POINTS == {2: 512, 3: 96}  # the production grids of the constants
+    e2 = sw.energy_per_site(1.0, sw.gamma_grid(2, 512))
+    e3 = sw.energy_per_site(1.0, sw.gamma_grid(3, 96))
+    assert e2 == pytest.approx(E_SITE_D2_ISO, abs=1e-12)
+    assert e3 == pytest.approx(E_SITE_D3_ISO, abs=1e-12)
     # production grids sit within 1e-7 of the converged fine-grid values
     assert abs(E_SITE_D2_ISO - E_SITE_D2_ISO_CONVERGED) < 1e-7
     assert abs(E_SITE_D3_ISO - E_SITE_D3_ISO_CONVERGED) < 1e-7
 
 
 def test_xx_point_energy_frozen():
-    assert sw.energy_per_site_planar(0.0, 2, 512) == pytest.approx(E_SITE_D2_XX, abs=1e-12)
+    e = sw.energy_per_site_planar(0.0, sw.gamma_grid(2, 512))
+    assert e == pytest.approx(E_SITE_D2_XX, abs=1e-12)
 
 
 def test_branch_formulas_agree_exactly_at_isotropy():
     for d, n in ((2, 128), (3, 32)):
-        ei = sw.energy_per_site_ising(1.0, d, n)
-        ep = sw.energy_per_site_planar(1.0, d, n)
+        g = sw.gamma_grid(d, n)
+        ei = sw.energy_per_site_ising(1.0, g)
+        ep = sw.energy_per_site_planar(1.0, g)
         assert ei == pytest.approx(ep, abs=1e-14)
 
 
 def test_grid_refinement_cubic_convergence():
     # midpoint quadrature error shrinks by about 8x per grid doubling
-    e = [sw.energy_per_site(1.0, 2, n) for n in (64, 128, 256)]
+    e = [sw.energy_per_site(1.0, sw.gamma_grid(2, n)) for n in (64, 128, 256)]
     d1, d2 = abs(e[1] - e[0]), abs(e[2] - e[1])
     assert d2 < d1 / 6.0
 
 
 def test_branch_domain_enforced():
+    g = sw.gamma_grid(2, 64)
     with pytest.raises(ValueError):
-        sw.energy_per_site_ising(0.9, 2, 64)
+        sw.energy_per_site_ising(0.9, g)
     with pytest.raises(ValueError):
-        sw.energy_per_site_planar(1.1, 2, 64)
+        sw.energy_per_site_planar(1.1, g)
     with pytest.raises(ValueError, match="delta must be >= 0"):
-        sw.energy_per_site(-0.5, 2, 64)
+        sw.energy_per_site(-0.5, g)
 
 
 def test_large_delta_asymptotics():
     # classical Neel limit: both energy slope and level approach -1/4 per bond
-    assert sw.energy_per_bond(50.0, 2, 256) / 50.0 == pytest.approx(-0.25, abs=5e-5)
-    assert sw.gzz_per_bond(50.0, 2, 256) == pytest.approx(-0.25, abs=5e-5)
+    g = sw.gamma_grid(2, 256)
+    assert sw.energy_per_site(50.0, g) / g.ndim / 50.0 == pytest.approx(-0.25, abs=5e-5)
+    assert sw.gzz_per_bond(50.0, g) == pytest.approx(-0.25, abs=5e-5)
 
 
 def test_planar_energy_finite_and_negative_everywhere():
+    g = sw.gamma_grid(2, 64)
     for delta in np.linspace(0.0, 1.0, 21):
-        e = sw.energy_per_site_planar(float(delta), 2, 64)
+        e = sw.energy_per_site_planar(float(delta), g)
         assert np.isfinite(e) and e < 0
 
 
@@ -119,39 +126,55 @@ def test_planar_energy_finite_and_negative_everywhere():
 
 
 def test_gzz_frozen_value():
-    assert sw.gzz_per_bond(1.5, 2, 512, h=1e-4) == pytest.approx(-0.215076961297, abs=1e-9)
+    g = sw.gamma_grid(2, 512)
+    assert sw.gzz_per_bond(1.5, g, h=1e-4) == pytest.approx(-0.215076961297, abs=1e-9)
 
 
 def test_gzz_step_insensitive():
-    a = sw.gzz_per_bond(1.5, 2, 256, h=1e-3)
-    b = sw.gzz_per_bond(1.5, 2, 256, h=1e-4)
+    g = sw.gamma_grid(2, 256)
+    a = sw.gzz_per_bond(1.5, g, h=1e-3)
+    b = sw.gzz_per_bond(1.5, g, h=1e-4)
     assert a == pytest.approx(b, abs=2e-6)
 
 
 def test_gzz_one_sided_at_isotropy():
-    left = sw.gzz_per_bond(1.0, 2, 512, side="left")
-    right = sw.gzz_per_bond(1.0, 2, 512, side="right")
+    # delta = 1 takes the Ising forward stencil; just below it the planar
+    # backward stencil gives the left slope
+    g = sw.gamma_grid(2, 512)
+    left = sw.gzz_per_bond(1.0 - 1e-9, g)
+    right = sw.gzz_per_bond(1.0, g)
     assert left == pytest.approx(-0.13689233, abs=1e-6)
     assert right == pytest.approx(-0.05518923, abs=1e-6)
     # the slope itself jumps at delta = 1; order matters
     assert right - left > 0.05
 
 
-def test_gzz_side_auto_uses_right_branch_at_one():
-    auto = sw.gzz_per_bond(1.0, 2, 256)
-    right = sw.gzz_per_bond(1.0, 2, 256, side="right")
-    assert auto == right
-
-
 def test_gzz_rejects_wrong_branch():
-    with pytest.raises(ValueError):
-        sw.gzz_per_bond(1.5, 2, 64, side="left")
-    with pytest.raises(ValueError):
-        sw.gzz_per_bond(0.5, 2, 64, side="ising")
-    with pytest.raises(ValueError):
-        sw.gzz_per_bond(0.5, 2, 64, h=0.6)  # no stencil fits the planar window
-    with pytest.raises(ValueError):
-        sw.gzz_per_bond(0.5, 2, 64, side="sideways")
+    g = sw.gamma_grid(2, 64)
+    with pytest.raises(ValueError, match="too large for the planar branch"):
+        sw.gzz_per_bond(0.5, g, h=0.6)  # no stencil fits the planar window
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        sw.gzz_per_bond(-0.5, g)
+
+
+def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
+    # the grid is delta-independent: a scan builds it once for all its
+    # points, the branch-continuity check once per dimension for both branches
+    shapes = []
+    original = sw.gamma_grid
+
+    def counted(dimension, k_points):
+        shapes.append((dimension, k_points))
+        return original(dimension, k_points)
+
+    monkeypatch.setattr(sw, "gamma_grid", counted)
+    curve = scan_spinwave(2, np.linspace(0.0, 2.0, 9), k_points=32)
+    assert len(curve.samples) == 9
+    assert shapes == [(2, 32)]
+    shapes.clear()
+    rows = check_branch_continuity(k_points=16)
+    assert shapes == [(2, 16), (3, 16)]
+    assert all(r.passed for r in rows)
 
 
 # -------------------------------------------------------------- concurrence
