@@ -26,7 +26,6 @@ from .ed import (
     build_hamiltonian,
     dense_ground_oracle,
     enumerate_basis,
-    ground_state_gap,
     lanczos_ground,
     sector_dimension,
     solve_ground,
@@ -70,7 +69,6 @@ __all__ = [
     "delta_grid",
     "dense_ground_oracle",
     "enumerate_basis",
-    "ground_state_gap",
     "lanczos_ground",
     "mean_bond_correlators",
     "operator_bond_correlators",

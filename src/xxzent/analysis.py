@@ -60,9 +60,6 @@ class ConcurrenceCurve:
     def energies_per_bond(self) -> np.ndarray:
         return self._column("energy_per_bond")
 
-    def gzzs(self) -> np.ndarray:
-        return self._column("gzz")
-
     def energies_total(self) -> np.ndarray:
         return self._column("energy_total")
 
@@ -91,20 +88,19 @@ def scan_ed(
     spec: LatticeSpec,
     deltas,
     *,
-    m: float = 0.0,
     tol: float = ed.DEFAULT_TOL,
     max_iter: int = ed.DEFAULT_MAX_ITER,
     seed: int = ed.DEFAULT_SEED,
 ) -> ConcurrenceCurve:
     """ED C(delta) curve: one operator re-pointed per delta, bond means from its quadratic forms."""
     lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites, m)
+    basis = ed.enumerate_basis(lattice.n_sites)
     op = ed.build_hamiltonian(lattice, 0.0, basis)
     samples = []
     for delta in np.asarray(deltas, dtype=float):
         h = op.at(float(delta))
         try:
-            gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
+            gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed)
         except ed.LanczosError as exc:
             best = exc.best
             samples.append(
@@ -122,7 +118,7 @@ def scan_ed(
         )
     bc = "periodic" if spec.periodic else "open"
     prov = (
-        f"ed d={spec.dimension} L={spec.linear_size} {bc} m={m} "
+        f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
         f"tol={tol} seed={seed}"
     )
     return ConcurrenceCurve("ed", prov, tuple(samples))
@@ -137,7 +133,7 @@ def scan_spinwave(
     """Spin-wave C(delta) curve on one zone grid; energy_total is NaN (thermodynamic limit)."""
     if dimension not in spinwave.DEFAULT_K_POINTS:
         raise ValueError("spin-wave needs d = 2 or 3")
-    n_k = k_points or spinwave.DEFAULT_K_POINTS[dimension]
+    n_k = spinwave.DEFAULT_K_POINTS[dimension] if k_points is None else k_points
     g = spinwave.gamma_grid(dimension, n_k)
     samples = []
     for delta in np.asarray(deltas, dtype=float):
@@ -158,10 +154,6 @@ def hellmann_feynman_residual(
     delta: float,
     *,
     h: float = 1e-4,
-    m: float = 0.0,
-    tol: float = ed.DEFAULT_TOL,
-    max_iter: int = ed.DEFAULT_MAX_ITER,
-    seed: int = ed.DEFAULT_SEED,
 ) -> float:
     """|dE0/ddelta - N_B Gzz| with a central difference of step h.
 
@@ -169,11 +161,11 @@ def hellmann_feynman_residual(
     from the operator's own H_zz, so a fault in H_zz cannot cancel out.
     """
     lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites, m)
+    basis = ed.enumerate_basis(lattice.n_sites)
     op = ed.build_hamiltonian(lattice, delta, basis)
 
     def ground(d: float) -> ed.GroundState:
-        return ed.lanczos_ground(op.at(d), tol=tol, max_iter=max_iter, seed=seed, m=m)
+        return ed.lanczos_ground(op.at(d))
 
     de = (ground(delta + h).energy - ground(delta - h).energy) / (2.0 * h)
     g = entanglement.mean_bond_correlators(ground(delta), basis, lattice)
@@ -195,7 +187,7 @@ def second_differences(values: np.ndarray, step: float) -> np.ndarray:
     return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / step**2
 
 
-def concavity_check(curve: ConcurrenceCurve, quantity: str | None = None) -> np.ndarray:
+def concavity_check(curve: ConcurrenceCurve) -> np.ndarray:
     """Interior second differences of the energy along the curve.
 
     For a concave ground-state energy every entry is <= 0 up to solver
@@ -203,8 +195,7 @@ def concavity_check(curve: ConcurrenceCurve, quantity: str | None = None) -> np.
     the per-bond density (no finite total exists) and are only meaningful
     within a single branch.
     """
-    if quantity is None:
-        quantity = "energy_total" if curve.engine == "ed" else "energy_per_bond"
+    quantity = "energy_total" if curve.engine == "ed" else "energy_per_bond"
     _uniform_step(curve.deltas())  # validates uniformity, >= 3 points
     v = curve._column(quantity)
     return v[2:] - 2.0 * v[1:-1] + v[:-2]

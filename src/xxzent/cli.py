@@ -117,7 +117,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     basis = ed.enumerate_basis(lattice.n_sites)
     h = ed.build_hamiltonian(lattice, args.delta, basis)
     try:
-        gs, gap = ed.ground_state_gap(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+        gs = ed.lanczos_ground(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed, n_low=2)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -136,7 +136,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),
         ("concurrence", _fmt(c)),
-        ("gap", _fmt(gap)),
+        ("gap", _fmt(gs.gap)),
         ("solver", gs.method),
         ("iterations", gs.iterations),
         ("residual", _fmt(gs.residual)),
@@ -241,7 +241,7 @@ def cmd_spinwave(args: argparse.Namespace) -> int:
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),
         ("branch", "ising" if args.delta >= 1.0 else "planar"),
-        ("kgrid", args.kgrid or spinwave.DEFAULT_K_POINTS[args.dim]),
+        ("kgrid", spinwave.DEFAULT_K_POINTS[args.dim] if args.kgrid is None else args.kgrid),
         ("spin", _fmt(spinwave.SPIN)),
         ("energy_per_site", _fmt(s.energy_per_bond * args.dim)),
         ("energy_per_bond", _fmt(s.energy_per_bond)),

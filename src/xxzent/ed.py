@@ -7,9 +7,10 @@ bit i = 1 meaning site i is up (sz = +1/2), kept in increasing order.
 
 H(delta) = H_xy + delta H_zz: the spin-flip CSR and the Ising diagonal do
 not depend on delta, so a sector operator is assembled once per lattice and
-re-pointed with `SparseHamiltonian.at`. Above DENSE_DIM_LIMIT (4,000 states)
-`ground_state_gap` takes the ground state and E1 from one two-pair Lanczos
-run, the run that the `iterations` line of `xxzent ed` counts.
+re-pointed with `SparseHamiltonian.at`. Every solve is one `lanczos_ground`
+run; with n_low=2 the same Krylov run also converges the second pair and
+stores the gap E1 - E0 on the returned `GroundState`. The dense oracle
+(at most DENSE_DIM_LIMIT states) is only the reference for tests.
 """
 
 from __future__ import annotations
@@ -173,6 +174,7 @@ class GroundState:
     method: str
     iterations: int
     seed: int | None
+    gap: float = math.nan  # E1 - E0 when the solve converged two pairs
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -194,18 +196,22 @@ def lanczos_ground(
     seed: int = DEFAULT_SEED,
     m: float = 0.0,
     n_low: int = 1,
-) -> GroundState | tuple[GroundState, float]:
+) -> GroundState:
     """Lowest eigenpair by Lanczos with full reorthogonalization.
 
     The start vector is drawn from a fixed-seed generator so repeated runs
     are bit-identical. Convergence is declared when the residual
     ||H x - E x|| drops below tol (absolute, energy units of the planar
-    coupling). With n_low=2 the second Ritz value is converged too and
-    returned alongside.
+    coupling). With n_low=2 the second Ritz pair is converged in the same
+    run and E1 - E0 is stored in `gap` (nan otherwise).
 
-    Raises LanczosError after max_iter without convergence; the exception
-    carries the best estimate.
+    Raises ValueError for max_iter < 1 or tol <= 0, and LanczosError after
+    max_iter without convergence; the exception carries the best estimate.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     n = h.dimension
     if n == 1:
         if n_low == 2:
@@ -268,11 +274,7 @@ def lanczos_ground(
             x1 = _ritz_vector(qs[:k], evecs[:, 1])
             r1 = float(np.linalg.norm(h.apply(x1) - float(evals[1]) * x1))
             converged = converged and r1 < 1e3 * tol
-        if not converged:
-            raise LanczosError(
-                f"no convergence after {k} iterations (residual {residual:.3e})", gs
-            )
-        return gs, float(evals[1])
+        gs = replace(gs, gap=float(evals[1]) - e0)
     if not converged:
         raise LanczosError(
             f"no convergence after {k} iterations (residual {residual:.3e})", gs
@@ -295,15 +297,6 @@ def dense_ground_oracle(
     return GroundState(e0, x, m, residual, "dense", 0, None)
 
 
-def dense_low_pair(h: SparseHamiltonian, *, max_dimension: int = DENSE_DIM_LIMIT) -> tuple[float, float]:
-    if h.dimension > max_dimension:
-        raise ValueError(
-            f"dense solve refused: dimension {h.dimension} exceeds {max_dimension}"
-        )
-    w = np.linalg.eigvalsh(h.to_dense())
-    return float(w[0]), float(w[1])
-
-
 def solve_ground(
     lattice: Lattice,
     delta: float,
@@ -318,27 +311,3 @@ def solve_ground(
     h = build_hamiltonian(lattice, delta, basis)
     gs = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
     return basis, gs
-
-
-def ground_state_gap(
-    h: SparseHamiltonian,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = DEFAULT_SEED,
-    m: float = 0.0,
-) -> tuple[GroundState, float]:
-    """Ground state and gap E1 - E0 of one assembled sector operator.
-
-    Above DENSE_DIM_LIMIT one two-pair Lanczos run yields both; at or below
-    it the ground state comes from Lanczos and the gap from the dense pair.
-    Dimension-1 sectors have no gap and raise SectorError.
-    """
-    if h.dimension < 2:
-        raise SectorError("sector has dimension 1: gap undefined")
-    if h.dimension > DENSE_DIM_LIMIT:
-        gs, e1 = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m, n_low=2)
-        return gs, e1 - gs.energy
-    gs = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
-    e0, e1 = dense_low_pair(h)
-    return gs, e1 - e0

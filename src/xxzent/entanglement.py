@@ -67,10 +67,6 @@ class BondCorrelators:
     gzz: float
 
 
-def _amplitudes(state: GroundState | np.ndarray) -> np.ndarray:
-    return state.vector if isinstance(state, GroundState) else np.asarray(state)
-
-
 def _site_pair(i: int | Bond, j: int | None) -> tuple[int, int]:
     if isinstance(i, Bond):
         return i.i, i.j
@@ -80,13 +76,13 @@ def _site_pair(i: int | Bond, j: int | None) -> tuple[int, int]:
 
 
 def two_site_rdm(
-    state: GroundState | np.ndarray, basis: SectorBasis, i: int | Bond, j: int | None = None
+    state: GroundState, basis: SectorBasis, i: int | Bond, j: int | None = None
 ) -> TwoSiteRDM:
     """Trace out everything but sites (i, j)."""
     i, j = _site_pair(i, j)
     if i == j:
         raise ValueError("two-site RDM needs distinct sites")
-    psi = _amplitudes(state)
+    psi = state.vector
     if len(psi) != len(basis):
         raise ValueError("state length does not match basis dimension")
     p = np.abs(psi) ** 2
@@ -105,11 +101,11 @@ def two_site_rdm(
 
 
 def correlators(
-    state: GroundState | np.ndarray, basis: SectorBasis, i: int | Bond, j: int | None = None
+    state: GroundState, basis: SectorBasis, i: int | Bond, j: int | None = None
 ) -> BondCorrelators:
     """<Sx.Sx>, <Sy.Sy>, <Sz.Sz> for one site pair, computed directly."""
     i, j = _site_pair(i, j)
-    psi = _amplitudes(state)
+    psi = state.vector
     bi = basis.bit(i).astype(bool)
     bj = basis.bit(j).astype(bool)
     p = np.abs(psi) ** 2
@@ -126,7 +122,7 @@ def correlators(
 
 
 def mean_bond_correlators(
-    state: GroundState | np.ndarray, basis: SectorBasis, lattice: Lattice
+    state: GroundState, basis: SectorBasis, lattice: Lattice
 ) -> BondCorrelators:
     """Correlators averaged over every nearest-neighbor bond."""
     gx = gy = gz = 0.0
@@ -140,7 +136,7 @@ def mean_bond_correlators(
 
 
 def operator_bond_correlators(
-    state: GroundState | np.ndarray, h: SparseHamiltonian, lattice: Lattice
+    state: GroundState, h: SparseHamiltonian, lattice: Lattice
 ) -> BondCorrelators:
     """Bond-averaged correlators as two quadratic forms of the assembled H.
 
@@ -148,7 +144,7 @@ def operator_bond_correlators(
     H_zz the delta-free Ising diagonal. Exact for the bond average on any
     lattice; `mean_bond_correlators` is the independent bond-by-bond route.
     """
-    psi = _amplitudes(state)
+    psi = state.vector
     nb = lattice.n_bonds
     gxx = float(psi @ (h.offdiag @ psi)) / (2 * nb)
     gzz = float(psi @ (h.zz * psi)) / nb

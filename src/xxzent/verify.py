@@ -47,7 +47,7 @@ def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-def concurrence_routes(spec: LatticeSpec, deltas, **solver) -> dict[float, dict[str, float]]:
+def concurrence_routes(spec: LatticeSpec, deltas) -> dict[float, dict[str, float]]:
     """The four concurrence routes at each delta, on one operator per lattice.
 
     The correlator and energy routes measure correlators bond by bond,
@@ -59,7 +59,7 @@ def concurrence_routes(spec: LatticeSpec, deltas, **solver) -> dict[float, dict[
     bond = lattice.bonds[0]
     routes = {}
     for delta in map(float, deltas):
-        gs = ed.lanczos_ground(op.at(delta), **solver)
+        gs = ed.lanczos_ground(op.at(delta))
         rdm = entanglement.two_site_rdm(gs, basis, bond)
         g = entanglement.mean_bond_correlators(gs, basis, lattice)
         eps0 = gs.energy / lattice.n_bonds
@@ -73,12 +73,12 @@ def concurrence_routes(spec: LatticeSpec, deltas, **solver) -> dict[float, dict[
 
 
 def check_route_equivalence(
-    ed_cases=DEFAULT_ED_CASES, deltas=DEFAULT_DELTAS, **solver
+    ed_cases=DEFAULT_ED_CASES, deltas=DEFAULT_DELTAS
 ) -> list[CheckResult]:
     results = []
     for spec in ed_cases:
         worst = 0.0
-        for routes in concurrence_routes(spec, deltas, **solver).values():
+        for routes in concurrence_routes(spec, deltas).values():
             vals = list(routes.values())
             worst = max(worst, max(vals) - min(vals))
         results.append(
@@ -94,12 +94,12 @@ def check_route_equivalence(
 
 
 def check_hellmann_feynman(
-    ed_cases=DEFAULT_ED_CASES, deltas=(0.5, 1.0, 1.5), h: float = 1e-4, **solver
+    ed_cases=DEFAULT_ED_CASES, deltas=(0.5, 1.0, 1.5), h: float = 1e-4
 ) -> list[CheckResult]:
     results = []
     for spec in ed_cases:
         worst = max(
-            analysis.hellmann_feynman_residual(spec, float(d), h=h, **solver)
+            analysis.hellmann_feynman_residual(spec, float(d), h=h)
             for d in deltas
         )
         results.append(
@@ -179,7 +179,7 @@ def check_bogoliubov() -> list[CheckResult]:
 def check_branch_continuity(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -> list[CheckResult]:
     results = []
     for d in dims:
-        n_k = k_points or spinwave.DEFAULT_K_POINTS[d]
+        n_k = spinwave.DEFAULT_K_POINTS[d] if k_points is None else k_points
         g = spinwave.gamma_grid(d, n_k)
         gapv = abs(
             spinwave.energy_per_site_ising(1.0, g) - spinwave.energy_per_site_planar(1.0, g)
@@ -205,7 +205,7 @@ def _sw_cusp(dimension: int, n_k: int, step: float) -> float:
 def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 0.01) -> list[CheckResult]:
     results = []
     for d in dims:
-        n_k = k_points or spinwave.DEFAULT_K_POINTS[d]
+        n_k = spinwave.DEFAULT_K_POINTS[d] if k_points is None else k_points
         jump = _sw_cusp(d, n_k, step)
         jump_fine = _sw_cusp(d, 2 * n_k, step)
         drift = abs(jump_fine - jump) / jump if jump else float("inf")

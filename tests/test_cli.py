@@ -42,8 +42,8 @@ def test_ed_report_four_ring(capsys):
 
 
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
-    # 16-site ring: 12,870 states, above DENSE_DIM_LIMIT, so one two-pair
-    # Lanczos run gives both the ground state and the gap
+    # 16-site ring: 12,870 states, too many for the dense oracle; one
+    # two-pair Lanczos run gives both the ground state and the gap
     calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
     for name in calls:
         original = getattr(ed, name)
@@ -70,6 +70,35 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     h = ed.build_hamiltonian(lattice, 1.0, basis)
     low = np.sort(sla.eigsh(h.as_sparse(), k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
+
+
+def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
+    # 924 states: small sectors take the gap from the same two-pair run
+    def refuse(self):
+        raise AssertionError("dense solve in xxzent ed")
+
+    monkeypatch.setattr(ed.SparseHamiltonian, "to_dense", refuse)
+    rc = cli.main(["ed", "--dim", "1", "--size", "12"])
+    assert rc == cli.EXIT_OK
+    monkeypatch.undo()
+    report = _parse_report(capsys.readouterr().out)
+    lattice = build_lattice(LatticeSpec(1, 12))
+    h = ed.build_hamiltonian(lattice, 1.0, ed.enumerate_basis(12))
+    low = np.linalg.eigvalsh(h.to_dense())[:2]
+    assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10)
+    assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "0"], ["--tol", "-1"]])
+def test_unusable_solver_inputs_are_usage_errors(flags, capsys):
+    # refused before any Krylov vector is allocated, for ed and scan alike
+    name = flags[0].lstrip("-").replace("-", "_")
+    for argv in (["ed", "--dim", "1", "--size", "8"],
+                 ["scan", "--dim", "1", "--size", "8", "--from", "1", "--to", "1",
+                  "--step", "0.1"]):
+        rc = cli.main(argv + flags)
+        assert rc == cli.EXIT_USAGE
+        assert f"error: {name} must be" in capsys.readouterr().err
 
 
 def test_ed_refuses_infeasible_sector(capsys):
@@ -210,6 +239,19 @@ def test_spinwave_report(capsys):
     assert report["branch"] == "ising"
     assert report["kgrid"] == "128"
     assert float(report["concurrence"]) == pytest.approx(0.1579, abs=2e-3)
+
+
+def test_kgrid_zero_is_rejected(capsys):
+    # 0 reaches the same "at least 2 points" check as --kgrid 1
+    for argv in (["spinwave", "--dim", "2", "--delta", "1", "--kgrid", "0"],
+                 ["scan", "--engine", "spinwave", "--dim", "2", "--kgrid", "0",
+                  "--from", "1", "--to", "1", "--step", "0.1"],
+                 ["verify", "--suite", "spinwave", "--kgrid", "0"]):
+        rc = cli.main(argv)
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least 2 points per direction\n"
+        assert "kgrid" not in captured.out
 
 
 def test_spinwave_rejects_bad_delta(capsys):

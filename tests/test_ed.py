@@ -225,28 +225,56 @@ def test_max_iter_exhaustion_raises_with_best():
 def test_gap_four_ring():
     lat = build_lattice(LatticeSpec(1, 4))
     h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 0.0))
-    gs, gap = ed.ground_state_gap(h)
+    gs = ed.lanczos_ground(h, n_low=2)
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
-    assert gs.energy + gap == pytest.approx(-1.0, abs=1e-12)
-    assert gap == pytest.approx(1.0, abs=1e-12)
+    assert gs.energy + gs.gap == pytest.approx(-1.0, abs=1e-12)
+    assert gs.gap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gap_lanczos_pair_matches_dense():
-    # force the iterative two-eigenvalue path and compare against dense
-    lat = build_lattice(LatticeSpec(1, 10))
-    basis = ed.enumerate_basis(10, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
-    d0, d1 = ed.dense_low_pair(h)
-    gs, e1 = ed.lanczos_ground(h, n_low=2)
+@pytest.mark.parametrize("delta", [-1.5, 0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "spec, m",
+    [(LatticeSpec(1, 4), 0.0), (LatticeSpec(1, 8), 0.0), (LatticeSpec(1, 10), 0.0),
+     (LatticeSpec(1, 7, periodic=False), 0.5)],
+)
+def test_gap_lanczos_pair_matches_dense(spec, m, delta):
+    # the two-pair Lanczos run against a full dense spectrum of the same sector
+    lat = build_lattice(spec)
+    h = ed.build_hamiltonian(lat, delta, ed.enumerate_basis(lat.n_sites, m))
+    d0, d1 = np.linalg.eigvalsh(h.to_dense())[:2]
+    gs = ed.lanczos_ground(h, m=m, n_low=2)
     assert gs.energy == pytest.approx(d0, abs=1e-9)
-    assert e1 == pytest.approx(d1, abs=1e-8)
+    assert gs.gap == pytest.approx(d1 - d0, abs=1e-8)
+
+
+def test_lanczos_ground_returns_a_ground_state():
+    lat = build_lattice(LatticeSpec(1, 8))
+    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(8, 0.0))
+    one = ed.lanczos_ground(h)
+    two = ed.lanczos_ground(h, n_low=2)
+    assert isinstance(one, ed.GroundState) and isinstance(two, ed.GroundState)
+    assert math.isnan(one.gap)
+    assert two.gap > 0
+    assert two.energy == pytest.approx(one.energy, abs=1e-10)
 
 
 def test_gap_dimension_one_sector_raises():
     lat = build_lattice(LatticeSpec(1, 4))
     h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 2.0))  # fully polarized
     with pytest.raises(ed.SectorError):
-        ed.ground_state_gap(h, m=2.0)
+        ed.lanczos_ground(h, m=2.0, n_low=2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+     ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
+)
+def test_lanczos_rejects_unusable_inputs(kwargs, name):
+    lat = build_lattice(LatticeSpec(1, 8))
+    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(8, 0.0))
+    with pytest.raises(ValueError, match=name):
+        ed.lanczos_ground(h, **kwargs)
 
 
 def test_polarized_sector_energy():
