@@ -10,7 +10,7 @@ import argparse
 import math
 
 from xxzent import analysis, ed
-from xxzent.lattice import LatticeSpec, build_lattice
+from xxzent.lattice import LatticeSpec
 
 
 def main() -> None:
@@ -22,8 +22,7 @@ def main() -> None:
     pairs = []
     print(f"{'L':>4} {'E0':>20} {'E0/N':>20}")
     for linear in args.sizes:
-        lat = build_lattice(LatticeSpec(1, linear))
-        _, gs = ed.solve_ground(lat, 1.0)
+        gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, linear)).h.at(1.0))
         pairs.append((linear, gs.energy / linear))
         print(f"{linear:>4} {gs.energy:>20.12f} {gs.energy / linear:>20.12f}")
 

@@ -14,7 +14,7 @@ The 4x4 curve is the finite-lattice reference here.
 import argparse
 import os
 
-from xxzent import analysis, cli
+from xxzent import analysis, cli, ed
 from xxzent.analysis import delta_grid, extremum_and_derivative
 from xxzent.lattice import LatticeSpec
 
@@ -42,7 +42,8 @@ def main() -> None:
     sw_grid = delta_grid(0.0, 2.0, args.sw_step)
 
     curves = {
-        "ed_2d_L4": (analysis.scan_ed(LatticeSpec(2, 4), ed_grid), args.ed_step),
+        "ed_2d_L4": (analysis.scan_ed(ed.build_sector(LatticeSpec(2, 4)), ed_grid),
+                     args.ed_step),
         "spinwave_d2": (analysis.scan_spinwave(2, sw_grid, k_points=args.kgrid_2d),
                         args.sw_step),
         "spinwave_d3": (analysis.scan_spinwave(3, sw_grid, k_points=args.kgrid_3d),

@@ -20,15 +20,15 @@ from .analysis import (
 from .ed import (
     GroundState,
     LanczosError,
+    Sector,
     SectorBasis,
     SectorError,
     SparseHamiltonian,
     build_hamiltonian,
-    dense_ground_oracle,
+    build_sector,
     enumerate_basis,
     lanczos_ground,
     sector_dimension,
-    solve_ground,
 )
 from .entanglement import (
     BondCorrelators,
@@ -56,18 +56,19 @@ __all__ = [
     "LatticeSpec",
     "LanczosError",
     "ScanSample",
+    "Sector",
     "SectorBasis",
     "SectorError",
     "SparseHamiltonian",
     "bogoliubov_factors",
     "build_hamiltonian",
     "build_lattice",
+    "build_sector",
     "concurrence_block",
     "concurrence_corr",
     "concurrence_from_energy",
     "correlators",
     "delta_grid",
-    "dense_ground_oracle",
     "enumerate_basis",
     "lanczos_ground",
     "mean_bond_correlators",
@@ -75,7 +76,6 @@ __all__ = [
     "scan_ed",
     "scan_spinwave",
     "sector_dimension",
-    "solve_ground",
     "two_site_rdm",
     "wootters_oracle",
 ]

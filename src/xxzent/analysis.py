@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ed, entanglement, spinwave
-from .lattice import LatticeSpec, build_lattice
 
 GRID_UNIFORMITY_RTOL = 1e-8
 DELTA_MATCH_TOL = 1e-9
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,30 +75,41 @@ class ConcurrenceCurve:
 
 
 def delta_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Uniform grid start, start+step, ..., stop (stop included within 1e-9)."""
+    """Uniform grid start, start+step, ..., stop (stop included within 1e-9).
+
+    The one place a grid is validated: finite inputs, a positive step,
+    stop >= start and at most MAX_GRID_POINTS points, all checked before
+    anything is allocated.
+    """
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError("start, stop and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if stop < start:
         raise ValueError("stop must be >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return np.round(start + step * np.arange(count), 12)
+    steps = (stop - start) / step + 1e-9  # inf when the span overflows
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(f"step {step:g} gives {steps + 1:.3g} points, above {MAX_GRID_POINTS}")
+    with np.errstate(over="ignore"):
+        grid = np.round(start + step * np.arange(int(math.floor(steps)) + 1), 12)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values overflow when rounded to 12 decimals")
+    return grid
 
 
 def scan_ed(
-    spec: LatticeSpec,
+    sector: ed.Sector,
     deltas,
     *,
     tol: float = ed.DEFAULT_TOL,
     max_iter: int = ed.DEFAULT_MAX_ITER,
     seed: int = ed.DEFAULT_SEED,
 ) -> ConcurrenceCurve:
-    """ED C(delta) curve: one operator re-pointed per delta, bond means from its quadratic forms."""
-    lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites)
-    op = ed.build_hamiltonian(lattice, 0.0, basis)
+    """ED C(delta) curve: sector.h re-pointed per delta, bond means from its quadratic forms."""
+    lattice = sector.lattice
     samples = []
     for delta in np.asarray(deltas, dtype=float):
-        h = op.at(float(delta))
+        h = sector.h.at(float(delta))
         try:
             gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed)
         except ed.LanczosError as exc:
@@ -116,6 +127,7 @@ def scan_ed(
             ScanSample(float(delta), c, gs.energy / lattice.n_bonds, g.gzz, gs.energy,
                        iterations=gs.iterations, residual=gs.residual)
         )
+    spec = lattice.spec
     bc = "periodic" if spec.periodic else "open"
     prov = (
         f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
@@ -150,26 +162,24 @@ def scan_spinwave(
 
 
 def hellmann_feynman_residual(
-    spec: LatticeSpec,
+    sector: ed.Sector,
     delta: float,
     *,
     h: float = 1e-4,
 ) -> float:
     """|dE0/ddelta - N_B Gzz| with a central difference of step h.
 
-    One operator serves all three solves. Gzz is measured bond by bond, not
-    from the operator's own H_zz, so a fault in H_zz cannot cancel out.
+    The sector operator serves all three solves. Gzz is measured bond by
+    bond, not from the operator's own H_zz, so a fault in H_zz cannot
+    cancel out.
     """
-    lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites)
-    op = ed.build_hamiltonian(lattice, delta, basis)
 
     def ground(d: float) -> ed.GroundState:
-        return ed.lanczos_ground(op.at(d))
+        return ed.lanczos_ground(sector.h.at(d))
 
     de = (ground(delta + h).energy - ground(delta - h).energy) / (2.0 * h)
-    g = entanglement.mean_bond_correlators(ground(delta), basis, lattice)
-    return abs(de - lattice.n_bonds * g.gzz)
+    g = entanglement.mean_bond_correlators(ground(delta), sector.basis, sector.lattice)
+    return abs(de - sector.lattice.n_bonds * g.gzz)
 
 
 def _uniform_step(deltas: np.ndarray) -> float:

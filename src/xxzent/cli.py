@@ -11,11 +11,13 @@ Exit codes: 0 success, 2 usage error, 3 infeasible sector size,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from . import __version__, analysis, ed, entanglement, spinwave, verify
-from .lattice import LatticeSpec, build_lattice
+from .lattice import LatticeSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,6 +45,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xxzent",
@@ -58,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=ED_FLAG_DEFAULTS["boundary"])
 
     def add_solver_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=ED_FLAG_DEFAULTS["tol"])
+        p.add_argument("--tol", type=_finite_float, default=ED_FLAG_DEFAULTS["tol"])
         p.add_argument("--max-iter", type=int, default=ED_FLAG_DEFAULTS["max_iter"])
         p.add_argument("--seed", type=int, default=ED_FLAG_DEFAULTS["seed"])
         p.add_argument("--max-basis", type=int, default=ED_FLAG_DEFAULTS["max_basis"],
@@ -67,15 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed = sub.add_parser("ed", help="exact diagonalization at a single delta")
     add_lattice_args(p_ed)
     add_solver_args(p_ed)
-    p_ed.add_argument("--delta", type=float, default=1.0)
+    p_ed.add_argument("--delta", type=_finite_float, default=1.0)
 
     p_scan = sub.add_parser("scan", help="C(delta) over a uniform grid")
     p_scan.add_argument("--engine", choices=("ed", "spinwave"), default="ed")
     add_lattice_args(p_scan)
     add_solver_args(p_scan)
-    p_scan.add_argument("--from", dest="delta_from", type=float, default=0.0)
-    p_scan.add_argument("--to", dest="delta_to", type=float, default=2.0)
-    p_scan.add_argument("--step", type=float, default=0.05)
+    p_scan.add_argument("--from", dest="delta_from", type=_finite_float, default=0.0)
+    p_scan.add_argument("--to", dest="delta_to", type=_finite_float, default=2.0)
+    p_scan.add_argument("--step", type=_finite_float, default=0.05)
     p_scan.add_argument("--kgrid", type=int, default=None,
                         help="spin-wave quadrature points per direction")
     p_scan.set_defaults(**dict.fromkeys(ED_FLAG_DEFAULTS))
@@ -84,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("spinwave", help="spin-wave evaluation at a single delta")
     p_sw.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p_sw.add_argument("--delta", type=float, default=1.0)
+    p_sw.add_argument("--delta", type=_finite_float, default=1.0)
     p_sw.add_argument("--kgrid", type=int, default=None)
 
     p_ver = sub.add_parser("verify", help="run the machine-check suites")
@@ -113,15 +126,14 @@ def cmd_ed(args: argparse.Namespace) -> int:
     bad = _check_feasible(spec, args.max_basis)
     if bad is not None:
         return bad
-    lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites)
-    h = ed.build_hamiltonian(lattice, args.delta, basis)
+    sector = ed.build_sector(spec)
+    h = sector.h.at(args.delta)
     try:
         gs = ed.lanczos_ground(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed, n_low=2)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    g = entanglement.operator_bond_correlators(gs, h, lattice)
+    g = entanglement.operator_bond_correlators(gs, h, sector.lattice)
     c = entanglement.concurrence_corr(g)
     rows = [
         ("dimension", args.dim),
@@ -129,9 +141,9 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("boundary", args.boundary),
         ("delta", _fmt(args.delta)),
         ("sector_m", _fmt(gs.m)),
-        ("sector_dimension", len(basis)),
+        ("sector_dimension", len(sector.basis)),
         ("energy", _fmt(gs.energy)),
-        ("energy_per_bond", _fmt(gs.energy / lattice.n_bonds)),
+        ("energy_per_bond", _fmt(gs.energy / sector.lattice.n_bonds)),
         ("gxx", _fmt(g.gxx)),
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),
@@ -162,20 +174,7 @@ def _write_csv(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
 def _write_json(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
     payload = {
         "metadata": {k: v for k, v in meta},
-        "samples": [
-            {
-                "delta": float(s.delta),
-                "concurrence": float(s.concurrence),
-                "energy_per_bond": float(s.energy_per_bond),
-                "gzz": float(s.gzz),
-                "energy_total": float(s.energy_total),
-                "ok": s.ok,
-                "error": s.error,
-                "iterations": s.iterations,
-                "residual": float(s.residual),
-            }
-            for s in curve.samples
-        ],
+        "samples": [dataclasses.asdict(s) for s in curve.samples],
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -207,11 +206,10 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     given = [f"--{k.replace('_', '-')}" for k in foreign if getattr(args, k) is not None]
     if given:
         parser.error(f"{', '.join(given)}: not used by --engine {args.engine}")
-    if args.step <= 0:
-        parser.error("--step must be positive")
-    if args.delta_to < args.delta_from:
-        parser.error("--to must be >= --from")
-    grid = analysis.delta_grid(args.delta_from, args.delta_to, args.step)
+    try:
+        grid = analysis.delta_grid(args.delta_from, args.delta_to, args.step)
+    except ValueError as exc:
+        parser.error(f"--from/--to/--step: {exc}")
     if args.engine == "ed":
         for key, default in ED_FLAG_DEFAULTS.items():
             if getattr(args, key) is None:
@@ -221,7 +219,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if bad is not None:
             return bad
         curve = analysis.scan_ed(
-            spec, grid, tol=args.tol, max_iter=args.max_iter, seed=args.seed
+            ed.build_sector(spec), grid, tol=args.tol, max_iter=args.max_iter, seed=args.seed
         )
     else:
         if args.dim < 2:

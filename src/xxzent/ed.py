@@ -6,11 +6,11 @@ magnetization sector M = n_up - N/2. Configurations are N-bit integers,
 bit i = 1 meaning site i is up (sz = +1/2), kept in increasing order.
 
 H(delta) = H_xy + delta H_zz: the spin-flip CSR and the Ising diagonal do
-not depend on delta, so a sector operator is assembled once per lattice and
-re-pointed with `SparseHamiltonian.at`. Every solve is one `lanczos_ground`
-run; with n_low=2 the same Krylov run also converges the second pair and
-stores the gap E1 - E0 on the returned `GroundState`. The dense oracle
-(at most DENSE_DIM_LIMIT states) is only the reference for tests.
+not depend on delta, so `build_sector` builds a lattice's M = 0 basis and
+operator once and callers re-point it with `SparseHamiltonian.at`. Every
+solve is one `lanczos_ground` run; with n_low=2 the same Krylov run also
+converges the second pair and stores the gap E1 - E0 on the returned
+`GroundState`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .lattice import Lattice
+from .lattice import Lattice, LatticeSpec, build_lattice
 
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 600
 DEFAULT_SEED = 1234
-DENSE_DIM_LIMIT = 4000
 
 
 class SectorError(ValueError):
@@ -128,10 +127,10 @@ class SparseHamiltonian:
         return self.offdiag.nnz + self.dimension
 
 
-def build_hamiltonian(lattice: Lattice, delta: float, basis: SectorBasis) -> SparseHamiltonian:
-    """Assemble the sector Hamiltonian bond by bond.
+def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian:
+    """Assemble the sector operator bond by bond, at delta = 0.
 
-    Diagonal: delta * sum_bonds sz_i sz_j with sz = +-1/2. Off-diagonal: 1/2
+    H_zz: sum_bonds sz_i sz_j with sz = +-1/2 on the diagonal. H_xy: 1/2
     between configurations differing by one antiparallel bond flip.
     """
     if basis.n_sites != lattice.n_sites:
@@ -160,7 +159,26 @@ def build_hamiltonian(lattice: Lattice, delta: float, basis: SectorBasis) -> Spa
         off = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
     else:
         off = sp.csr_matrix((n, n))
-    return SparseHamiltonian(dimension=n, zz=zz, offdiag=off, delta=delta)
+    return SparseHamiltonian(dimension=n, zz=zz, offdiag=off, delta=0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """One lattice's M = 0 sector: its basis and the delta-free operator.
+
+    Compared and hashed by identity: the arrays it holds have no scalar ==.
+    """
+
+    lattice: Lattice
+    basis: SectorBasis
+    h: SparseHamiltonian
+
+
+def build_sector(spec: LatticeSpec) -> Sector:
+    """Build the lattice, its M = 0 basis and H_xy + 0 H_zz, once per lattice."""
+    lattice = build_lattice(spec)
+    basis = enumerate_basis(lattice.n_sites)
+    return Sector(lattice, basis, build_hamiltonian(lattice, basis))
 
 
 @dataclass(frozen=True)
@@ -280,34 +298,3 @@ def lanczos_ground(
             f"no convergence after {k} iterations (residual {residual:.3e})", gs
         )
     return gs
-
-
-def dense_ground_oracle(
-    h: SparseHamiltonian, *, max_dimension: int = DENSE_DIM_LIMIT, m: float = 0.0
-) -> GroundState:
-    """Full eigendecomposition reference; refuses large sectors."""
-    if h.dimension > max_dimension:
-        raise ValueError(
-            f"dense oracle refused: dimension {h.dimension} exceeds {max_dimension}"
-        )
-    w, v = np.linalg.eigh(h.to_dense())
-    x = _sign_fix(v[:, 0])
-    e0 = float(w[0])
-    residual = float(np.linalg.norm(h.apply(x) - e0 * x))
-    return GroundState(e0, x, m, residual, "dense", 0, None)
-
-
-def solve_ground(
-    lattice: Lattice,
-    delta: float,
-    m: float = 0.0,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = DEFAULT_SEED,
-) -> tuple[SectorBasis, GroundState]:
-    """Enumerate the sector, build H, and run Lanczos."""
-    basis = enumerate_basis(lattice.n_sites, m)
-    h = build_hamiltonian(lattice, delta, basis)
-    gs = lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed, m=m)
-    return basis, gs

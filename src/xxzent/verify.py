@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, ed, entanglement, spinwave
-from .lattice import LatticeSpec, build_lattice
+from .lattice import LatticeSpec
 
 ROUTE_TOL = 1e-10
 HF_TOL = 1e-7
@@ -43,23 +43,26 @@ class CheckResult:
     detail: str = ""
 
 
+def _at_most(name: str, measured: float, tolerance: float, detail: str) -> CheckResult:
+    """A row that passes when the measured value does not exceed the tolerance."""
+    return CheckResult(name, measured <= tolerance, measured, tolerance, detail)
+
+
 def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-def concurrence_routes(spec: LatticeSpec, deltas) -> dict[float, dict[str, float]]:
-    """The four concurrence routes at each delta, on one operator per lattice.
+def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float]]:
+    """The four concurrence routes at each delta, on the sector's one operator.
 
     The correlator and energy routes measure correlators bond by bond,
     independently of the assembled operator.
     """
-    lattice = build_lattice(spec)
-    basis = ed.enumerate_basis(lattice.n_sites)
-    op = ed.build_hamiltonian(lattice, 0.0, basis)
+    lattice, basis = sector.lattice, sector.basis
     bond = lattice.bonds[0]
     routes = {}
     for delta in map(float, deltas):
-        gs = ed.lanczos_ground(op.at(delta))
+        gs = ed.lanczos_ground(sector.h.at(delta))
         rdm = entanglement.two_site_rdm(gs, basis, bond)
         g = entanglement.mean_bond_correlators(gs, basis, lattice)
         eps0 = gs.energy / lattice.n_bonds
@@ -73,67 +76,42 @@ def concurrence_routes(spec: LatticeSpec, deltas) -> dict[float, dict[str, float
 
 
 def check_route_equivalence(
-    ed_cases=DEFAULT_ED_CASES, deltas=DEFAULT_DELTAS
+    sectors: dict[LatticeSpec, ed.Sector], deltas=DEFAULT_DELTAS
 ) -> list[CheckResult]:
     results = []
-    for spec in ed_cases:
+    for spec, sector in sectors.items():
         worst = 0.0
-        for routes in concurrence_routes(spec, deltas).values():
+        for routes in concurrence_routes(sector, deltas).values():
             vals = list(routes.values())
             worst = max(worst, max(vals) - min(vals))
-        results.append(
-            CheckResult(
-                name=f"route-equivalence {_case_label(spec)}",
-                passed=worst <= ROUTE_TOL,
-                measured=worst,
-                tolerance=ROUTE_TOL,
-                detail=f"max spread over deltas {tuple(deltas)}",
-            )
-        )
+        results.append(_at_most(f"route-equivalence {_case_label(spec)}", worst, ROUTE_TOL,
+                                f"max spread over deltas {tuple(deltas)}"))
     return results
 
 
 def check_hellmann_feynman(
-    ed_cases=DEFAULT_ED_CASES, deltas=(0.5, 1.0, 1.5), h: float = 1e-4
+    sectors: dict[LatticeSpec, ed.Sector], deltas=(0.5, 1.0, 1.5), h: float = 1e-4
 ) -> list[CheckResult]:
     results = []
-    for spec in ed_cases:
-        worst = max(
-            analysis.hellmann_feynman_residual(spec, float(d), h=h)
-            for d in deltas
-        )
-        results.append(
-            CheckResult(
-                name=f"hellmann-feynman {_case_label(spec)}",
-                passed=worst <= HF_TOL,
-                measured=worst,
-                tolerance=HF_TOL,
-                detail=f"max |dE0/ddelta - Nb*Gzz| at h={h}",
-            )
-        )
+    for spec, sector in sectors.items():
+        worst = max(analysis.hellmann_feynman_residual(sector, float(d), h=h) for d in deltas)
+        results.append(_at_most(f"hellmann-feynman {_case_label(spec)}", worst, HF_TOL,
+                                f"max |dE0/ddelta - Nb*Gzz| at h={h}"))
     return results
 
 
-def ed_curves() -> dict[LatticeSpec, analysis.ConcurrenceCurve]:
+def ed_curves(sectors: dict[LatticeSpec, ed.Sector]) -> dict[LatticeSpec, analysis.ConcurrenceCurve]:
     """The delta in [0, 2] scans that the concavity and argmax suites share."""
     grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)
-    return {spec: analysis.scan_ed(spec, grid) for spec in DEFAULT_ED_CASES}
+    return {spec: analysis.scan_ed(sector, grid) for spec, sector in sectors.items()}
 
 
 def check_concavity(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
     results = []
     for spec, curve in curves.items():
-        d2 = analysis.concavity_check(curve)
-        worst = float(d2.max())
-        results.append(
-            CheckResult(
-                name=f"concavity {_case_label(spec)}",
-                passed=worst <= CONCAVITY_TOL,
-                measured=worst,
-                tolerance=CONCAVITY_TOL,
-                detail=f"max second difference of E0 on step-{ED_SCAN_STEP} grid",
-            )
-        )
+        worst = float(analysis.concavity_check(curve).max())
+        results.append(_at_most(f"concavity {_case_label(spec)}", worst, CONCAVITY_TOL,
+                                f"max second difference of E0 on step-{ED_SCAN_STEP} grid"))
     return results
 
 
@@ -165,15 +143,8 @@ def check_bogoliubov() -> list[CheckResult]:
     norm_err = float(np.max(np.abs(u**2 - v**2 - 1.0)))
     mix_err = float(np.max(np.abs(u * v - 0.5 * xg * (u**2 + v**2))))
     worst = max(norm_err, mix_err)
-    return [
-        CheckResult(
-            name="bogoliubov constraints",
-            passed=worst <= BOGOLIUBOV_TOL,
-            measured=worst,
-            tolerance=BOGOLIUBOV_TOL,
-            detail="u^2-v^2=1 and 2uv=x*gamma*(u^2+v^2) on |x*gamma|<=0.999",
-        )
-    ]
+    return [_at_most("bogoliubov constraints", worst, BOGOLIUBOV_TOL,
+                     "u^2-v^2=1 and 2uv=x*gamma*(u^2+v^2) on |x*gamma|<=0.999")]
 
 
 def check_branch_continuity(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -> list[CheckResult]:
@@ -184,15 +155,8 @@ def check_branch_continuity(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -
         gapv = abs(
             spinwave.energy_per_site_ising(1.0, g) - spinwave.energy_per_site_planar(1.0, g)
         )
-        results.append(
-            CheckResult(
-                name=f"branch continuity d={d}",
-                passed=gapv <= BRANCH_TOL,
-                measured=gapv,
-                tolerance=BRANCH_TOL,
-                detail=f"|ising - planar| at delta=1, {n_k} points/direction",
-            )
-        )
+        results.append(_at_most(f"branch continuity d={d}", gapv, BRANCH_TOL,
+                                f"|ising - planar| at delta=1, {n_k} points/direction"))
     return results
 
 
@@ -218,15 +182,8 @@ def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 
                 detail=f"one-sided slope jump at delta=1, step {step}, {n_k} points/direction",
             )
         )
-        results.append(
-            CheckResult(
-                name=f"cusp grid-stable d={d}",
-                passed=drift <= CUSP_STABILITY,
-                measured=drift,
-                tolerance=CUSP_STABILITY,
-                detail=f"relative change under k-grid doubling to {2 * n_k}",
-            )
-        )
+        results.append(_at_most(f"cusp grid-stable d={d}", drift, CUSP_STABILITY,
+                                f"relative change under k-grid doubling to {2 * n_k}"))
     return results
 
 
@@ -245,14 +202,16 @@ SUITES = {
     "argmax": check_argmax,
     "spinwave": check_spinwave,
 }
+SECTOR_SUITES = ("route-equivalence", "hellmann-feynman")
 CURVE_SUITES = ("concavity", "argmax")
 
 
 def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
     """Run the named suites (or all of them) and collect their rows.
 
-    The concavity and argmax suites read one shared set of ED curves, built
-    here once per call when either is selected.
+    The ED suites share one sector per lattice in DEFAULT_ED_CASES, and the
+    concavity and argmax suites one set of curves scanned on them; both are
+    built here once per call when a suite that reads them is selected.
     """
     if isinstance(names, str):
         names = (names,)
@@ -260,9 +219,13 @@ def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(SUITES)}")
-    curves = ed_curves() if any(n in CURVE_SUITES for n in selected) else None
+    inputs = {}
+    if set(selected) & {*SECTOR_SUITES, *CURVE_SUITES}:
+        sectors = {spec: ed.build_sector(spec) for spec in DEFAULT_ED_CASES}
+        inputs.update(dict.fromkeys(SECTOR_SUITES, (sectors,)))
+        if set(selected) & set(CURVE_SUITES):
+            inputs.update(dict.fromkeys(CURVE_SUITES, (ed_curves(sectors),)))
     results: list[CheckResult] = []
     for name in selected:
-        args = (curves,) if name in CURVE_SUITES else ()
-        results.extend(SUITES[name](*args, **kwargs.get(name, {})))
+        results.extend(SUITES[name](*inputs.get(name, ()), **kwargs.get(name, {})))
     return results

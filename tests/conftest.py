@@ -1,8 +1,9 @@
 """Shared fixtures and brute-force oracles for the test suite.
 
 The dense helpers here rebuild quantities from first principles (full
-2^N Hilbert space, explicit partial traces) so the package's sector-based
-fast paths are checked against independent constructions.
+2^N Hilbert space, explicit partial traces, full eigendecompositions) so
+the package's sector-based fast paths are checked against independent
+constructions.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 from xxzent import ed
-from xxzent.lattice import LatticeSpec, build_lattice
+from xxzent.lattice import LatticeSpec
 
 ACCEPTANCE_LOG: list[str] = []
+DENSE_DIM_LIMIT = 4000
 
 
 @pytest.fixture(scope="session")
@@ -33,6 +35,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LOG:
             terminalreporter.write_line(line)
+
+
+def dense_ground_oracle(h: ed.SparseHamiltonian) -> ed.GroundState:
+    """Full eigendecomposition reference; refuses sectors above DENSE_DIM_LIMIT."""
+    if h.dimension > DENSE_DIM_LIMIT:
+        raise ValueError(
+            f"dense oracle refused: dimension {h.dimension} exceeds {DENSE_DIM_LIMIT}"
+        )
+    w, v = np.linalg.eigh(h.to_dense())
+    x = v[:, 0]
+    k = int(np.argmax(np.abs(x)))
+    x = -x if x[k] < 0 else x  # same sign convention as lanczos_ground
+    e0 = float(w[0])
+    residual = float(np.linalg.norm(h.apply(x) - e0 * x))
+    return ed.GroundState(e0, x, 0.0, residual, "dense", 0, None)
 
 
 def embed_full_space(psi: np.ndarray, basis: ed.SectorBasis) -> np.ndarray:
@@ -78,14 +95,12 @@ def dense_pair_correlators(full_psi: np.ndarray, n_sites: int, i: int, j: int):
 @pytest.fixture(scope="session")
 def ring4():
     """4-site periodic chain with its isotropic ground state."""
-    lattice = build_lattice(LatticeSpec(1, 4))
-    basis, gs = ed.solve_ground(lattice, 1.0)
-    return lattice, basis, gs
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    return sector.lattice, sector.basis, ed.lanczos_ground(sector.h.at(1.0))
 
 
 @pytest.fixture(scope="session")
 def square44_heisenberg():
     """4x4 periodic square lattice ground state at delta = 1 (Lanczos)."""
-    lattice = build_lattice(LatticeSpec(2, 4))
-    basis, gs = ed.solve_ground(lattice, 1.0)
-    return lattice, basis, gs
+    sector = ed.build_sector(LatticeSpec(2, 4))
+    return sector.lattice, sector.basis, ed.lanczos_ground(sector.h.at(1.0))

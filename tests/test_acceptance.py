@@ -10,18 +10,24 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_ground_oracle
 from xxzent import analysis, ed, entanglement, spinwave, verify
 from xxzent.analysis import delta_grid, extremum_and_derivative
-from xxzent.lattice import LatticeSpec, build_lattice
+from xxzent.lattice import LatticeSpec
 
 ED_CASES = (LatticeSpec(1, 4), LatticeSpec(1, 8), LatticeSpec(1, 12), LatticeSpec(2, 4))
 SW_GRIDS = {2: 512, 3: 96}
 
 
 @pytest.fixture(scope="module")
-def ed_curves():
+def sectors():
+    return {spec: ed.build_sector(spec) for spec in ED_CASES}
+
+
+@pytest.fixture(scope="module")
+def ed_curves(sectors):
     grid = delta_grid(0.0, 2.0, 0.05)
-    return {spec: analysis.scan_ed(spec, grid) for spec in ED_CASES}
+    return {spec: analysis.scan_ed(sector, grid) for spec, sector in sectors.items()}
 
 
 @pytest.fixture(scope="module")
@@ -36,28 +42,24 @@ def _sw_jump(dimension: int, step: float, k_points: int) -> float:
     return extremum_and_derivative(curve).cusp
 
 
-def _ed_jump(spec: LatticeSpec, step: float) -> float:
+def _ed_jump(sector: ed.Sector, step: float) -> float:
     deltas = [1 - 2 * step, 1 - step, 1.0, 1 + step, 1 + 2 * step]
-    curve = analysis.scan_ed(spec, deltas)
+    curve = analysis.scan_ed(sector, deltas)
     return extremum_and_derivative(curve).cusp
 
 
-def test_criterion_01_exact_small_systems(acceptance_log):
-    lat2 = None
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lat2 = build_lattice(LatticeSpec(1, 2))
-    basis2, gs2 = ed.solve_ground(lat2, 1.0)
-    rdm2 = entanglement.two_site_rdm(gs2, basis2, 0, 1)
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+def test_criterion_01_exact_small_systems(sectors, acceptance_log):
+    two = ed.build_sector(LatticeSpec(1, 2))
+    gs2 = ed.lanczos_ground(two.h.at(1.0))
+    rdm2 = entanglement.two_site_rdm(gs2, two.basis, 0, 1)
     c2 = entanglement.concurrence_block(rdm2)
 
-    lat4 = build_lattice(LatticeSpec(1, 4))
-    basis4, gs4 = ed.solve_ground(lat4, 1.0)
-    h4 = ed.build_hamiltonian(lat4, 1.0, basis4)
-    dense4 = ed.dense_ground_oracle(h4)
-    g4 = entanglement.mean_bond_correlators(gs4, basis4, lat4)
+    four = sectors[LatticeSpec(1, 4)]
+    h4 = four.h.at(1.0)
+    gs4 = ed.lanczos_ground(h4)
+    dense4 = dense_ground_oracle(h4)
+    g4 = entanglement.mean_bond_correlators(gs4, four.basis, four.lattice)
     c4 = entanglement.concurrence_corr(g4)
 
     errs = {
@@ -86,7 +88,7 @@ def test_criterion_02_route_equivalence(acceptance_log):
     worst = 0.0
     worst_at = None
     for spec in cases:
-        for delta, routes in verify.concurrence_routes(spec, deltas).items():
+        for delta, routes in verify.concurrence_routes(ed.build_sector(spec), deltas).items():
             spread = max(routes.values()) - min(routes.values())
             if spread > worst:
                 worst, worst_at = spread, (spec.dimension, spec.linear_size, delta)
@@ -116,9 +118,9 @@ def test_criterion_03_argmax_at_isotropy(ed_curves, acceptance_log):
     )
 
 
-def test_criterion_04_concavity_and_hellmann_feynman(ed_curves, acceptance_log):
+def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_curves, acceptance_log):
     concavity = verify.check_concavity(ed_curves)
-    hf = verify.check_hellmann_feynman(ed_cases=ED_CASES, h=1e-4)
+    hf = verify.check_hellmann_feynman(sectors, h=1e-4)
     worst_d2 = max(r.measured for r in concavity)
     worst_hf = max(r.measured for r in hf)
     ok = all(r.passed for r in concavity + hf)
@@ -130,10 +132,10 @@ def test_criterion_04_concavity_and_hellmann_feynman(ed_curves, acceptance_log):
     )
 
 
-def test_criterion_05_slope_identity_refines(acceptance_log):
-    spec = LatticeSpec(1, 8)
-    coarse = analysis.scan_ed(spec, delta_grid(0.8, 1.2, 0.01))
-    fine = analysis.scan_ed(spec, delta_grid(0.8, 1.2, 0.005))
+def test_criterion_05_slope_identity_refines(sectors, acceptance_log):
+    sector = sectors[LatticeSpec(1, 8)]
+    coarse = analysis.scan_ed(sector, delta_grid(0.8, 1.2, 0.01))
+    fine = analysis.scan_ed(sector, delta_grid(0.8, 1.2, 0.005))
     r_coarse = float(analysis.slope_identity_residuals(coarse).max())
     r_fine = float(analysis.slope_identity_residuals(fine).max())
     ratio = r_fine / r_coarse
@@ -161,7 +163,7 @@ def test_criterion_06_branch_continuity_and_energy(acceptance_log):
     )
 
 
-def test_criterion_07_thermodynamic_cusp(sw_curves, acceptance_log):
+def test_criterion_07_thermodynamic_cusp(sectors, sw_curves, acceptance_log):
     parts = []
     ok = True
     for d, n in SW_GRIDS.items():
@@ -176,15 +178,16 @@ def test_criterion_07_thermodynamic_cusp(sw_curves, acceptance_log):
             f"d={d}: argmax {star:.2f}, jump {jump:.4f} "
             f"(k-doubling drift {drift:.1%}, step-halving x{ratio:.2f})"
         )
-    ed_ratio = _ed_jump(LatticeSpec(2, 4), 0.005) / _ed_jump(LatticeSpec(2, 4), 0.01)
+    square = sectors[LatticeSpec(2, 4)]
+    ed_ratio = _ed_jump(square, 0.005) / _ed_jump(square, 0.01)
     ok = ok and ed_ratio <= 0.55  # smooth finite-lattice curve: jump is pure step noise
     parts.append(f"ED 4x4 step-halving x{ed_ratio:.3f} (need <= 0.55)")
     acceptance_log("criterion 07 thermodynamic-limit cusp", ok, "; ".join(parts))
 
 
-def test_criterion_08_quadratic_fit_contrast(acceptance_log):
+def test_criterion_08_quadratic_fit_contrast(sectors, acceptance_log):
     window = delta_grid(0.9, 1.1, 0.025)
-    ed_curve = analysis.scan_ed(LatticeSpec(1, 12), window)
+    ed_curve = analysis.scan_ed(sectors[LatticeSpec(1, 12)], window)
     sw_curve = analysis.scan_spinwave(2, window, k_points=512)
     fit_ed = analysis.quadratic_fit_near_iso(ed_curve)
     fit_sw = analysis.quadratic_fit_near_iso(sw_curve)
@@ -206,8 +209,7 @@ def test_criterion_08_quadratic_fit_contrast(acceptance_log):
 def test_criterion_09_finite_size_extrapolation(acceptance_log):
     pairs = []
     for linear in (8, 10, 12, 14):
-        lat = build_lattice(LatticeSpec(1, linear))
-        _, gs = ed.solve_ground(lat, 1.0)
+        gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, linear)).h.at(1.0))
         pairs.append((linear, gs.energy / linear))
     fit = analysis.polynomial_inverse_l_fit(pairs, degree=2)
     exact = 0.25 - math.log(2.0)  # integrable-chain closed form

@@ -40,6 +40,35 @@ def test_delta_grid_validation():
         delta_grid(1.0, 0.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "start, stop, step, match",
+    [(math.nan, 1.0, 0.1, "finite"), (0.0, math.inf, 0.1, "finite"),
+     (0.0, 1.0, math.nan, "finite"), (-math.inf, 1.0, 0.1, "finite"),
+     (0.0, 2.0, 1e-12, "points"), (0.0, 2.0, 1e-7, "points"),
+     (-1e308, 1e308, 1.0, "points")],
+)
+def test_delta_grid_refuses_before_allocating(start, stop, step, match, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(analysis.np, "arange", refuse)
+    with pytest.raises(ValueError, match=match):
+        delta_grid(start, stop, step)
+
+
+def test_delta_grid_point_limit_is_inclusive():
+    n = analysis.MAX_GRID_POINTS
+    assert len(delta_grid(0.0, n - 1.0, 1.0)) == n
+    with pytest.raises(ValueError, match="points"):
+        delta_grid(0.0, float(n), 1.0)
+
+
+def test_delta_grid_rejects_values_that_overflow_rounding():
+    # np.round(x, 12) multiplies by 1e12, so |x| above ~1.8e296 becomes inf
+    with pytest.raises(ValueError, match="overflow"):
+        delta_grid(1e300, 1e300, 1.0)
+
+
 def test_second_differences_quadratic_exact():
     x = np.linspace(0, 1, 11)
     vals = 3.0 - 2.0 * x + 5.0 * x**2
@@ -71,8 +100,9 @@ def test_curve_restrict_window():
 
 
 def test_scan_ed_four_ring():
-    curve = scan_ed(LatticeSpec(1, 4), delta_grid(0.0, 2.0, 0.5))
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5))
     assert curve.engine == "ed"
+    assert curve.provenance == "ed d=1 L=4 periodic m=0.0 tol=1e-11 seed=1234"
     assert curve.all_ok()
     assert len(curve.samples) == 5
     # energies match direct solves, peak sits at the isotropic point
@@ -118,7 +148,7 @@ def test_scan_keeps_failed_samples_as_gaps(monkeypatch):
         return original(h, **kwargs)
 
     monkeypatch.setattr(ed, "lanczos_ground", flaky)
-    curve = scan_ed(LatticeSpec(1, 4), [0.5, 1.0, 1.5])
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), [0.5, 1.0, 1.5])
     assert not curve.all_ok()
     bad = curve.samples[1]
     assert not bad.ok
@@ -128,36 +158,39 @@ def test_scan_keeps_failed_samples_as_gaps(monkeypatch):
 
 
 def test_scan_ed_assembles_once(monkeypatch):
-    calls = {"n": 0}
-    original = ed.build_hamiltonian
+    # build_sector assembles the operator; the scan only re-points it
+    calls = {"enumerate_basis": 0, "build_hamiltonian": 0}
+    for name in calls:
+        original = getattr(ed, name)
 
-    def counted(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(ed, "build_hamiltonian", counted)
-    curve = scan_ed(LatticeSpec(1, 4), delta_grid(0.0, 2.0, 0.05))
+        monkeypatch.setattr(ed, name, counted)
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    curve = scan_ed(sector, delta_grid(0.0, 2.0, 0.05))
     assert len(curve.samples) == 41 and curve.all_ok()
-    assert calls["n"] == 1
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 1}
 
 
 # ------------------------------------------------------------- identities
 
 
 def test_hellmann_feynman_residual_small():
-    r = analysis.hellmann_feynman_residual(LatticeSpec(1, 4), 1.0, h=1e-4)
+    r = analysis.hellmann_feynman_residual(ed.build_sector(LatticeSpec(1, 4)), 1.0, h=1e-4)
     assert r < 1e-9
 
 
 def test_slope_identity_on_ed_window():
-    curve = scan_ed(LatticeSpec(1, 8), delta_grid(0.9, 1.1, 0.01))
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 8)), delta_grid(0.9, 1.1, 0.01))
     resid = slope_identity_residuals(curve)
     assert resid.max() < 1e-4
     assert len(resid) == len(curve.samples) - 2
 
 
 def test_concavity_of_ed_energy():
-    curve = scan_ed(LatticeSpec(1, 8), delta_grid(0.0, 2.0, 0.1))
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 8)), delta_grid(0.0, 2.0, 0.1))
     d2 = analysis.concavity_check(curve)
     assert np.all(d2 <= 1e-10)
     assert d2.min() < -1e-5  # strictly concave somewhere, not just flat
@@ -173,7 +206,7 @@ def test_concavity_rejects_nonuniform_grid():
 
 
 def test_extremum_report_four_ring():
-    curve = scan_ed(LatticeSpec(1, 4), delta_grid(0.0, 2.0, 0.25))
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.25))
     report = extremum_and_derivative(curve)
     assert report.delta_star == 1.0
     assert report.left_slope > 0 > report.right_slope
@@ -181,13 +214,13 @@ def test_extremum_report_four_ring():
 
 
 def test_extremum_needs_one_in_grid():
-    curve = scan_ed(LatticeSpec(1, 4), [0.5, 0.75, 1.25])
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), [0.5, 0.75, 1.25])
     with pytest.raises(ValueError, match="delta = 1"):
         extremum_and_derivative(curve)
 
 
 def test_extremum_needs_interior_one():
-    curve = scan_ed(LatticeSpec(1, 4), [0.5, 1.0])
+    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), [0.5, 1.0])
     with pytest.raises(ValueError):
         extremum_and_derivative(curve)
 

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
-from xxzent import analysis, cli, ed, entanglement, spinwave, verify
-from xxzent.lattice import LatticeSpec, build_lattice
+from conftest import DENSE_DIM_LIMIT
+from xxzent import analysis, cli, ed, entanglement, lattice, spinwave, verify
+from xxzent.lattice import LatticeSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -58,16 +59,16 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     assert calls == {"enumerate_basis": 1, "build_hamiltonian": 1, "lanczos_ground": 1}
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
-    assert int(report["sector_dimension"]) == 12870 > ed.DENSE_DIM_LIMIT
+    assert int(report["sector_dimension"]) == 12870 > DENSE_DIM_LIMIT
 
-    lattice = build_lattice(LatticeSpec(1, 16))
-    basis, gs = ed.solve_ground(lattice, 1.0)
-    g = entanglement.mean_bond_correlators(gs, basis, lattice)
+    sector = ed.build_sector(LatticeSpec(1, 16))
+    h = sector.h.at(1.0)
+    gs = ed.lanczos_ground(h)
+    g = entanglement.mean_bond_correlators(gs, sector.basis, sector.lattice)
     assert float(report["energy"]) == pytest.approx(gs.energy, abs=verify.ROUTE_TOL)
     for key in ("gxx", "gyy", "gzz"):
         assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
     assert float(report["residual"]) <= 1e-11
-    h = ed.build_hamiltonian(lattice, 1.0, basis)
     low = np.sort(sla.eigsh(h.as_sparse(), k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
@@ -82,8 +83,7 @@ def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
     assert rc == cli.EXIT_OK
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
-    lattice = build_lattice(LatticeSpec(1, 12))
-    h = ed.build_hamiltonian(lattice, 1.0, ed.enumerate_basis(12))
+    h = ed.build_sector(LatticeSpec(1, 12)).h.at(1.0)
     low = np.linalg.eigvalsh(h.to_dense())[:2]
     assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10)
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10)
@@ -186,6 +186,39 @@ def test_scan_usage_errors():
         cli.main(["scan", "--engine", "spinwave", "--dim", "1", "--from", "0",
                   "--to", "1", "--step", "0.5"])
     assert info.value.code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["ed", "--dim", "1", "--size", "4"], "--delta"),
+     (["ed", "--dim", "1", "--size", "4"], "--tol"),
+     (["spinwave", "--dim", "2"], "--delta"),
+     (["scan", "--dim", "1", "--size", "4"], "--from"),
+     (["scan", "--dim", "1", "--size", "4"], "--to"),
+     (["scan", "--dim", "1", "--size", "4"], "--step"),
+     (["scan", "--dim", "1", "--size", "4"], "--tol")],
+)
+def test_non_finite_flags_are_usage_errors(argv, flag, value, capsys):
+    # "--flag=-inf": a bare "-inf" would be read as an unknown option
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + [f"{flag}={value}"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert f"argument {flag}: must be finite, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["1e-12", "1e-7"])
+def test_scan_refuses_oversized_grids_before_allocating(step, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(analysis.np, "arange", refuse)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--dim", "1", "--size", "4", "--from", "0", "--to", "2",
+                  "--step", step])
+    assert info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--step" in err and f"above {analysis.MAX_GRID_POINTS}" in err
 
 
 def test_scan_rejects_engine_foreign_flags(capsys):
@@ -315,11 +348,11 @@ def test_verify_scans_each_lattice_once_for_concavity_and_argmax(monkeypatch):
     done = {}
     original = analysis.scan_ed
 
-    def counted(spec, deltas):
+    def counted(sector, deltas):
         calls["n"] += 1
-        key = (spec, tuple(deltas))
+        key = (sector.lattice.spec, tuple(deltas))
         if key not in done:
-            done[key] = original(spec, deltas)
+            done[key] = original(sector, deltas)
         return done[key]
 
     monkeypatch.setattr(analysis, "scan_ed", counted)
@@ -332,6 +365,30 @@ def test_verify_scans_each_lattice_once_for_concavity_and_argmax(monkeypatch):
         assert calls["n"] == 3
     assert both == alone
     assert len(both) == 6 and all(r.passed for r in both)
+
+
+def test_verify_builds_each_lattice_once(monkeypatch):
+    # one sector per lattice serves route-equivalence, hellmann-feynman and
+    # the curves of concavity and argmax
+    owners = {"build_lattice": lattice, "enumerate_basis": ed, "build_hamiltonian": ed}
+    calls = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module-level binding, so no builder can bypass the count
+        for module in (lattice, ed, analysis, verify, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    rows = verify.run_suites("all", spinwave={"k_points": 16})
+    n = len(verify.DEFAULT_ED_CASES)
+    assert calls == {"build_lattice": n, "enumerate_basis": n, "build_hamiltonian": n}
+    assert n == 3
+    ed_rows = [r for r in rows if r.name.split()[0] in verify.SECTOR_SUITES + verify.CURVE_SUITES]
+    assert len(ed_rows) == 4 * n and all(r.passed for r in ed_rows)
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -351,18 +408,27 @@ def test_fault_injection_breaks_derivative_identity(monkeypatch):
     # carries it.
     original = ed.build_hamiltonian
 
-    def flipped(lattice, delta, basis):
-        h = original(lattice, delta, basis)
+    def flipped(lattice, basis):
+        h = original(lattice, basis)
         return ed.SparseHamiltonian(h.dimension, -h.zz, h.offdiag, h.delta)
 
     monkeypatch.setattr(ed, "build_hamiltonian", flipped)
-    results = verify.check_hellmann_feynman(ed_cases=(LatticeSpec(1, 6),), deltas=(1.5,))
+    spec = LatticeSpec(1, 6)
+    results = verify.check_hellmann_feynman({spec: ed.build_sector(spec)}, deltas=(1.5,))
     assert len(results) == 1
     assert not results[0].passed
     assert results[0].measured > 1e-3
 
 
 # ----------------------------------------------------------- entry point
+
+
+def test_every_exported_name_resolves():
+    # a deleted function must not leave a dead name in the public API
+    import xxzent
+
+    missing = [name for name in xxzent.__all__ if not hasattr(xxzent, name)]
+    assert missing == []
 
 
 def test_entrypoint_raises_system_exit(monkeypatch):

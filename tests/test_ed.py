@@ -1,6 +1,6 @@
 """Sector bases, Hamiltonian assembly, and the Lanczos ground-state solver.
 
-The dense eigensolver acts as the in-package oracle for small sectors;
+The dense eigensolver in conftest acts as the oracle for small sectors;
 scipy's ARPACK wrapper is used once as a second, independent route for a
 sector too large to diagonalize densely.
 """
@@ -13,6 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DENSE_DIM_LIMIT, dense_ground_oracle
 from xxzent import ed
 from xxzent.lattice import DegenerateLatticeWarning, LatticeSpec, build_lattice
 
@@ -77,10 +78,9 @@ def test_bit_extraction():
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_two_site_block_explicit():
     # M=0 basis {up-down, down-up}: diagonal -delta/4, flip 1/2
-    lat = build_lattice(LatticeSpec(1, 2))
-    basis = ed.enumerate_basis(2, 0.0)
+    h0 = ed.build_sector(LatticeSpec(1, 2)).h
     for delta in (0.0, 0.7, 1.0, 2.5):
-        h = ed.build_hamiltonian(lat, delta, basis).to_dense()
+        h = h0.at(delta).to_dense()
         expected = np.array([[-delta / 4, 0.5], [0.5, -delta / 4]])
         np.testing.assert_allclose(h, expected, atol=1e-15)
 
@@ -88,7 +88,7 @@ def test_two_site_block_explicit():
 def test_hamiltonian_hermitian_and_sector_preserving():
     lat = build_lattice(LatticeSpec(1, 6))
     basis = ed.enumerate_basis(6, 1.0)
-    h = ed.build_hamiltonian(lat, 0.8, basis)
+    h = ed.build_hamiltonian(lat, basis).at(0.8)
     dense = h.to_dense()
     np.testing.assert_allclose(dense, dense.T, atol=1e-14)
     rng = np.random.default_rng(7)
@@ -98,23 +98,21 @@ def test_hamiltonian_hermitian_and_sector_preserving():
 
 def test_hamiltonian_linear_in_delta():
     # H(delta) = offdiag + delta * diag(delta=1); off-diagonal part fixed
-    lat = build_lattice(LatticeSpec(2, 4))
-    basis = ed.enumerate_basis(16, 0.0)
-    h1 = ed.build_hamiltonian(lat, 1.0, basis)
-    h2 = ed.build_hamiltonian(lat, 2.5, basis)
+    sector = ed.build_sector(LatticeSpec(2, 4))
+    h1 = sector.h.at(1.0)
+    h2 = sector.h.at(2.5)
+    assert sector.h.delta == 0.0 and not sector.h.diagonal.any()
     np.testing.assert_allclose(h2.diagonal, 2.5 * h1.diagonal, atol=1e-13)
     assert (h2.offdiag != h1.offdiag).nnz == 0
 
 
 def test_offdiagonal_counts_antiparallel_bonds():
     # each off-diagonal entry is 1/2 per connecting bond
-    lat = build_lattice(LatticeSpec(1, 4))
-    basis = ed.enumerate_basis(4, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
-    off = h.offdiag.toarray()
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    off = sector.h.offdiag.toarray()
     assert set(np.unique(off)) <= {0.0, 0.5}
     # state 5 = sites 0,2 up on a 4-ring: all four bonds antiparallel
-    row = basis.index_of(5)
+    row = sector.basis.index_of(5)
     assert np.count_nonzero(off[row]) == 4
 
 
@@ -123,30 +121,24 @@ def test_offdiagonal_counts_antiparallel_bonds():
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_dense_oracle_two_site():
-    lat = build_lattice(LatticeSpec(1, 2))
-    basis = ed.enumerate_basis(2, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
-    gs = ed.dense_ground_oracle(h)
+    gs = dense_ground_oracle(ed.build_sector(LatticeSpec(1, 2)).h.at(1.0))
     assert gs.energy == pytest.approx(-0.75, abs=1e-14)
     # singlet amplitudes up to the sign convention
     np.testing.assert_allclose(np.abs(gs.vector), np.sqrt(0.5), atol=1e-14)
 
 
 def test_dense_oracle_refuses_large_sector():
-    lat = build_lattice(LatticeSpec(2, 4))
-    basis = ed.enumerate_basis(16, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
+    h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
+    assert h.dimension > DENSE_DIM_LIMIT
     with pytest.raises(ValueError, match="dense oracle refused"):
-        ed.dense_ground_oracle(h, max_dimension=4000)
+        dense_ground_oracle(h)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 1.7])
 @pytest.mark.parametrize("spec", [LatticeSpec(1, 4), LatticeSpec(1, 8), LatticeSpec(1, 10)])
 def test_lanczos_matches_dense(spec, delta):
-    lat = build_lattice(spec)
-    basis = ed.enumerate_basis(lat.n_sites, 0.0)
-    h = ed.build_hamiltonian(lat, delta, basis)
-    reference = ed.dense_ground_oracle(h)
+    h = ed.build_sector(spec).h.at(delta)
+    reference = dense_ground_oracle(h)
     gs = ed.lanczos_ground(h)
     assert gs.energy == pytest.approx(reference.energy, abs=1e-10)
     overlap = abs(np.dot(gs.vector, reference.vector))
@@ -154,9 +146,8 @@ def test_lanczos_matches_dense(spec, delta):
 
 
 def test_lanczos_residual_below_tolerance():
-    lat = build_lattice(LatticeSpec(2, 4))
-    basis, gs = ed.solve_ground(lat, 1.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
+    h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
+    gs = ed.lanczos_ground(h)
     assert gs.residual <= ed.DEFAULT_TOL
     true_resid = np.linalg.norm(h.apply(gs.vector) - gs.energy * gs.vector)
     assert true_resid <= 10 * ed.DEFAULT_TOL
@@ -164,9 +155,7 @@ def test_lanczos_residual_below_tolerance():
 
 def test_lanczos_vs_arpack_large_sector():
     # independent route for a sector past the dense limit (dim 12870)
-    lat = build_lattice(LatticeSpec(2, 4))
-    basis = ed.enumerate_basis(16, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
+    h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
     w = spla.eigsh(h.as_sparse(), k=1, which="SA", tol=1e-12,
                    v0=np.ones(h.dimension), return_eigenvectors=False)
     gs = ed.lanczos_ground(h)
@@ -183,22 +172,22 @@ def test_frozen_ground_energies():
         (LatticeSpec(2, 4), 1.0, -11.228483208429),
     ]
     for spec, delta, e0 in cases:
-        _, gs = ed.solve_ground(build_lattice(spec), delta)
+        gs = ed.lanczos_ground(ed.build_sector(spec).h.at(delta))
         assert gs.energy == pytest.approx(e0, abs=5e-11), spec
 
 
 def test_sign_convention_and_determinism():
-    lat = build_lattice(LatticeSpec(1, 8))
-    _, a = ed.solve_ground(lat, 0.9)
-    _, b = ed.solve_ground(lat, 0.9)
+    h = ed.build_sector(LatticeSpec(1, 8)).h.at(0.9)
+    a = ed.lanczos_ground(h)
+    b = ed.lanczos_ground(h)
     assert np.array_equal(a.vector, b.vector)  # bit-for-bit with fixed seed
     assert a.vector[np.argmax(np.abs(a.vector))] > 0
 
 
 def test_seed_changes_start_but_not_result():
-    lat = build_lattice(LatticeSpec(1, 8))
-    _, a = ed.solve_ground(lat, 1.3, seed=1234)
-    _, b = ed.solve_ground(lat, 1.3, seed=99)
+    h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.3)
+    a = ed.lanczos_ground(h, seed=1234)
+    b = ed.lanczos_ground(h, seed=99)
     assert a.energy == pytest.approx(b.energy, abs=1e-10)
     np.testing.assert_allclose(a.vector, b.vector, atol=1e-7)
 
@@ -206,15 +195,13 @@ def test_seed_changes_start_but_not_result():
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_breakdown_terminates_exactly():
     # dim-2 sector: Krylov space exhausts after two steps
-    lat = build_lattice(LatticeSpec(1, 2))
-    basis, gs = ed.solve_ground(lat, 1.0)
+    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, 2)).h.at(1.0))
+    assert gs.iterations == 2
     assert gs.energy == pytest.approx(-0.75, abs=1e-13)
 
 
 def test_max_iter_exhaustion_raises_with_best():
-    lat = build_lattice(LatticeSpec(2, 4))
-    basis = ed.enumerate_basis(16, 0.0)
-    h = ed.build_hamiltonian(lat, 1.0, basis)
+    h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
     with pytest.raises(ed.LanczosError) as info:
         ed.lanczos_ground(h, max_iter=5)
     best = info.value.best
@@ -223,9 +210,7 @@ def test_max_iter_exhaustion_raises_with_best():
 
 
 def test_gap_four_ring():
-    lat = build_lattice(LatticeSpec(1, 4))
-    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 0.0))
-    gs = ed.lanczos_ground(h, n_low=2)
+    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, 4)).h.at(1.0), n_low=2)
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
     assert gs.energy + gs.gap == pytest.approx(-1.0, abs=1e-12)
     assert gs.gap == pytest.approx(1.0, abs=1e-12)
@@ -240,7 +225,7 @@ def test_gap_four_ring():
 def test_gap_lanczos_pair_matches_dense(spec, m, delta):
     # the two-pair Lanczos run against a full dense spectrum of the same sector
     lat = build_lattice(spec)
-    h = ed.build_hamiltonian(lat, delta, ed.enumerate_basis(lat.n_sites, m))
+    h = ed.build_hamiltonian(lat, ed.enumerate_basis(lat.n_sites, m)).at(delta)
     d0, d1 = np.linalg.eigvalsh(h.to_dense())[:2]
     gs = ed.lanczos_ground(h, m=m, n_low=2)
     assert gs.energy == pytest.approx(d0, abs=1e-9)
@@ -248,8 +233,7 @@ def test_gap_lanczos_pair_matches_dense(spec, m, delta):
 
 
 def test_lanczos_ground_returns_a_ground_state():
-    lat = build_lattice(LatticeSpec(1, 8))
-    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(8, 0.0))
+    h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)
     one = ed.lanczos_ground(h)
     two = ed.lanczos_ground(h, n_low=2)
     assert isinstance(one, ed.GroundState) and isinstance(two, ed.GroundState)
@@ -260,7 +244,7 @@ def test_lanczos_ground_returns_a_ground_state():
 
 def test_gap_dimension_one_sector_raises():
     lat = build_lattice(LatticeSpec(1, 4))
-    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(4, 2.0))  # fully polarized
+    h = ed.build_hamiltonian(lat, ed.enumerate_basis(4, 2.0)).at(1.0)  # fully polarized
     with pytest.raises(ed.SectorError):
         ed.lanczos_ground(h, m=2.0, n_low=2)
 
@@ -271,8 +255,7 @@ def test_gap_dimension_one_sector_raises():
      ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
 )
 def test_lanczos_rejects_unusable_inputs(kwargs, name):
-    lat = build_lattice(LatticeSpec(1, 8))
-    h = ed.build_hamiltonian(lat, 1.0, ed.enumerate_basis(8, 0.0))
+    h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)
     with pytest.raises(ValueError, match=name):
         ed.lanczos_ground(h, **kwargs)
 
@@ -281,7 +264,7 @@ def test_polarized_sector_energy():
     # all spins up: only the diagonal Ising term contributes
     lat = build_lattice(LatticeSpec(1, 6))
     basis = ed.enumerate_basis(6, 3.0)
-    h = ed.build_hamiltonian(lat, 1.8, basis)
+    h = ed.build_hamiltonian(lat, basis).at(1.8)
     assert h.dimension == 1
     assert h.to_dense()[0, 0] == pytest.approx(1.8 * lat.n_bonds * 0.25, abs=1e-14)
 
@@ -289,9 +272,88 @@ def test_polarized_sector_energy():
 @settings(max_examples=15, deadline=None)
 @given(delta=st.floats(-2.0, 3.0, allow_nan=False))
 def test_lanczos_matches_dense_random_delta(delta):
-    lat = build_lattice(LatticeSpec(1, 6))
-    basis = ed.enumerate_basis(6, 0.0)
-    h = ed.build_hamiltonian(lat, delta, basis)
+    h = ed.build_sector(LatticeSpec(1, 6)).h.at(delta)
     assert ed.lanczos_ground(h).energy == pytest.approx(
-        ed.dense_ground_oracle(h).energy, abs=1e-9
+        dense_ground_oracle(h).energy, abs=1e-9
     )
+
+
+# ------------------------------------------- exact oracles past the dense limit
+
+
+def _free_fermion_chain(n_sites: int) -> tuple[float, float]:
+    """E0 and Gzz of the periodic XX chain (delta = 0) at half filling.
+
+    Jordan-Wigner (Lieb, Schultz & Mattis 1961) maps H_xy to hopping 1/2,
+    single-particle levels cos k. N/2 fermions see periodic k for odd N/2
+    and antiperiodic k for even N/2; the ground state fills the N/2 lowest
+    levels, and Wick's theorem gives Gzz = -|G(1)|^2 with
+    G(r) = <c+_i c_(i+r)>.
+    """
+    n_f = n_sites // 2
+    shift = 0.0 if n_f % 2 else 0.5
+    k = 2 * np.pi * (np.arange(n_sites) + shift) / n_sites
+    filled = k[np.argsort(np.cos(k))[:n_f]]
+    g1 = np.sum(np.exp(1j * filled)) / n_sites
+    return float(np.sum(np.cos(filled))), -abs(g1) ** 2
+
+
+@pytest.mark.parametrize("linear", [4, 6, 8, 10, 12, 14, 16])
+def test_xx_chain_energy_matches_free_fermions(linear):
+    e0, _ = _free_fermion_chain(linear)
+    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, linear)).h)
+    assert gs.energy == pytest.approx(e0, abs=1e-10)
+
+
+def test_xx_chain_correlators_match_free_fermions():
+    # 16 sites, 12,870 states: past the dense oracle
+    from xxzent import entanglement
+
+    e0, gzz = _free_fermion_chain(16)
+    sector = ed.build_sector(LatticeSpec(1, 16))
+    assert len(sector.basis) > DENSE_DIM_LIMIT
+    gs = ed.lanczos_ground(sector.h)
+    g = entanglement.mean_bond_correlators(gs, sector.basis, sector.lattice)
+    assert g.gzz == pytest.approx(gzz, abs=1e-10)
+    gxx = e0 / (2 * sector.lattice.n_bonds)  # E0 = N_B (Gxx + Gyy), Gxx = Gyy
+    # the M = 0 two-site block: z = 2 Gxx, u+ = u- = 1/4 + Gzz
+    c0 = 2 * max(0.0, 2 * abs(gxx) - (0.25 + gzz))
+    assert c0 > 0
+    assert entanglement.concurrence_corr(g) == pytest.approx(c0, abs=1e-10)
+
+
+MARSHALL_SPECS = [LatticeSpec(1, n) for n in (4, 6, 8, 10, 12)] + [
+    LatticeSpec(1, 8, periodic=False), LatticeSpec(2, 2), LatticeSpec(2, 4),
+]
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize(
+    "spec", MARSHALL_SPECS,
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_marshall_sign_and_flip_parity(spec):
+    # H_xy > 0 on a bipartite lattice: rotating one sublattice by pi about z
+    # makes every off-diagonal element negative, so the M = 0 ground state
+    # is a Perron vector up to the Marshall sign (-1)^(up spins on B), and
+    # the spin flip acts on it as (-1)^(N/2)
+    from xxzent import entanglement
+
+    sector = ed.build_sector(spec)
+    basis, lattice = sector.basis, sector.lattice
+    up_on_b = sum(basis.bit(s).astype(np.int64) for s in range(lattice.n_sites)
+                  if lattice.sublattice[s])
+    marshall = 1 - 2 * (up_on_b % 2)
+    flip = basis.index_of_many(basis.states ^ np.uint64((1 << lattice.n_sites) - 1))
+    for delta in (-0.5, 0.0, 0.5, 1.0, 2.0):
+        gs = ed.lanczos_ground(sector.h.at(delta))
+        psi = gs.vector
+        rotated = marshall * psi
+        rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
+        assert rotated.min() > 0, delta
+        parity = float(psi @ psi[flip])
+        assert parity == pytest.approx((-1) ** (lattice.n_sites // 2), abs=1e-9), delta
+        for bond in lattice.bonds:
+            rdm = entanglement.two_site_rdm(gs, basis, bond)
+            assert rdm.u_plus == pytest.approx(rdm.u_minus, abs=1e-9), delta
+            assert rdm.w1 == pytest.approx(rdm.w2, abs=1e-9), delta

@@ -56,8 +56,9 @@ def test_rdm_matches_dense_partial_trace(spec, pairs, delta):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lat = build_lattice(spec)
-    basis, gs = ed.solve_ground(lat, delta)
+        sector = ed.build_sector(spec)
+    lat, basis = sector.lattice, sector.basis
+    gs = ed.lanczos_ground(sector.h.at(delta))
     full = embed_full_space(gs.vector, basis)
     for i, j in pairs:
         rho_ref = dense_two_site_rdm(full, lat.n_sites, i, j)
@@ -96,9 +97,9 @@ def test_two_site_singlet_is_maximally_entangled():
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lat = build_lattice(LatticeSpec(1, 2))
-    basis, gs = ed.solve_ground(lat, 1.0)
-    rdm = ent.two_site_rdm(gs, basis, 0, 1)
+        sector = ed.build_sector(LatticeSpec(1, 2))
+    gs = ed.lanczos_ground(sector.h.at(1.0))
+    rdm = ent.two_site_rdm(gs, sector.basis, 0, 1)
     assert ent.concurrence_block(rdm) == pytest.approx(1.0, abs=1e-12)
     assert ent.wootters_oracle(rdm.as_matrix()) == pytest.approx(1.0, abs=1e-12)
 
@@ -201,7 +202,7 @@ def test_operator_bond_correlators_match_bond_loop(spec, m, delta):
     # delta = 0 pins Gzz to the delta-free H_zz
     lattice = build_lattice(spec)
     basis = ed.enumerate_basis(lattice.n_sites, m)
-    h = ed.build_hamiltonian(lattice, 0.0, basis).at(delta)
+    h = ed.build_hamiltonian(lattice, basis).at(delta)
     gs = ed.lanczos_ground(h, m=m)
     quad = ent.operator_bond_correlators(gs, h, lattice)
     loop = ent.mean_bond_correlators(gs, basis, lattice)
