@@ -128,11 +128,21 @@ def cmd_ed(args: argparse.Namespace) -> int:
         return bad
     sector = ed.build_sector(spec)
     h = sector.h.at(args.delta)
+    solver = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
     try:
-        gs = ed.lanczos_ground(h, tol=args.tol, max_iter=args.max_iter, seed=args.seed, n_low=2)
+        gs = ed.lanczos_ground(h, n_low=2 if h.dimension > 1 else 1, **solver)
+        # the lowest M = 0 excitation may sit in the other flip parity
+        flipped = dataclasses.replace(sector.basis, parity=-sector.basis.parity)
+        other = ed.lanczos_ground(
+            ed.build_hamiltonian(sector.lattice, flipped).at(args.delta), **solver
+        )
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ed.ScaleError as exc:
+        print(f"error: --delta: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    e1 = other.energy if math.isnan(gs.gap) else min(gs.energy + gs.gap, other.energy)
     g = entanglement.operator_bond_correlators(gs, h, sector.lattice)
     c = entanglement.concurrence_corr(g)
     rows = [
@@ -148,10 +158,10 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),
         ("concurrence", _fmt(c)),
-        ("gap", _fmt(gs.gap)),
+        ("gap", _fmt(e1 - gs.energy)),
         ("solver", gs.method),
-        ("iterations", gs.iterations),
-        ("residual", _fmt(gs.residual)),
+        ("iterations", gs.iterations + other.iterations),
+        ("residual", _fmt(max(gs.residual, other.residual))),
         ("seed", gs.seed),
     ]
     for key, val in rows:
@@ -218,9 +228,12 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         bad = _check_feasible(spec, args.max_basis)
         if bad is not None:
             return bad
-        curve = analysis.scan_ed(
-            ed.build_sector(spec), grid, tol=args.tol, max_iter=args.max_iter, seed=args.seed
-        )
+        try:
+            curve = analysis.scan_ed(
+                ed.build_sector(spec), grid, tol=args.tol, max_iter=args.max_iter, seed=args.seed
+            )
+        except ed.ScaleError as exc:
+            parser.error(f"--from/--to: {exc}")
     else:
         if args.dim < 2:
             parser.error("spin-wave engine needs --dim 2 or 3")

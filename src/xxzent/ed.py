@@ -11,6 +11,11 @@ operator once and callers re-point it with `SparseHamiltonian.at`. Every
 solve is one `lanczos_ground` run; with n_low=2 the same Krylov run also
 converges the second pair and stores the gap E1 - E0 on the returned
 `GroundState`.
+
+Flipping every spin commutes with H(delta). By Marshall's sign rule and
+Perron-Frobenius (Lieb & Mattis 1962) the M = 0 ground state has flip
+parity (-1)^(N/2) for every real delta, so the M = 0 basis carries that
+parity and operators and vectors live on its dim/2 representatives.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ from .lattice import Lattice, LatticeSpec, build_lattice
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 600
 DEFAULT_SEED = 1234
+KRYLOV_BLOCK = 32  # Krylov vectors per allocation in lanczos_ground
 
 
 class SectorError(ValueError):
     """Requested magnetization sector does not exist."""
+
+
+class ScaleError(ValueError):
+    """delta is so large that the squared operator scale overflows."""
 
 
 class LanczosError(RuntimeError):
@@ -43,11 +53,24 @@ class LanczosError(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """All n_sites-bit configurations with a fixed number of up spins."""
+    """All n_sites-bit configurations with a fixed number of up spins.
+
+    At M = 0 the spin flip maps state i to state dim-1-i of the increasing
+    order, so the states with the top bit clear, states[:dim // 2], stand
+    for the pairs (|s> + parity |flip s>)/sqrt(2). `parity` is +-1 there and
+    None at M != 0, where the representatives are all the states.
+    """
 
     n_sites: int
     n_up: int
     states: np.ndarray  # uint64, strictly increasing
+    parity: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.parity is not None and (
+            self.parity not in (1, -1) or 2 * self.n_up != self.n_sites
+        ):
+            raise SectorError(f"no flip parity {self.parity} in sector M={self.m}")
 
     @property
     def m(self) -> float:
@@ -55,6 +78,19 @@ class SectorBasis:
 
     def __len__(self) -> int:
         return len(self.states)
+
+    @property
+    def representatives(self) -> np.ndarray:
+        """The configurations that index operator rows and state vectors."""
+        return self.states if self.parity is None else self.states[: len(self.states) // 2]
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Full-sector amplitudes of a vector over the representatives."""
+        if len(v) != len(self.representatives):
+            raise ValueError("state length does not match the sector's representatives")
+        if self.parity is None:
+            return v
+        return np.concatenate((v, self.parity * v[::-1])) / math.sqrt(2.0)
 
     def index_of(self, config: int) -> int:
         pos = int(np.searchsorted(self.states, np.uint64(config)))
@@ -79,21 +115,24 @@ def sector_dimension(n_sites: int, m: float) -> int:
 
 
 def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
-    """Enumerate the M sector in increasing configuration order."""
-    dim = sector_dimension(n_sites, m)  # validates M
+    """Enumerate the M sector in increasing configuration order.
+
+    S(n, k), the increasing n-bit configurations with k bits set, is
+    S(n-1, k) followed by S(n-1, k-1) + 2^(n-1). Only the rows k that can
+    still reach n_up are kept. M = 0 gets the ground state's flip parity.
+    """
+    sector_dimension(n_sites, m)  # validates M
     n_up = round(m + n_sites / 2)
-    states = np.empty(dim, dtype=np.uint64)
-    if n_up == 0:
-        states[0] = 0
-        return SectorBasis(n_sites, n_up, states)
-    v = (1 << n_up) - 1
-    for pos in range(dim):
-        states[pos] = v
-        # Gosper's hack: next integer with the same popcount
-        c = v & -v
-        r = v + c
-        v = (((r ^ v) >> 2) // c) | r
-    return SectorBasis(n_sites, n_up, states)
+    empty = np.empty(0, dtype=np.uint64)
+    rows = {0: np.zeros(1, dtype=np.uint64)}  # S(0, 0)
+    for n in range(1, n_sites + 1):
+        top = np.uint64(1 << (n - 1))
+        rows = {
+            k: np.concatenate((rows.get(k, empty), rows[k - 1] + top if k else empty))
+            for k in range(max(0, n_up - (n_sites - n)), min(n, n_up) + 1)
+        }
+    parity = (-1) ** (n_sites // 2) if 2 * n_up == n_sites else None
+    return SectorBasis(n_sites, n_up, rows[n_up], parity)
 
 
 @dataclass(frozen=True)
@@ -107,7 +146,8 @@ class SparseHamiltonian:
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "diagonal", self.delta * self.zz)
+        with np.errstate(over="ignore"):  # lanczos_ground refuses an infinite scale
+            object.__setattr__(self, "diagonal", self.delta * self.zz)
 
     def at(self, delta: float) -> "SparseHamiltonian":
         """The same sector operator at another delta, without re-assembly."""
@@ -131,31 +171,37 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     """Assemble the sector operator bond by bond, at delta = 0.
 
     H_zz: sum_bonds sz_i sz_j with sz = +-1/2 on the diagonal. H_xy: 1/2
-    between configurations differing by one antiparallel bond flip.
+    between configurations differing by one antiparallel bond flip. Only
+    the representative rows are built: with a flip parity p, a hop onto
+    state j >= dim/2 lands on column dim-1-j with weight p/2, so the
+    result is P^T H P for the parity-p combinations P.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
-    states = basis.states
+    states = basis.representatives
     n = len(states)
+    last = len(basis) - 1
     zz = np.zeros(n)
+    # int32 indices and one bool per entry keep the temporaries small
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
+    mirrored: list[np.ndarray] = []  # hops onto a flip partner; only with a parity
     for bond in lattice.bonds:
-        bi = basis.bit(bond.i)
-        bj = basis.bit(bond.j)
-        anti = bi != bj
+        anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
         zz += np.where(anti, -0.25, 0.25)
         src = np.nonzero(anti)[0]
         if len(src) == 0:
             continue
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        targets = states[src] ^ mask
-        rows.append(src)
-        cols.append(basis.index_of_many(targets))
+        targets = basis.index_of_many(states[src] ^ mask)
+        flip = targets >= n
+        rows.append(src.astype(np.int32))
+        cols.append(np.where(flip, last - targets, targets).astype(np.int32))
+        mirrored.append(flip)
     if rows:
+        vals = np.where(np.concatenate(mirrored), 0.5 * (basis.parity or 1), 0.5)
         r = np.concatenate(rows)
         c = np.concatenate(cols)
-        vals = np.full(len(r), 0.5)
         off = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
     else:
         off = sp.csr_matrix((n, n))
@@ -183,7 +229,10 @@ def build_sector(spec: LatticeSpec) -> Sector:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenpair of one sector, with solver provenance."""
+    """Lowest eigenpair of one sector, with solver provenance.
+
+    `vector` holds amplitudes over the basis representatives.
+    """
 
     energy: float
     vector: np.ndarray
@@ -201,8 +250,8 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def _ritz_vector(qs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = qs.T @ y
+def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    x = sum(b.T @ y[i * KRYLOV_BLOCK : i * KRYLOV_BLOCK + len(b)] for i, b in enumerate(blocks))
     return x / np.linalg.norm(x)
 
 
@@ -223,40 +272,57 @@ def lanczos_ground(
     coupling). With n_low=2 the second Ritz pair is converged in the same
     run and E1 - E0 is stored in `gap` (nan otherwise).
 
-    Raises ValueError for max_iter < 1 or tol <= 0, and LanczosError after
-    max_iter without convergence; the exception carries the best estimate.
+    Raises ValueError for max_iter < 1 or tol <= 0, ScaleError when the
+    square of a bound on ||H|| overflows (a Krylov norm could), and
+    LanczosError after max_iter without convergence; the exception
+    carries the best estimate.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    # a bound on ||H||: while its square is finite, no Krylov norm overflows
+    bound = float(np.max(np.abs(h.diagonal))) + float(np.abs(h.offdiag.data).sum())
+    if not math.isfinite(bound * bound):
+        raise ScaleError(
+            f"delta={h.delta:g} puts the operator scale at {bound:.3g}, whose square overflows"
+        )
     n = h.dimension
     if n == 1:
         if n_low == 2:
             raise SectorError("second eigenvalue undefined for dimension 1")
-        e = float(h.diagonal[0])
+        e = float(h.apply(np.ones(1))[0])
         return GroundState(e, np.ones(1), m, 0.0, "exact", 0, seed)
 
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
     m_max = min(max_iter, n)
-    qs = np.empty((m_max, n))
+    # the Krylov basis is stored KRYLOV_BLOCK rows at a time, so memory
+    # follows the iterations made, not max_iter; freeing a mostly untouched
+    # max_iter x n block of up to 32 MB would raise glibc's mmap threshold
+    # and keep later temporaries on the heap
+    blocks: list[np.ndarray] = []
     alphas: list[float] = []
     betas: list[float] = []
     breakdown = False
     k = 0
     for j in range(m_max):
-        qs[j] = q
+        if j % KRYLOV_BLOCK == 0:
+            blocks.append(np.empty((min(KRYLOV_BLOCK, m_max - j), n)))
+        blocks[-1][j % KRYLOV_BLOCK] = q
+        basis = blocks[:-1] + [blocks[-1][: j % KRYLOV_BLOCK + 1]]
         w = h.apply(q)
         alpha = float(q @ w)
         alphas.append(alpha)
         w -= alpha * q
         if j > 0:
-            w -= betas[-1] * qs[j - 1]
-        # full reorthogonalization, two passes
+            w -= betas[-1] * q_prev
+        # full reorthogonalization: two passes of classical Gram-Schmidt
         for _ in range(2):
-            w -= qs[: j + 1].T @ (qs[: j + 1] @ w)
+            coefficients = [b @ w for b in basis]
+            for b, c in zip(basis, coefficients):
+                w -= b.T @ c
         beta = float(np.linalg.norm(w))
         k = j + 1
         scale = max(abs(a) for a in alphas) + (max(betas) if betas else 0.0)
@@ -271,7 +337,7 @@ def lanczos_ground(
             if np.all(est < tol):
                 break
         betas.append(beta)
-        q = w / beta
+        q_prev, q = q, w / beta
     else:
         k = m_max
 
@@ -279,7 +345,7 @@ def lanczos_ground(
         np.asarray(alphas), np.asarray(betas[: k - 1]), select="i",
         select_range=(0, min(n_low, k) - 1),
     )
-    x = _sign_fix(_ritz_vector(qs[:k], evecs[:, 0]))
+    x = _sign_fix(_ritz_vector(basis, evecs[:, 0]))
     e0 = float(evals[0])
     residual = float(np.linalg.norm(h.apply(x) - e0 * x))
     gs = GroundState(e0, x, m, residual, "lanczos", k, seed)
@@ -289,7 +355,7 @@ def lanczos_ground(
             raise LanczosError("Krylov space exhausted before second eigenvalue", gs)
         if not breakdown:
             # re-check the second pair's true residual
-            x1 = _ritz_vector(qs[:k], evecs[:, 1])
+            x1 = _ritz_vector(basis, evecs[:, 1])
             r1 = float(np.linalg.norm(h.apply(x1) - float(evals[1]) * x1))
             converged = converged and r1 < 1e3 * tol
         gs = replace(gs, gap=float(evals[1]) - e0)

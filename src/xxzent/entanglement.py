@@ -82,9 +82,7 @@ def two_site_rdm(
     i, j = _site_pair(i, j)
     if i == j:
         raise ValueError("two-site RDM needs distinct sites")
-    psi = state.vector
-    if len(psi) != len(basis):
-        raise ValueError("state length does not match basis dimension")
+    psi = basis.expand(state.vector)
     p = np.abs(psi) ** 2
     bi = basis.bit(i).astype(bool)
     bj = basis.bit(j).astype(bool)
@@ -105,7 +103,7 @@ def correlators(
 ) -> BondCorrelators:
     """<Sx.Sx>, <Sy.Sy>, <Sz.Sz> for one site pair, computed directly."""
     i, j = _site_pair(i, j)
-    psi = state.vector
+    psi = basis.expand(state.vector)
     bi = basis.bit(i).astype(bool)
     bj = basis.bit(j).astype(bool)
     p = np.abs(psi) ** 2
@@ -143,6 +141,8 @@ def operator_bond_correlators(
     mean Gxx = mean Gyy = <H_xy> / (2 N_B) and mean Gzz = <H_zz> / N_B, with
     H_zz the delta-free Ising diagonal. Exact for the bond average on any
     lattice; `mean_bond_correlators` is the independent bond-by-bond route.
+    Both forms commute with the spin flip, so a vector over the
+    representatives of a flip-parity basis needs no expansion.
     """
     psi = state.vector
     nb = lattice.n_bonds

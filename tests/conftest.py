@@ -8,6 +8,8 @@ constructions.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,12 @@ def dense_ground_oracle(h: ed.SparseHamiltonian) -> ed.GroundState:
     e0 = float(w[0])
     residual = float(np.linalg.norm(h.apply(x) - e0 * x))
     return ed.GroundState(e0, x, 0.0, residual, "dense", 0, None)
+
+
+def parity_block(sector: ed.Sector, parity: int | None) -> ed.SparseHamiltonian:
+    """The sector's M = 0 operator in one flip parity; parity None gives the
+    full, unreduced M = 0 block that the parity blocks are checked against."""
+    return ed.build_hamiltonian(sector.lattice, replace(sector.basis, parity=parity))
 
 
 def embed_full_space(psi: np.ndarray, basis: ed.SectorBasis) -> np.ndarray:

@@ -5,13 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
-from conftest import DENSE_DIM_LIMIT
+from conftest import DENSE_DIM_LIMIT, parity_block
 from xxzent import analysis, cli, ed, entanglement, lattice, spinwave, verify
 from xxzent.lattice import LatticeSpec
 
@@ -44,7 +45,8 @@ def test_ed_report_four_ring(capsys):
 
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     # 16-site ring: 12,870 states, too many for the dense oracle; one
-    # two-pair Lanczos run gives both the ground state and the gap
+    # two-pair Lanczos run in the ground state's flip parity and one
+    # ground-state run in the other parity give the ground state and the gap
     calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
     for name in calls:
         original = getattr(ed, name)
@@ -56,7 +58,7 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
         monkeypatch.setattr(ed, name, counted)
     rc = cli.main(["ed", "--dim", "1", "--size", "16"])
     assert rc == cli.EXIT_OK
-    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 1, "lanczos_ground": 1}
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 2, "lanczos_ground": 2}
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
     assert int(report["sector_dimension"]) == 12870 > DENSE_DIM_LIMIT
@@ -69,7 +71,7 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     for key in ("gxx", "gyy", "gzz"):
         assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
     assert float(report["residual"]) <= 1e-11
-    low = np.sort(sla.eigsh(h.as_sparse(), k=2, which="SA")[0])
+    low = np.sort(sla.eigsh(parity_block(sector, None).at(1.0).as_sparse(), k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
 
@@ -83,10 +85,56 @@ def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
     assert rc == cli.EXIT_OK
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
-    h = ed.build_sector(LatticeSpec(1, 12)).h.at(1.0)
+    h = parity_block(ed.build_sector(LatticeSpec(1, 12)), None).at(1.0)
     low = np.linalg.eigvalsh(h.to_dense())[:2]
     assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10)
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("delta", [-1.5, 0.0, 1.0, 5.0])
+def test_ed_two_site_report_matches_the_full_block(delta, capsys):
+    # the ground-state parity block has one state, so the gap comes from
+    # the other parity alone
+    rc = cli.main(["ed", "--dim", "1", "--size", "2", f"--delta={delta}"])
+    assert rc == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    full = parity_block(ed.build_sector(LatticeSpec(1, 2)), None)
+    low = np.linalg.eigvalsh(full.at(delta).to_dense())
+    assert report["sector_dimension"] == "2"
+    assert float(report["energy"]) == pytest.approx(low[0], abs=1e-12)
+    assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["ed", "--delta", "1e308"], "--delta"),
+     (["ed", "--delta", "1e200"], "--delta"),
+     (["ed", "--delta=-1e200"], "--delta"),
+     (["scan", "--from", "1e200", "--to", "1e200", "--step", "1"], "--from/--to"),
+     (["ed", "--dim", "2", "--delta", "1e308"], "--delta")],  # delta * H_zz = inf
+)
+def test_overflowing_delta_is_a_usage_error(argv, flag, capsys):
+    # refused before the Krylov block exists, with no numpy overflow warning
+    argv = argv[:1] + ["--dim", "1", "--size", "4"] + argv[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag}: " in err and "overflows" in err
+
+
+def test_large_finite_delta_still_solves(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["ed", "--dim", "1", "--size", "4", "--delta", "1e6"])
+    assert rc == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    assert float(report["energy"]) == pytest.approx(-1e6, rel=1e-9)
 
 
 @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "0"], ["--tol", "-1"]])

@@ -6,6 +6,7 @@ sector too large to diagonalize densely.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DENSE_DIM_LIMIT, dense_ground_oracle
+from conftest import DENSE_DIM_LIMIT, dense_ground_oracle, parity_block
 from xxzent import ed
 from xxzent.lattice import DegenerateLatticeWarning, LatticeSpec, build_lattice
 
@@ -59,6 +60,62 @@ def test_enumerate_basis_invariants(n, up):
     assert np.array_equal(idx, np.arange(len(states)))
 
 
+def _gosper(n_sites: int, n_up: int) -> list[int]:
+    """Reference order: every n_sites-bit integer with n_up bits set, ascending."""
+    if n_up == 0:
+        return [0]
+    out, v = [], (1 << n_up) - 1
+    for _ in range(math.comb(n_sites, n_up)):
+        out.append(v)
+        c = v & -v
+        r = v + c
+        v = (((r ^ v) >> 2) // c) | r  # next integer with the same popcount
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_enumerate_basis_matches_gosper_order(n):
+    for up in range(n + 1):
+        basis = ed.enumerate_basis(n, up - n / 2)
+        assert basis.states.dtype == np.uint64
+        assert basis.states.tolist() == _gosper(n, up), up
+
+
+def test_flip_parity_only_at_m0():
+    assert ed.enumerate_basis(4).parity == 1
+    assert ed.enumerate_basis(6).parity == -1
+    assert ed.enumerate_basis(6, 1.0).parity is None
+    assert ed.enumerate_basis(7, 0.5).parity is None
+    with pytest.raises(ed.SectorError):
+        replace(ed.enumerate_basis(6, 1.0), parity=1)
+    with pytest.raises(ed.SectorError):
+        replace(ed.enumerate_basis(6), parity=0)
+
+
+def test_spin_flip_reverses_the_m0_order():
+    # the representatives are the first half, the states with the top bit clear
+    for n in (2, 4, 8, 12):
+        basis = ed.enumerate_basis(n)
+        flipped = basis.states ^ np.uint64((1 << n) - 1)
+        assert np.array_equal(flipped, basis.states[::-1])
+        assert np.all(basis.representatives < np.uint64(1 << (n - 1)))
+        assert 2 * len(basis.representatives) == len(basis)
+
+
+def test_expand_restores_the_flip_partner():
+    basis = ed.enumerate_basis(6)
+    v = np.arange(1.0, 11.0)
+    full = basis.expand(v)
+    partner = basis.index_of_many(basis.states ^ np.uint64(63))
+    np.testing.assert_allclose(full[partner], basis.parity * full)
+    assert np.linalg.norm(full) == pytest.approx(np.linalg.norm(v))
+    polarized = ed.enumerate_basis(6, 1.0)
+    w = np.ones(len(polarized))
+    assert polarized.expand(w) is w
+    with pytest.raises(ValueError, match="representatives"):
+        basis.expand(np.ones(len(basis)))
+
+
 def test_index_of_single_config():
     basis = ed.enumerate_basis(4, 0.0)
     assert basis.index_of(6) == 2
@@ -77,12 +134,17 @@ def test_bit_extraction():
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_two_site_block_explicit():
-    # M=0 basis {up-down, down-up}: diagonal -delta/4, flip 1/2
-    h0 = ed.build_sector(LatticeSpec(1, 2)).h
+    # M=0 basis {up-down, down-up}: diagonal -delta/4, flip 1/2; the singlet
+    # (parity -1) and the Sz = 0 triplet (parity +1) each span one state
+    sector = ed.build_sector(LatticeSpec(1, 2))
+    full = parity_block(sector, None)
+    triplet = parity_block(sector, 1)
+    assert sector.basis.parity == -1
     for delta in (0.0, 0.7, 1.0, 2.5):
-        h = h0.at(delta).to_dense()
         expected = np.array([[-delta / 4, 0.5], [0.5, -delta / 4]])
-        np.testing.assert_allclose(h, expected, atol=1e-15)
+        np.testing.assert_allclose(full.at(delta).to_dense(), expected, atol=1e-15)
+        np.testing.assert_allclose(sector.h.at(delta).to_dense(), [[-delta / 4 - 0.5]], atol=1e-15)
+        np.testing.assert_allclose(triplet.at(delta).to_dense(), [[-delta / 4 + 0.5]], atol=1e-15)
 
 
 def test_hamiltonian_hermitian_and_sector_preserving():
@@ -107,13 +169,33 @@ def test_hamiltonian_linear_in_delta():
 
 
 def test_offdiagonal_counts_antiparallel_bonds():
-    # each off-diagonal entry is 1/2 per connecting bond
+    # each off-diagonal entry of the full M = 0 block is 1/2 per connecting bond
     sector = ed.build_sector(LatticeSpec(1, 4))
-    off = sector.h.offdiag.toarray()
+    off = parity_block(sector, None).offdiag.toarray()
     assert set(np.unique(off)) <= {0.0, 0.5}
     # state 5 = sites 0,2 up on a 4-ring: all four bonds antiparallel
     row = sector.basis.index_of(5)
     assert np.count_nonzero(off[row]) == 4
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("delta", [-1.5, 0.0, 1.0, 5.0])
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, n) for n in (2, 4, 8, 10)]
+    + [LatticeSpec(1, 8, periodic=False), LatticeSpec(2, 2)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_parity_sectors_split_the_m0_spectrum(spec, delta):
+    # the flip commutes with H(delta): the two parity blocks together carry
+    # exactly the spectrum of the full M = 0 block
+    sector = ed.build_sector(spec)
+
+    def levels(parity):
+        return np.linalg.eigvalsh(parity_block(sector, parity).at(delta).to_dense())
+
+    both = np.sort(np.concatenate((levels(1), levels(-1))))
+    np.testing.assert_allclose(both, levels(None), rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------------------- solvers
@@ -121,10 +203,13 @@ def test_offdiagonal_counts_antiparallel_bonds():
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_dense_oracle_two_site():
-    gs = dense_ground_oracle(ed.build_sector(LatticeSpec(1, 2)).h.at(1.0))
+    sector = ed.build_sector(LatticeSpec(1, 2))
+    gs = dense_ground_oracle(sector.h.at(1.0))
     assert gs.energy == pytest.approx(-0.75, abs=1e-14)
     # singlet amplitudes up to the sign convention
-    np.testing.assert_allclose(np.abs(gs.vector), np.sqrt(0.5), atol=1e-14)
+    full = sector.basis.expand(gs.vector)
+    np.testing.assert_allclose(np.abs(full), np.sqrt(0.5), atol=1e-14)
+    assert full[0] == pytest.approx(-full[1], abs=1e-14)
 
 
 def test_dense_oracle_refuses_large_sector():
@@ -194,8 +279,9 @@ def test_seed_changes_start_but_not_result():
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 def test_breakdown_terminates_exactly():
-    # dim-2 sector: Krylov space exhausts after two steps
-    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, 2)).h.at(1.0))
+    # the full two-state M = 0 block: Krylov space exhausts after two steps
+    sector = ed.build_sector(LatticeSpec(1, 2))
+    gs = ed.lanczos_ground(parity_block(sector, None).at(1.0))
     assert gs.iterations == 2
     assert gs.energy == pytest.approx(-0.75, abs=1e-13)
 
@@ -210,10 +296,14 @@ def test_max_iter_exhaustion_raises_with_best():
 
 
 def test_gap_four_ring():
-    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, 4)).h.at(1.0), n_low=2)
+    # E0 = -2 is the parity +1 singlet; the first excitation, the Sz = 0
+    # triplet member at -1, is the parity -1 ground state
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    gs = ed.lanczos_ground(sector.h.at(1.0), n_low=2)
+    e1 = min(gs.energy + gs.gap, ed.lanczos_ground(parity_block(sector, -1).at(1.0)).energy)
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
-    assert gs.energy + gs.gap == pytest.approx(-1.0, abs=1e-12)
-    assert gs.gap == pytest.approx(1.0, abs=1e-12)
+    assert e1 == pytest.approx(-1.0, abs=1e-12)
+    assert gs.energy + gs.gap > e1 + 0.5
 
 
 @pytest.mark.parametrize("delta", [-1.5, 0.0, 0.5, 1.0, 2.0])
@@ -298,7 +388,7 @@ def _free_fermion_chain(n_sites: int) -> tuple[float, float]:
     return float(np.sum(np.cos(filled))), -abs(g1) ** 2
 
 
-@pytest.mark.parametrize("linear", [4, 6, 8, 10, 12, 14, 16])
+@pytest.mark.parametrize("linear", [4, 6, 8, 10, 12, 14, 16, 18, 20])
 def test_xx_chain_energy_matches_free_fermions(linear):
     e0, _ = _free_fermion_chain(linear)
     gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, linear)).h)
@@ -335,24 +425,27 @@ MARSHALL_SPECS = [LatticeSpec(1, n) for n in (4, 6, 8, 10, 12)] + [
 def test_marshall_sign_and_flip_parity(spec):
     # H_xy > 0 on a bipartite lattice: rotating one sublattice by pi about z
     # makes every off-diagonal element negative, so the M = 0 ground state
-    # is a Perron vector up to the Marshall sign (-1)^(up spins on B), and
-    # the spin flip acts on it as (-1)^(N/2)
+    # is a nondegenerate Perron vector up to the Marshall sign (-1)^(up
+    # spins on B), and the spin flip acts on it as (-1)^(N/2). So the
+    # sector of that parity holds the lowest level of the full M = 0 block,
+    # strictly below the other parity's
     from xxzent import entanglement
 
     sector = ed.build_sector(spec)
     basis, lattice = sector.basis, sector.lattice
+    assert basis.parity == (-1) ** (lattice.n_sites // 2)
+    full = parity_block(sector, None)
+    other = parity_block(sector, -basis.parity)
     up_on_b = sum(basis.bit(s).astype(np.int64) for s in range(lattice.n_sites)
                   if lattice.sublattice[s])
     marshall = 1 - 2 * (up_on_b % 2)
-    flip = basis.index_of_many(basis.states ^ np.uint64((1 << lattice.n_sites) - 1))
     for delta in (-0.5, 0.0, 0.5, 1.0, 2.0):
         gs = ed.lanczos_ground(sector.h.at(delta))
-        psi = gs.vector
-        rotated = marshall * psi
+        assert gs.energy == pytest.approx(ed.lanczos_ground(full.at(delta)).energy, abs=1e-9)
+        assert gs.energy < ed.lanczos_ground(other.at(delta)).energy - 1e-3, delta
+        rotated = marshall * basis.expand(gs.vector)
         rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
         assert rotated.min() > 0, delta
-        parity = float(psi @ psi[flip])
-        assert parity == pytest.approx((-1) ** (lattice.n_sites // 2), abs=1e-9), delta
         for bond in lattice.bonds:
             rdm = entanglement.two_site_rdm(gs, basis, bond)
             assert rdm.u_plus == pytest.approx(rdm.u_minus, abs=1e-9), delta

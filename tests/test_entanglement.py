@@ -6,13 +6,20 @@ concurrence formula on the assembled 4x4 matrix.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_pair_correlators, dense_two_site_rdm, embed_full_space
+from conftest import (
+    dense_ground_oracle,
+    dense_pair_correlators,
+    dense_two_site_rdm,
+    embed_full_space,
+    parity_block,
+)
 from xxzent import ed, entanglement as ent
 from xxzent.lattice import LatticeSpec, build_lattice
 
@@ -52,6 +59,8 @@ def test_rdm_validation_rejects_bad_blocks():
     ],
 )
 def test_rdm_matches_dense_partial_trace(spec, pairs, delta):
+    # the reference diagonalizes the full M = 0 block densely, so it checks
+    # the parity reduction and SectorBasis.expand as well
     import warnings
 
     with warnings.catch_warnings():
@@ -59,7 +68,8 @@ def test_rdm_matches_dense_partial_trace(spec, pairs, delta):
         sector = ed.build_sector(spec)
     lat, basis = sector.lattice, sector.basis
     gs = ed.lanczos_ground(sector.h.at(delta))
-    full = embed_full_space(gs.vector, basis)
+    reference = dense_ground_oracle(parity_block(sector, None).at(delta))
+    full = embed_full_space(reference.vector, replace(basis, parity=None))
     for i, j in pairs:
         rho_ref = dense_two_site_rdm(full, lat.n_sites, i, j)
         rho = ent.two_site_rdm(gs, basis, i, j)
