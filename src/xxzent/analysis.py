@@ -136,24 +136,26 @@ def scan_ed(
     return ConcurrenceCurve("ed", prov, tuple(samples))
 
 
+def spinwave_sample(delta: float, zone: spinwave.ZoneGrid) -> ScanSample:
+    """Spin-wave energy, Gzz and C at one delta on a prebuilt zone."""
+    eps = spinwave.energy_per_site(delta, zone) / zone.dimension
+    gzz = spinwave.gzz_per_bond(delta, zone)
+    c = entanglement.concurrence_from_energy(eps, gzz, delta)
+    return ScanSample(delta, c, eps, gzz, math.nan)
+
+
 def scan_spinwave(
     dimension: int,
     deltas,
     *,
     k_points: int | None = None,
 ) -> ConcurrenceCurve:
-    """Spin-wave C(delta) curve on one zone grid; energy_total is NaN (thermodynamic limit)."""
+    """Spin-wave C(delta) curve on one zone; energy_total is NaN (thermodynamic limit)."""
     if dimension not in spinwave.DEFAULT_K_POINTS:
         raise ValueError("spin-wave needs d = 2 or 3")
     n_k = spinwave.DEFAULT_K_POINTS[dimension] if k_points is None else k_points
-    g = spinwave.gamma_grid(dimension, n_k)
-    samples = []
-    for delta in np.asarray(deltas, dtype=float):
-        d = float(delta)
-        eps = spinwave.energy_per_site(d, g) / dimension
-        gzz = spinwave.gzz_per_bond(d, g)
-        c = entanglement.concurrence_from_energy(eps, gzz, d)
-        samples.append(ScanSample(d, c, eps, gzz, math.nan))
+    zone = spinwave.gamma_grid(dimension, n_k)
+    samples = [spinwave_sample(float(d), zone) for d in np.asarray(deltas, dtype=float)]
     prov = (
         f"spinwave d={dimension} kgrid={n_k} spin={spinwave.SPIN} "
         f"h={spinwave.DEFAULT_FD_STEP}"

@@ -247,12 +247,15 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_spinwave(args: argparse.Namespace) -> int:
-    s = analysis.scan_spinwave(args.dim, [args.delta], k_points=args.kgrid).samples[0]
+    n_k = spinwave.DEFAULT_K_POINTS[args.dim] if args.kgrid is None else args.kgrid
+    zone = spinwave.gamma_grid(args.dim, n_k)
+    s = analysis.spinwave_sample(args.delta, zone)
     for key, val in (
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),
         ("branch", "ising" if args.delta >= 1.0 else "planar"),
-        ("kgrid", spinwave.DEFAULT_K_POINTS[args.dim] if args.kgrid is None else args.kgrid),
+        ("kgrid", n_k),
+        ("quad_points", zone.gamma.size),
         ("spin", _fmt(spinwave.SPIN)),
         ("energy_per_site", _fmt(s.energy_per_bond * args.dim)),
         ("energy_per_bond", _fmt(s.energy_per_bond)),

@@ -12,17 +12,22 @@ limit by Brillouin-zone quadrature (d >= 2):
 
 Here g is the structure factor (2/z) sum_m cos k_m, z = 2d, S = SPIN = 1/2
 (concurrence is a two-qubit measure), and <.> is the BZ average on a
-midpoint-shifted uniform grid. Both branches coincide at delta = 1. Gzz per
-bond is the derivative of the bond energy within the branch that delta
-implies (Ising at delta >= 1, one-sided at the branch edges).
+midpoint-shifted N^d grid, summed exactly over its irreducible wedge (g is
+even in each k_m and symmetric in the axes) with integer multiplicities,
+then divided by N^d (Monkhorst & Pack, PRB 13, 5188 (1976)). Both branches
+coincide at delta = 1. Gzz per bond is the derivative of the
+bond energy within the branch that delta implies (Ising at delta >= 1,
+one-sided at the branch edges).
 
-The quadratures take the grid g = gamma_grid(d, k_points) as an argument
-and read d from g.ndim, so a caller builds it once for all deltas;
+The quadratures take the zone g = gamma_grid(d, k_points) as an argument
+and read d from g.dimension, so a caller builds it once for all deltas;
 analysis.scan_spinwave does that and turns energy and Gzz into the
 nearest-neighbor concurrence.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,15 +45,52 @@ def bz_axis(k_points: int) -> np.ndarray:
     return -np.pi + np.pi * (2 * n + 1) / k_points
 
 
-def gamma_grid(dimension: int, k_points: int) -> np.ndarray:
-    """Structure factor on the full midpoint-shifted BZ grid."""
-    cosk = np.cos(bz_axis(k_points))
-    g = cosk
-    for axis in range(1, dimension):
-        shape = [1] * (axis + 1)
-        shape[axis] = k_points
-        g = g[..., None] + cosk.reshape(shape)
-    return g / dimension
+@dataclass(frozen=True)
+class ZoneGrid:
+    """Structure factor on the irreducible wedge of the midpoint BZ grid.
+
+    gamma[i] stands for multiplicity[i] points of the full k_points^dimension
+    grid; the multiplicities are positive integers summing to k_points^dimension.
+    """
+
+    gamma: np.ndarray
+    multiplicity: np.ndarray
+    dimension: int
+    k_points: int
+
+    def mean(self, f: np.ndarray) -> float:
+        """Full-grid average of f, given f on the wedge points."""
+        return float(self.multiplicity @ f) / self.k_points**self.dimension
+
+
+def gamma_grid(dimension: int, k_points: int) -> ZoneGrid:
+    """The zone wedge: sorted index tuples i_1 <= ... <= i_d of the half axis.
+
+    cos k is even, so the first ceil(N/2) axis points carry weight 2 each
+    (1 for k = 0 when N is odd). A sorted tuple with runs of equal indices
+    r_1, r_2, ... stands for d!/(r_1! r_2! ...) axis permutations.
+    """
+    half = (k_points + 1) // 2
+    cosk = np.cos(bz_axis(k_points)[:half])
+    weight = np.full(half, 2, dtype=np.int64)
+    weight[-1] -= k_points % 2  # k = 0 is its own mirror
+    idx = np.arange(half)[:, None]
+    perms = np.ones(half, dtype=np.int64)
+    run = np.ones(half, dtype=np.int64)
+    for length in range(2, dimension + 1):
+        reps = half - idx[:, -1]  # a tuple ending in i extends by i, ..., half - 1
+        last = np.repeat(idx[:, -1], reps)
+        new = last + np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        run = np.where(new == last, np.repeat(run, reps) + 1, 1)
+        # length!/prod(run!) grows by length/run when one index is appended
+        perms = np.repeat(perms, reps) * length // run
+        idx = np.column_stack([np.repeat(idx, reps, axis=0), new])
+    return ZoneGrid(
+        gamma=cosk[idx].sum(axis=1) / dimension,
+        multiplicity=perms * weight[idx].prod(axis=1),
+        dimension=dimension,
+        k_points=k_points,
+    )
 
 
 def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,18 +111,18 @@ def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def energy_per_site_ising(delta: float, g: np.ndarray) -> float:
-    """Ising-branch ground-state energy per site (delta >= 1) on the zone grid g."""
+def energy_per_site_ising(delta: float, g: ZoneGrid) -> float:
+    """Ising-branch ground-state energy per site (delta >= 1) on the zone g."""
     if delta < 1.0:
         raise ValueError(f"Ising branch needs delta >= 1, got {delta}")
     x = 1.0 / delta
-    z = 2 * g.ndim
-    fluct = np.sqrt(np.clip(1.0 - (x * g) ** 2, 0.0, None)) - 1.0
-    return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(fluct.mean()))
+    z = 2 * g.dimension
+    fluct = np.sqrt(np.clip(1.0 - (x * g.gamma) ** 2, 0.0, None)) - 1.0
+    return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(fluct))
 
 
-def energy_per_site_planar(delta: float, g: np.ndarray) -> float:
-    """Planar-branch ground-state energy per site (0 <= delta <= 1) on the zone grid g.
+def energy_per_site_planar(delta: float, g: ZoneGrid) -> float:
+    """Planar-branch ground-state energy per site (0 <= delta <= 1) on the zone g.
 
     The integrand sqrt((1+y g)^2 - x^2 g^2) - (1+y g) stays finite at the
     zone corner g = -1, where 1 + y g = x and the root vanishes.
@@ -89,13 +131,13 @@ def energy_per_site_planar(delta: float, g: np.ndarray) -> float:
         raise ValueError(f"planar branch needs 0 <= delta <= 1, got {delta}")
     x = (1.0 + delta) / 2.0
     y = (1.0 - delta) / 2.0
-    a = 1.0 + y * g
-    term = np.sqrt(np.clip(a**2 - (x * g) ** 2, 0.0, None)) - a
-    z = 2 * g.ndim
-    return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * float(term.mean())
+    a = 1.0 + y * g.gamma
+    term = np.sqrt(np.clip(a**2 - (x * g.gamma) ** 2, 0.0, None)) - a
+    z = 2 * g.dimension
+    return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(term)
 
 
-def energy_per_site(delta: float, g: np.ndarray) -> float:
+def energy_per_site(delta: float, g: ZoneGrid) -> float:
     """Branch-dispatched energy per site; the branches agree at delta = 1."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -104,7 +146,7 @@ def energy_per_site(delta: float, g: np.ndarray) -> float:
     return energy_per_site_planar(delta, g)
 
 
-def gzz_per_bond(delta: float, g: np.ndarray, *, h: float = DEFAULT_FD_STEP) -> float:
+def gzz_per_bond(delta: float, g: ZoneGrid, *, h: float = DEFAULT_FD_STEP) -> float:
     """d(energy per bond)/d(delta) within the branch delta lies in, by finite differences.
 
     At exactly delta = 1 the Ising side is the convention; the concurrence
@@ -122,7 +164,7 @@ def gzz_per_bond(delta: float, g: np.ndarray, *, h: float = DEFAULT_FD_STEP) -> 
         branch, lo, hi, energy = "planar", 0.0, 1.0, energy_per_site_planar
 
     def f(d: float) -> float:
-        return energy(d, g) / g.ndim
+        return energy(d, g) / g.dimension
 
     if delta - h >= lo and delta + h <= hi:
         return (f(delta + h) - f(delta - h)) / (2.0 * h)

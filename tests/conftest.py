@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from xxzent import ed
+from xxzent import ed, spinwave
 from xxzent.lattice import LatticeSpec
 
 ACCEPTANCE_LOG: list[str] = []
@@ -58,6 +58,25 @@ def parity_block(sector: ed.Sector, parity: int | None) -> ed.SparseHamiltonian:
     """The sector's M = 0 operator in one flip parity; parity None gives the
     full, unreduced M = 0 block that the parity blocks are checked against."""
     return ed.build_hamiltonian(sector.lattice, replace(sector.basis, parity=parity))
+
+
+def full_gamma_grid(dimension: int, k_points: int) -> np.ndarray:
+    """Structure factor on every point of the midpoint BZ grid, shape (N,) * d,
+    by broadcasting the axis cosines; the reference the zone wedge is checked
+    against."""
+    cosk = np.cos(spinwave.bz_axis(k_points))
+    g = cosk
+    for axis in range(1, dimension):
+        shape = [1] * (axis + 1)
+        shape[axis] = k_points
+        g = g[..., None] + cosk.reshape(shape)
+    return g / dimension
+
+
+def full_zone(dimension: int, k_points: int) -> spinwave.ZoneGrid:
+    """The full grid as a zone of unit multiplicities, for the quadratures."""
+    g = full_gamma_grid(dimension, k_points).ravel()
+    return spinwave.ZoneGrid(g, np.ones(g.size, dtype=np.int64), dimension, k_points)
 
 
 def embed_full_space(psi: np.ndarray, basis: ed.SectorBasis) -> np.ndarray:

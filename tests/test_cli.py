@@ -319,6 +319,7 @@ def test_spinwave_report(capsys):
     report = _parse_report(capsys.readouterr().out)
     assert report["branch"] == "ising"
     assert report["kgrid"] == "128"
+    assert report["quad_points"] == "2080"  # C(64 + 1, 2) wedge points of the 128^2 grid
     assert float(report["concurrence"]) == pytest.approx(0.1579, abs=2e-3)
 
 
@@ -357,7 +358,7 @@ def test_spin_is_not_an_option():
 
 def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
     # delta = 0.5: the energy and the two central-difference points of Gzz
-    # all integrate over the one zone grid the scan builds
+    # all integrate over the one zone the command builds, as a scan would
     calls = {"n": 0}
     original = spinwave.gamma_grid
 

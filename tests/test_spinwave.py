@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import full_gamma_grid, full_zone
 from xxzent import spinwave as sw
 from xxzent.analysis import scan_spinwave
 from xxzent.verify import check_branch_continuity
@@ -20,7 +21,7 @@ from xxzent.verify import check_branch_continuity
 E_SITE_D2_ISO = -0.657947416515705  # 512 points/axis
 E_SITE_D2_ISO_CONVERGED = -0.657947420953
 E_SITE_D3_ISO = -0.895736997939593  # 96 points/axis
-E_SITE_D3_ISO_CONVERGED = -0.895737006498
+E_SITE_D3_ISO_CONVERGED = -0.895737005963
 E_SITE_D2_XX = -0.541908599748395  # delta = 0, planar branch, 512 points
 
 
@@ -37,11 +38,48 @@ def test_bz_axis_midpoint_grid():
 
 
 def test_gamma_grid_strictly_inside_unit_interval():
-    for d, n in ((2, 16), (3, 8)):
+    # the wedge of sorted indices over the ceil(n/2) half axis
+    for d, n in ((2, 16), (3, 8), (2, 7), (3, 9), (2, 512), (3, 96), (2, 1024), (3, 192)):
         g = sw.gamma_grid(d, n)
-        assert g.shape == (n,) * d
-        assert np.max(np.abs(g)) < 1.0  # midpoint shift avoids the zone corner
-        assert abs(g.mean()) < 1e-13
+        assert g.dimension == d and g.k_points == n
+        assert g.gamma.ndim == 1 and g.gamma.shape == g.multiplicity.shape
+        assert g.gamma.size == math.comb((n + 1) // 2 + d - 1, d)
+        assert g.multiplicity.dtype.kind == "i" and g.multiplicity.min() >= 1
+        assert int(g.multiplicity.sum()) == n**d
+        # an even midpoint grid avoids both k = 0 and the zone corner; an odd one holds k = 0
+        assert (np.max(np.abs(g.gamma)) < 1.0) == (n % 2 == 0)
+        assert abs(g.mean(g.gamma)) < 1e-13
+    # production and cusp-doubling sizes
+    assert [sw.gamma_grid(d, n).gamma.size for d, n in ((3, 96), (2, 512), (3, 192), (2, 1024))] == [
+        19_600, 32_896, 152_096, 131_328
+    ]
+
+
+def _planar_term(delta, g):
+    x, y = (1.0 + delta) / 2.0, (1.0 - delta) / 2.0
+    return np.sqrt(np.clip((1.0 + y * g) ** 2 - (x * g) ** 2, 0.0, None)) - (1.0 + y * g)
+
+
+def _ising_term(delta, g):
+    return np.sqrt(np.clip(1.0 - (g / delta) ** 2, 0.0, None)) - 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 16, 33])
+def test_wedge_matches_full_grid(d, n):
+    # every integrand depends on k only through gamma, so the weighted wedge
+    # sum equals the full-grid average up to summation order
+    zone, g = sw.gamma_grid(d, n), full_gamma_grid(d, n)
+    integrands = [lambda v: v**2, lambda v: v**4, np.abs]
+    for delta in (0.0, 0.5, 1.0, 2.0):
+        integrands.append(lambda v, t=delta: _planar_term(min(t, 1.0), v))
+        integrands.append(lambda v, t=delta: _ising_term(max(t, 1.0), v))
+    for f in integrands:
+        assert abs(zone.mean(f(zone.gamma)) - f(g).mean()) <= 1e-15
+    full = full_zone(d, n)
+    for delta in (0.0, 0.5, 1.0, 2.0):
+        assert abs(sw.energy_per_site(delta, zone) - sw.energy_per_site(delta, full)) <= 1e-15
+        assert abs(sw.gzz_per_bond(delta, zone) - sw.gzz_per_bond(delta, full)) <= 1e-11
 
 
 # ------------------------------------------------------------- Bogoliubov
@@ -111,7 +149,7 @@ def test_branch_domain_enforced():
 def test_large_delta_asymptotics():
     # classical Neel limit: both energy slope and level approach -1/4 per bond
     g = sw.gamma_grid(2, 256)
-    assert sw.energy_per_site(50.0, g) / g.ndim / 50.0 == pytest.approx(-0.25, abs=5e-5)
+    assert sw.energy_per_site(50.0, g) / g.dimension / 50.0 == pytest.approx(-0.25, abs=5e-5)
     assert sw.gzz_per_bond(50.0, g) == pytest.approx(-0.25, abs=5e-5)
 
 
