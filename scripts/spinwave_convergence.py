@@ -3,20 +3,30 @@
 
 Documents where the frozen regression constants in the test suite come
 from: per-site energies on a sequence of doubling midpoint grids, with a
-Richardson extrapolation assuming the observed ~N^-3 error decay
-(conical integrand kinks at the zone corner keep it below N^-4).
+Richardson extrapolation of the error order read from the last two drifts
+(N^-(d+1) with N points per axis: the integrand has a conical kink at the
+zone centre and corner, so N^-3 for d = 2 and N^-4 for d = 3).
 
 Run:  python3 scripts/spinwave_convergence.py [--max-points-2d 4096] [--max-points-3d 384]
 """
 
 import argparse
+import math
 
 from xxzent import spinwave as sw
 
 
-def richardson(coarse: float, fine: float, order: int = 3) -> float:
+def richardson(coarse: float, fine: float, order: int) -> float:
     # fine grid has twice the points per axis
     return fine + (fine - coarse) / (2**order - 1)
+
+
+def observed_order(energies: list[float]) -> int:
+    """Error order p of N^-p from the last two drifts; 3 with fewer than three grids."""
+    if len(energies) < 3:
+        return 3
+    ratio = (energies[-2] - energies[-3]) / (energies[-1] - energies[-2])
+    return round(math.log2(abs(ratio)))
 
 
 def study(delta: float, zones: list[sw.ZoneGrid]) -> None:
@@ -30,8 +40,9 @@ def study(delta: float, zones: list[sw.ZoneGrid]) -> None:
         print(f"{zone.k_points:>12} {e:>22.15f} {drift:>22}")
         energies.append(e)
     if len(energies) >= 2:
-        extrap = richardson(energies[-2], energies[-1])
-        print(f"{'extrapolated':>12} {extrap:>22.12f}   (N^-3 Richardson)")
+        order = observed_order(energies)
+        extrap = richardson(energies[-2], energies[-1], order)
+        print(f"{'extrapolated':>12} {extrap:>22.12f}   (N^-{order} Richardson)")
 
 
 def main() -> None:

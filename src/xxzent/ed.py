@@ -255,6 +255,24 @@ def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def _orthogonalize(basis: list[np.ndarray], w: np.ndarray) -> float:
+    """Project the stored Krylov rows out of w in place; return ||w||.
+
+    One classical Gram-Schmidt pass, repeated once when it cancels more
+    than 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 30, 772 (1976): twice is enough).
+    """
+    norm = float(np.linalg.norm(w))
+    for _ in range(2):
+        coefficients = [b @ w for b in basis]
+        for b, c in zip(basis, coefficients):
+            w -= b.T @ c
+        before, norm = norm, float(np.linalg.norm(w))
+        if norm > before / math.sqrt(2):
+            break
+    return norm
+
+
 def lanczos_ground(
     h: SparseHamiltonian,
     *,
@@ -305,6 +323,7 @@ def lanczos_ground(
     blocks: list[np.ndarray] = []
     alphas: list[float] = []
     betas: list[float] = []
+    alpha_max = beta_max = 0.0  # running max |alpha| and beta for the breakdown scale
     breakdown = False
     k = 0
     for j in range(m_max):
@@ -318,15 +337,12 @@ def lanczos_ground(
         w -= alpha * q
         if j > 0:
             w -= betas[-1] * q_prev
-        # full reorthogonalization: two passes of classical Gram-Schmidt
-        for _ in range(2):
-            coefficients = [b @ w for b in basis]
-            for b, c in zip(basis, coefficients):
-                w -= b.T @ c
-        beta = float(np.linalg.norm(w))
+        # full reorthogonalization: one Gram-Schmidt pass over the stored rows,
+        # a second only when the DGKS test asks for it
+        beta = _orthogonalize(basis, w)
         k = j + 1
-        scale = max(abs(a) for a in alphas) + (max(betas) if betas else 0.0)
-        if beta <= 1e-14 * max(1.0, scale):
+        alpha_max = max(alpha_max, abs(alpha))
+        if beta <= 1e-14 * max(1.0, alpha_max + beta_max):
             breakdown = True  # invariant subspace: Ritz pairs are exact
             break
         if k >= n_low:
@@ -337,6 +353,7 @@ def lanczos_ground(
             if np.all(est < tol):
                 break
         betas.append(beta)
+        beta_max = max(beta_max, beta)
         q_prev, q = q, w / beta
     else:
         k = m_max

@@ -295,6 +295,45 @@ def test_max_iter_exhaustion_raises_with_best():
     assert best.energy > -11.228483208429 - 1e-9  # variational from above
 
 
+@pytest.mark.parametrize("eps", [1e-4, 1e-8, 1e-10, 1e-12])
+def test_reorthogonalization_repeats_when_a_pass_cancels(eps):
+    # w almost inside the span of the stored rows: one classical
+    # Gram-Schmidt pass leaves ~1e-16 / eps of it behind, a second removes it
+    rng = np.random.default_rng(7)
+    n = 2000
+    v = np.linalg.qr(rng.standard_normal((n, 40)))[0].T  # orthonormal rows
+    basis = [v[: ed.KRYLOV_BLOCK].copy(), v[ed.KRYLOV_BLOCK :].copy()]
+    r = rng.standard_normal(n)
+    w = v.T @ rng.standard_normal(40) + eps * r / np.linalg.norm(r)
+    beta = ed._orthogonalize(basis, w)
+    assert beta == np.linalg.norm(w)
+    assert np.max(np.abs(v @ w)) / beta <= 1e-14
+
+    # a vector already orthogonal to the rows passes through unchanged
+    u = r - v.T @ (v @ r)
+    u -= v.T @ (v @ u)
+    before = u.copy()
+    assert ed._orthogonalize(basis, u) == pytest.approx(np.linalg.norm(before), rel=1e-15)
+    np.testing.assert_allclose(u, before, rtol=0, atol=1e-15 * np.linalg.norm(before))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 8, periodic=False), LatticeSpec(1, 10), LatticeSpec(1, 12)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_lanczos_runs_to_krylov_exhaustion(spec, delta):
+    # tol = 1e-300 cannot be met, so only breakdown of the Krylov space ends
+    # the run; orthogonality is lost fastest as the space fills up
+    h = ed.build_sector(spec).h.at(delta)
+    gs = ed.lanczos_ground(h, n_low=2, tol=1e-300, max_iter=h.dimension)
+    assert gs.iterations <= h.dimension
+    levels = np.linalg.eigvalsh(h.to_dense())
+    assert gs.energy == pytest.approx(levels[0], abs=1e-12)
+    assert gs.gap == pytest.approx(levels[1] - levels[0], abs=1e-12)
+
+
 def test_gap_four_ring():
     # E0 = -2 is the parity +1 singlet; the first excitation, the Sz = 0
     # triplet member at -1, is the parity -1 ground state
@@ -388,11 +427,18 @@ def _free_fermion_chain(n_sites: int) -> tuple[float, float]:
     return float(np.sum(np.cos(filled))), -abs(g1) ** 2
 
 
-@pytest.mark.parametrize("linear", [4, 6, 8, 10, 12, 14, 16, 18, 20])
+@pytest.mark.parametrize("linear", [4, 6, 8, 10, 12, 14, 16, 18, 20, 22])
 def test_xx_chain_energy_matches_free_fermions(linear):
-    e0, _ = _free_fermion_chain(linear)
-    gs = ed.lanczos_ground(ed.build_sector(LatticeSpec(1, linear)).h)
+    # up to the 705,432-state sector of `xxzent ed --size 22` (352,716 per
+    # parity), which no other test checks independently
+    from xxzent import entanglement
+
+    e0, gzz = _free_fermion_chain(linear)
+    sector = ed.build_sector(LatticeSpec(1, linear))
+    gs = ed.lanczos_ground(sector.h.at(0.0))
     assert gs.energy == pytest.approx(e0, abs=1e-10)
+    g = entanglement.operator_bond_correlators(gs, sector.h, sector.lattice)
+    assert g.gzz == pytest.approx(gzz, abs=1e-10)  # the Ising part of E0 at delta = 0
 
 
 def test_xx_chain_correlators_match_free_fermions():

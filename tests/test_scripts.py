@@ -17,9 +17,10 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_spinwave_convergence_script():
-    proc = _run("spinwave_convergence.py", "--max-points-2d", "128", "--max-points-3d", "24")
+    proc = _run("spinwave_convergence.py", "--max-points-2d", "128", "--max-points-3d", "96")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("(N^-3 Richardson)") == 2  # the two 2D studies have two grids
+    assert proc.stdout.count("(N^-4 Richardson)") == 1  # order read from three 3D grids
 
 
 def test_reproduce_figures_script(tmp_path):

@@ -1,8 +1,8 @@
 """Spin-wave branch energies, Bogoliubov factors, and derivative handling.
 
 Frozen energy constants come from the convergence study in
-scripts/spinwave_convergence.py (midpoint grids, error falling off as the
-cube of the per-axis point count).
+scripts/spinwave_convergence.py (midpoint grids, error falling off as
+N^-(d+1) in the per-axis point count N: N^-3 for d = 2, N^-4 for d = 3).
 """
 
 import math
@@ -21,7 +21,7 @@ from xxzent.verify import check_branch_continuity
 E_SITE_D2_ISO = -0.657947416515705  # 512 points/axis
 E_SITE_D2_ISO_CONVERGED = -0.657947420953
 E_SITE_D3_ISO = -0.895736997939593  # 96 points/axis
-E_SITE_D3_ISO_CONVERGED = -0.895737005963
+E_SITE_D3_ISO_CONVERGED = -0.895737005927
 E_SITE_D2_XX = -0.541908599748395  # delta = 0, planar branch, 512 points
 
 
