@@ -137,6 +137,19 @@ def test_large_finite_delta_still_solves(capsys):
     assert float(report["energy"]) == pytest.approx(-1e6, rel=1e-9)
 
 
+@pytest.mark.parametrize("delta", [1e6, 1e8])
+def test_residual_floor_admits_large_delta(delta, capsys):
+    # eps * ||H|| (4.4e-10 at delta = 1e6) exceeds the default 1e-11
+    # tolerance, so convergence is judged at a floor of a few eps * ||T||
+    rc = cli.main(["ed", "--dim", "1", "--size", "8", "--delta", f"{delta:g}"])
+    assert rc == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    sector = ed.build_sector(LatticeSpec(1, 8))
+    e0 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[0]
+    assert float(report["energy"]) == pytest.approx(e0, rel=1e-11)  # 12 printed digits
+    assert ed.lanczos_ground(sector.h.at(delta), n_low=2).energy == pytest.approx(e0, rel=1e-12)
+
+
 @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "0"], ["--tol", "-1"]])
 def test_unusable_solver_inputs_are_usage_errors(flags, capsys):
     # refused before any Krylov vector is allocated, for ed and scan alike

@@ -334,6 +334,41 @@ def test_lanczos_runs_to_krylov_exhaustion(spec, delta):
     assert gs.gap == pytest.approx(levels[1] - levels[0], abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [ed.DEFAULT_TOL, 1e-14])
+@pytest.mark.parametrize(
+    "spec, delta, few_passes",
+    [(LatticeSpec(1, 16), 1.0, True), (LatticeSpec(2, 4), 0.5, True),
+     (LatticeSpec(1, 14), 3.0, False), (LatticeSpec(1, 8), -1.5, False)],
+    ids=lambda p: f"d{p.dimension}L{p.linear_size}" if isinstance(p, LatticeSpec) else str(p),
+)
+def test_partial_reorthogonalization_keeps_the_basis_orthonormal(
+    spec, delta, few_passes, tol, monkeypatch
+):
+    # the stored Krylov rows reach _ritz_vector and every full Gram-Schmidt
+    # pass goes through _orthogonalize; a run to tol 1e-14 (the convergence
+    # floor) passes more often by design, so the pass budget is checked at
+    # the default tolerance
+    stored, passes = [], []
+    ritz_vector, orthogonalize = ed._ritz_vector, ed._orthogonalize
+
+    def capture(blocks, y):
+        stored.append(np.vstack(blocks))
+        return ritz_vector(blocks, y)
+
+    def count(basis, w):
+        passes.append(1)
+        return orthogonalize(basis, w)
+
+    monkeypatch.setattr(ed, "_ritz_vector", capture)
+    monkeypatch.setattr(ed, "_orthogonalize", count)
+    gs = ed.lanczos_ground(ed.build_sector(spec).h.at(delta), n_low=2, tol=tol)
+    q = stored[0]
+    assert len(q) == gs.iterations
+    assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-9
+    if few_passes and tol == ed.DEFAULT_TOL:
+        assert 0 < len(passes) <= gs.iterations / 4
+
+
 def test_gap_four_ring():
     # E0 = -2 is the parity +1 singlet; the first excitation, the Sz = 0
     # triplet member at -1, is the parity -1 ground state
