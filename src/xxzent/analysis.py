@@ -105,15 +105,22 @@ def scan_ed(
     max_iter: int = ed.DEFAULT_MAX_ITER,
     seed: int = ed.DEFAULT_SEED,
 ) -> ConcurrenceCurve:
-    """ED C(delta) curve: sector.h re-pointed per delta, bond means from its quadratic forms."""
+    """ED C(delta) curve: sector.h re-pointed per delta, bond means from its quadratic forms.
+
+    The provenance records tol and, where the Lanczos residual floor
+    replaced it at some delta, the largest threshold applied (tol_applied).
+    """
     lattice = sector.lattice
     samples = []
+    applied = tol  # the largest residual threshold a solve was judged at
     for delta in np.asarray(deltas, dtype=float):
         h = sector.h.at(float(delta))
         try:
             gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed)
         except ed.LanczosError as exc:
             best = exc.best
+            if best:
+                applied = max(applied, best.tolerance)
             samples.append(
                 ScanSample(float(delta), math.nan, math.nan, math.nan, math.nan,
                            ok=False, error=str(exc),
@@ -121,6 +128,7 @@ def scan_ed(
                            residual=best.residual if best else math.nan)
             )
             continue
+        applied = max(applied, gs.tolerance)
         g = entanglement.operator_bond_correlators(gs, h, lattice)
         c = entanglement.concurrence_corr(g)
         samples.append(
@@ -129,9 +137,10 @@ def scan_ed(
         )
     spec = lattice.spec
     bc = "periodic" if spec.periodic else "open"
+    lifted = f" tol_applied={applied:.3g}" if applied > tol else ""
     prov = (
         f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
-        f"tol={tol} seed={seed}"
+        f"tol={tol}{lifted} seed={seed}"
     )
     return ConcurrenceCurve("ed", prov, tuple(samples))
 

@@ -142,7 +142,12 @@ def cmd_ed(args: argparse.Namespace) -> int:
     except ed.ScaleError as exc:
         print(f"error: --delta: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    e1 = other.energy if math.isnan(gs.gap) else min(gs.energy + gs.gap, other.energy)
+    # (E1, its residual): the other parity's ground state or the second pair
+    levels = [(other.energy, other.residual)]
+    if not math.isnan(gs.gap):
+        levels.append((gs.energy + gs.gap, gs.gap_residual))
+    e1, r1 = min(levels)
+    gap = e1 - gs.energy
     g = entanglement.operator_bond_correlators(gs, h, sector.lattice)
     c = entanglement.concurrence_corr(g)
     rows = [
@@ -158,12 +163,17 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),
         ("concurrence", _fmt(c)),
-        ("gap", _fmt(e1 - gs.energy)),
+        # each level lies within its residual of an eigenvalue, so a gap no
+        # larger than the two residuals together is round-off, sign included
+        ("gap", _fmt(gap) if gap > gs.residual + r1 else "unresolved"),
         ("solver", gs.method),
         ("iterations", gs.iterations + other.iterations),
         ("residual", _fmt(max(gs.residual, other.residual))),
         ("seed", gs.seed),
     ]
+    tolerance = max(gs.tolerance, other.tolerance)
+    if tolerance > args.tol:  # the residual floor replaced --tol
+        rows.append(("tolerance", _fmt(tolerance)))
     for key, val in rows:
         print(f"{key}: {val}")
     return EXIT_OK

@@ -259,6 +259,8 @@ class GroundState:
     iterations: int
     seed: int | None
     gap: float = math.nan  # E1 - E0 when the solve converged two pairs
+    gap_residual: float = math.nan  # ||H x1 - E1 x1|| of that second pair
+    tolerance: float = math.nan  # the residual threshold applied: max(tol, the floor)
 
 
 def _sign_fix(v: np.ndarray) -> np.ndarray:
@@ -329,10 +331,12 @@ def lanczos_ground(
     The start vector is drawn from a fixed-seed generator so repeated runs
     are bit-identical. Convergence is declared when the residual
     ||H x - E x|| drops below max(tol, RESIDUAL_FLOOR * eps * ||T||)
-    (absolute, energy units of the planar coupling; the floor exceeds the
-    default tol only once ||T|| is above ~700). With n_low=2 the second
-    Ritz pair is converged in the same run and E1 - E0 is stored in `gap`
-    (nan otherwise).
+    (absolute, energy units of the planar coupling). The floor replaces
+    any smaller tol: the default 1e-11 once ||T|| is above ~700, a tol of
+    1e-14 already at ||T|| ~ 1. The threshold applied is stored in
+    `tolerance`. With n_low=2 the second Ritz pair is converged in the
+    same run; E1 - E0 is stored in `gap` and the second pair's residual in
+    `gap_residual` (nan otherwise).
 
     Simon's estimates keep every stored Krylov vector orthogonal to the
     others to ~REORTH_OMEGA; a full Gram-Schmidt pass (with its DGKS
@@ -358,7 +362,7 @@ def lanczos_ground(
         if n_low == 2:
             raise SectorError("second eigenvalue undefined for dimension 1")
         e = float(h.apply(np.ones(1))[0])
-        return GroundState(e, np.ones(1), m, 0.0, "exact", 0, seed)
+        return GroundState(e, np.ones(1), m, 0.0, "exact", 0, seed, tolerance=tol)
 
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(n)
@@ -433,17 +437,16 @@ def lanczos_ground(
     x = _sign_fix(_ritz_vector(basis, evecs[:, 0]))
     e0 = float(evals[0])
     residual = float(np.linalg.norm(h.apply(x) - e0 * x))
-    gs = GroundState(e0, x, m, residual, "lanczos", k, seed)
+    gs = GroundState(e0, x, m, residual, "lanczos", k, seed, tolerance=floor)
     converged = breakdown or residual < floor
     if n_low == 2:
         if k < 2:
             raise LanczosError("Krylov space exhausted before second eigenvalue", gs)
-        if not breakdown:
-            # re-check the second pair's true residual
-            x1 = _ritz_vector(basis, evecs[:, 1])
-            r1 = float(np.linalg.norm(h.apply(x1) - float(evals[1]) * x1))
-            converged = converged and r1 < 1e3 * floor
-        gs = replace(gs, gap=float(evals[1]) - e0)
+        # re-check the second pair's true residual
+        x1 = _ritz_vector(basis, evecs[:, 1])
+        r1 = float(np.linalg.norm(h.apply(x1) - float(evals[1]) * x1))
+        converged = converged and (breakdown or r1 < 1e3 * floor)
+        gs = replace(gs, gap=float(evals[1]) - e0, gap_residual=r1)
     if not converged:
         raise LanczosError(
             f"no convergence after {k} iterations (residual {residual:.3e})", gs

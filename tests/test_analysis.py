@@ -103,6 +103,10 @@ def test_scan_ed_four_ring():
     curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5))
     assert curve.engine == "ed"
     assert curve.provenance == "ed d=1 L=4 periodic m=0.0 tol=1e-11 seed=1234"
+    # a tol below the residual floor is recorded next to the one applied
+    floored = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5), tol=1e-14)
+    assert floored.provenance.startswith("ed d=1 L=4 periodic m=0.0 tol=1e-14 tol_applied=")
+    assert floored.all_ok()
     assert curve.all_ok()
     assert len(curve.samples) == 5
     # energies match direct solves, peak sits at the isotropic point

@@ -148,6 +148,26 @@ def test_residual_floor_admits_large_delta(delta, capsys):
     e0 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[0]
     assert float(report["energy"]) == pytest.approx(e0, rel=1e-11)  # 12 printed digits
     assert ed.lanczos_ground(sector.h.at(delta), n_low=2).energy == pytest.approx(e0, rel=1e-12)
+    assert float(report["residual"]) < float(report["tolerance"])
+
+
+@pytest.mark.parametrize("delta", [1e6, 1e10])
+def test_gap_below_the_residuals_is_unresolved(delta, capsys):
+    # the two Neel combinations, one in each flip parity, split far below
+    # eps * ||H||: E1 - E0 comes out as round-off of either sign
+    rc = cli.main(["ed", "--dim", "1", "--size", "8", "--delta", f"{delta:g}"])
+    assert rc == cli.EXIT_OK
+    assert _parse_report(capsys.readouterr().out)["gap"] == "unresolved"
+
+
+def test_report_names_the_tolerance_the_floor_put_in_place(capsys):
+    # a --tol below RESIDUAL_FLOOR * eps * ||T|| is replaced by that floor
+    assert cli.main(["ed", "--dim", "1", "--size", "8"]) == cli.EXIT_OK
+    assert "tolerance" not in _parse_report(capsys.readouterr().out)
+    assert cli.main(["ed", "--dim", "1", "--size", "8", "--tol", "1e-14"]) == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    assert 1e-14 < float(report["tolerance"]) < 1e-12
+    assert float(report["residual"]) < float(report["tolerance"])
 
 
 @pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "0"], ["--tol", "-1"]])

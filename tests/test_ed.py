@@ -323,12 +323,52 @@ def test_reorthogonalization_repeats_when_a_pass_cancels(eps):
     [LatticeSpec(1, 8, periodic=False), LatticeSpec(1, 10), LatticeSpec(1, 12)],
     ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
 )
-def test_lanczos_runs_to_krylov_exhaustion(spec, delta):
+def test_lanczos_runs_to_krylov_exhaustion(spec, delta, monkeypatch):
     # tol = 1e-300 cannot be met, so only breakdown of the Krylov space ends
-    # the run; orthogonality is lost fastest as the space fills up
+    # the run; orthogonality is lost fastest as the space fills up. The
+    # residual floor would replace that tol, so it is switched off
+    monkeypatch.setattr(ed, "RESIDUAL_FLOOR", 0)
     h = ed.build_sector(spec).h.at(delta)
     gs = ed.lanczos_ground(h, n_low=2, tol=1e-300, max_iter=h.dimension)
+    assert gs.tolerance == 1e-300 <= gs.residual  # so the run ended by breakdown
     assert gs.iterations <= h.dimension
+    levels = np.linalg.eigvalsh(h.to_dense())
+    assert gs.energy == pytest.approx(levels[0], abs=1e-12)
+    assert gs.gap == pytest.approx(levels[1] - levels[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, 8, periodic=False), LatticeSpec(1, 10), LatticeSpec(1, 12)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_partial_reorthogonalization_runs_to_krylov_exhaustion(spec, delta, monkeypatch):
+    # at tol = 1e-300 the late-pass rule asks for a full pass on every step;
+    # PASS_DROP scaled by 1e-11 / tol sets that rule where the default tol
+    # puts it, so the run reaches breakdown on partial reorthogonalization
+    tol = 1e-300
+    monkeypatch.setattr(ed, "RESIDUAL_FLOOR", 0)
+    monkeypatch.setattr(ed, "PASS_DROP", ed.PASS_DROP * ed.DEFAULT_TOL / tol)
+    stored, passes = [], []
+    ritz_vector, orthogonalize = ed._ritz_vector, ed._orthogonalize
+
+    def capture(blocks, y):
+        stored.append(np.vstack(blocks))
+        return ritz_vector(blocks, y)
+
+    def count(basis, w):
+        passes.append(1)
+        return orthogonalize(basis, w)
+
+    monkeypatch.setattr(ed, "_ritz_vector", capture)
+    monkeypatch.setattr(ed, "_orthogonalize", count)
+    h = ed.build_sector(spec).h.at(delta)
+    gs = ed.lanczos_ground(h, n_low=2, tol=tol, max_iter=h.dimension)
+    assert gs.residual >= tol  # so the run ended by breakdown
+    assert len(passes) < gs.iterations / 2
+    q = stored[0]
+    assert np.max(np.abs(q @ q.T - np.eye(len(q)))) <= 1e-9
     levels = np.linalg.eigvalsh(h.to_dense())
     assert gs.energy == pytest.approx(levels[0], abs=1e-12)
     assert gs.gap == pytest.approx(levels[1] - levels[0], abs=1e-12)
