@@ -121,7 +121,15 @@ def _check_feasible(spec: LatticeSpec, cap: int) -> int | None:
     return None
 
 
+def _require_antiferromagnet(delta: float, flag: str) -> None:
+    """ED solves the M = 0 sector, which holds the lowest level only for
+    delta > -1; from -1 on, the fully polarized states tie with it or undercut it."""
+    if not delta > -1:
+        raise ValueError(f"{flag}: ED needs delta > -1, got {_fmt(delta)}")
+
+
 def cmd_ed(args: argparse.Namespace) -> int:
+    _require_antiferromagnet(args.delta, "--delta")
     spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
     bad = _check_feasible(spec, args.max_basis)
     if bad is not None:
@@ -130,8 +138,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
     h = sector.h.at(args.delta)
     solver = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
     try:
-        gs = ed.lanczos_ground(h, n_low=2 if h.dimension > 1 else 1, **solver)
-        # the lowest M = 0 excitation may sit in the other flip parity
+        gs = ed.lanczos_ground(h, **solver)
+        # the lowest M = 0 excitation is the other flip parity's ground state
         flipped = dataclasses.replace(sector.basis, parity=-sector.basis.parity)
         other = ed.lanczos_ground(
             ed.build_hamiltonian(sector.lattice, flipped).at(args.delta), **solver
@@ -142,12 +150,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     except ed.ScaleError as exc:
         print(f"error: --delta: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # (E1, its residual): the other parity's ground state or the second pair
-    levels = [(other.energy, other.residual)]
-    if not math.isnan(gs.gap):
-        levels.append((gs.energy + gs.gap, gs.gap_residual))
-    e1, r1 = min(levels)
-    gap = e1 - gs.energy
+    gap = other.energy - gs.energy
     g = entanglement.operator_bond_correlators(gs, h, sector.lattice)
     c = entanglement.concurrence_corr(g)
     rows = [
@@ -165,7 +168,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("concurrence", _fmt(c)),
         # each level lies within its residual of an eigenvalue, so a gap no
         # larger than the two residuals together is round-off, sign included
-        ("gap", _fmt(gap) if gap > gs.residual + r1 else "unresolved"),
+        ("gap", _fmt(gap) if gap > gs.residual + other.residual else "unresolved"),
         ("solver", gs.method),
         ("iterations", gs.iterations + other.iterations),
         ("residual", _fmt(max(gs.residual, other.residual))),
@@ -234,6 +237,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for key, default in ED_FLAG_DEFAULTS.items():
             if getattr(args, key) is None:
                 setattr(args, key, default)
+        _require_antiferromagnet(args.delta_from, "--from")
         spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
         bad = _check_feasible(spec, args.max_basis)
         if bad is not None:

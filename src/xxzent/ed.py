@@ -8,24 +8,18 @@ bit i = 1 meaning site i is up (sz = +1/2), kept in increasing order.
 H(delta) = H_xy + delta H_zz: the spin-flip CSR and the Ising diagonal do
 not depend on delta, so `build_sector` builds a lattice's M = 0 basis and
 operator once and callers re-point it with `SparseHamiltonian.at`. Every
-solve is one `lanczos_ground` run; with n_low=2 the same Krylov run also
-converges the second pair and stores the gap E1 - E0 on the returned
-`GroundState`.
+solve is one `lanczos_ground` run for the lowest pair.
 
 Flipping every spin commutes with H(delta). By Marshall's sign rule and
 Perron-Frobenius (Lieb & Mattis 1962) the M = 0 ground state has flip
 parity (-1)^(N/2) for every real delta, so the M = 0 basis carries that
 parity and operators and vectors live on its dim/2 representatives.
 
-`lanczos_ground` keeps its Krylov basis orthogonal by Simon's partial
-reorthogonalization (Math. Comp. 42, 115 (1984)): a cheap recurrence
-estimates every overlap q_{j+1} . q_k, and a full Gram-Schmidt pass runs
-only when the largest estimate exceeds REORTH_OMEGA (1e-10), when a late
-pass would drop a noticeable share of the convergence floor from T, on
-the step right after such a pass (the pairing rule), and when w is small
-enough that breakdown is in question. Residuals are judged against
-max(tol, RESIDUAL_FLOOR * eps * ||T||), since no residual can fall much
-below eps * ||H||.
+`lanczos_ground` is plain Lanczos: the three-term recurrence with no
+Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
+the loss of orthogonality that follows convergence (Paige 1980) never
+reaches it. Residuals are judged against max(tol, RESIDUAL_FLOOR * eps *
+||T||), since no residual can fall much below eps * ||H||.
 """
 
 from __future__ import annotations
@@ -44,11 +38,6 @@ DEFAULT_MAX_ITER = 600
 DEFAULT_SEED = 1234
 KRYLOV_BLOCK = 32  # Krylov vectors per allocation in lanczos_ground
 EPS = float(np.finfo(float).eps)
-# lanczos_ground makes a full Gram-Schmidt pass once Simon's estimate of
-# some |q_{j+1} . q_k| exceeds this; sqrt(eps) leaves ~beta * omega out of
-# T and costs the two-pair runs their 1e-11 residuals
-REORTH_OMEGA = 1e-10
-PASS_DROP = 0.1  # share of the convergence floor one late pass may leave out of T
 RESIDUAL_FLOOR = 64  # residuals below RESIDUAL_FLOOR * eps * ||T|| count as converged
 
 
@@ -108,12 +97,6 @@ class SectorBasis:
         if self.parity is None:
             return v
         return np.concatenate((v, self.parity * v[::-1])) / math.sqrt(2.0)
-
-    def index_of(self, config: int) -> int:
-        pos = int(np.searchsorted(self.states, np.uint64(config)))
-        if pos == len(self.states) or self.states[pos] != np.uint64(config):
-            raise KeyError(f"configuration {config:#x} not in sector")
-        return pos
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.states, configs)
@@ -258,8 +241,6 @@ class GroundState:
     method: str
     iterations: int
     seed: int | None
-    gap: float = math.nan  # E1 - E0 when the solve converged two pairs
-    gap_residual: float = math.nan  # ||H x1 - E1 x1|| of that second pair
     tolerance: float = math.nan  # the residual threshold applied: max(tol, the floor)
 
 
@@ -269,52 +250,19 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def _krylov_rows(blocks: list[np.ndarray], k: int) -> list[np.ndarray]:
-    """The first k stored Krylov vectors, as views of their blocks."""
-    return [b[: k - i * KRYLOV_BLOCK] for i, b in enumerate(blocks)]
-
-
-def _omega_step(
-    omega: np.ndarray, omega_prev: np.ndarray, alphas: np.ndarray, betas: np.ndarray,
-    j: int, beta: float, rounding: float,
-) -> np.ndarray:
-    """Simon's estimates of q_{j+1} . q_k for k <= j (Math. Comp. 42, 115 (1984)).
-
-    omega[k] ~ q_j . q_k (k <= j, omega[j] = 1) and omega_prev[k] ~
-    q_{j-1} . q_k (k < j) follow the three-term recurrence
-    beta_j o_{j+1,k} = beta_k o_{j,k+1} + (alpha_k - alpha_j) o_{j,k}
-    + beta_{k-1} o_{j,k-1} - beta_{j-1} o_{j-1,k}, each widened by the
-    rounding term +-sqrt(n) eps ||T||; q_{j+1} . q_j is rounding alone.
-    """
-    s = betas[:j] * omega[1:] + (alphas[:j] - alphas[j]) * omega[:j]
-    if j:
-        s[1:] += betas[: j - 1] * omega[: j - 1]
-        s -= betas[j - 1] * omega_prev
-    s += np.copysign(rounding, s)
-    return np.append(s, rounding) / beta
-
-
 def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    x = sum(b.T @ y[i * KRYLOV_BLOCK : i * KRYLOV_BLOCK + len(b)] for i, b in enumerate(blocks))
+    """The normalized sum of y_j q_j over the first len(y) stored Krylov vectors."""
+    k = len(y)
+    x = sum(
+        b[: k - i * KRYLOV_BLOCK].T @ y[i * KRYLOV_BLOCK : (i + 1) * KRYLOV_BLOCK]
+        for i, b in enumerate(blocks)
+    )
     return x / np.linalg.norm(x)
 
 
-def _orthogonalize(basis: list[np.ndarray], w: np.ndarray) -> float:
-    """Project the stored Krylov rows out of w in place; return ||w||.
-
-    One classical Gram-Schmidt pass, repeated once when it cancels more
-    than 1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart,
-    Math. Comp. 30, 772 (1976): twice is enough).
-    """
-    norm = float(np.linalg.norm(w))
-    for _ in range(2):
-        coefficients = [b @ w for b in basis]
-        for b, c in zip(basis, coefficients):
-            w -= b.T @ c
-        before, norm = norm, float(np.linalg.norm(w))
-        if norm > before / math.sqrt(2):
-            break
-    return norm
+def _lowest_ritz_pair(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    evals, evecs = eigh_tridiagonal(alphas[:k], betas[: k - 1], select="i", select_range=(0, 0))
+    return float(evals[0]), evecs[:, 0]
 
 
 def lanczos_ground(
@@ -324,27 +272,27 @@ def lanczos_ground(
     max_iter: int = DEFAULT_MAX_ITER,
     seed: int = DEFAULT_SEED,
     m: float = 0.0,
-    n_low: int = 1,
 ) -> GroundState:
-    """Lowest eigenpair by Lanczos with partial reorthogonalization.
+    """Lowest eigenpair by plain Lanczos, without reorthogonalization.
 
     The start vector is drawn from a fixed-seed generator so repeated runs
-    are bit-identical. Convergence is declared when the residual
-    ||H x - E x|| drops below max(tol, RESIDUAL_FLOOR * eps * ||T||)
-    (absolute, energy units of the planar coupling). The floor replaces
-    any smaller tol: the default 1e-11 once ||T|| is above ~700, a tol of
-    1e-14 already at ||T|| ~ 1. The threshold applied is stored in
-    `tolerance`. With n_low=2 the second Ritz pair is converged in the
-    same run; E1 - E0 is stored in `gap` and the second pair's residual in
-    `gap_residual` (nan otherwise).
+    are bit-identical. The run stops when the Ritz estimate
+    beta_k |y_k| of the lowest pair drops below max(tol, RESIDUAL_FLOOR *
+    eps * ||T||), on breakdown (a vanishing beta), or after max_iter
+    steps, which may exceed the dimension: without reorthogonalization the
+    recurrence is not bounded by it. The true residual ||H x - E x||
+    (absolute, energy units of the planar coupling) then decides
+    convergence against the same threshold, which is stored in
+    `tolerance`. The floor replaces any smaller tol: the default 1e-11
+    once ||T|| is above ~700, a tol of 1e-14 already at ||T|| ~ 1.
 
-    Simon's estimates keep every stored Krylov vector orthogonal to the
-    others to ~REORTH_OMEGA; a full Gram-Schmidt pass (with its DGKS
-    repeat) runs only on the steps that the module docstring lists.
+    Orthogonality is lost only along Ritz vectors that have converged
+    (Paige, Linear Algebra Appl. 34, 235 (1980)), so a run that stops as
+    soon as the lowest pair converges needs no Gram-Schmidt pass.
 
     Raises ValueError for max_iter < 1 or tol <= 0, ScaleError when the
     square of a bound on ||H|| overflows (a Krylov norm could), and
-    LanczosError after max_iter without convergence; the exception
+    LanczosError when the residual misses the threshold; the exception
     carries the best estimate.
     """
     if max_iter < 1:
@@ -359,32 +307,24 @@ def lanczos_ground(
         )
     n = h.dimension
     if n == 1:
-        if n_low == 2:
-            raise SectorError("second eigenvalue undefined for dimension 1")
         e = float(h.apply(np.ones(1))[0])
         return GroundState(e, np.ones(1), m, 0.0, "exact", 0, seed, tolerance=tol)
 
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
-    m_max = min(max_iter, n)
     # the Krylov basis is stored KRYLOV_BLOCK rows at a time, so memory
     # follows the iterations made, not max_iter; freeing a mostly untouched
     # max_iter x n block of up to 32 MB would raise glibc's mmap threshold
     # and keep later temporaries on the heap
     blocks: list[np.ndarray] = []
-    alphas = np.empty(m_max)
-    betas = np.empty(m_max)
+    alphas = np.empty(max_iter)
+    betas = np.empty(max_iter)
     alpha_max = beta_max = 0.0  # running max |alpha| and beta: the scale ||T_k||
-    omega, omega_prev = np.ones(1), np.empty(0)  # Simon's estimates for q_j, q_{j-1}
-    eps_n = math.sqrt(n) * EPS
-    pair = False  # the previous step made an unpaired full pass
-    ritz_est = math.inf  # the largest Ritz residual estimate of the last step
-    breakdown = False
     k = 0
-    for j in range(m_max):
+    for j in range(max_iter):
         if j % KRYLOV_BLOCK == 0:
-            blocks.append(np.empty((min(KRYLOV_BLOCK, m_max - j), n)))
+            blocks.append(np.empty((min(KRYLOV_BLOCK, max_iter - j), n)))
         blocks[-1][j % KRYLOV_BLOCK] = q
         w = h.apply(q)
         alpha = float(q @ w)
@@ -397,57 +337,19 @@ def lanczos_ground(
         alpha_max = max(alpha_max, abs(alpha))
         scale = max(1.0, alpha_max + beta_max)
         floor = max(tol, RESIDUAL_FLOOR * EPS * scale)
-        # partial reorthogonalization (Simon 1984): a full Gram-Schmidt pass
-        # over the stored rows, with the DGKS repeat, only right after such a
-        # pass (the pairing rule), when w is small enough that breakdown is in
-        # question, or when the estimated overlaps call for it
-        full_pass = pair or beta <= math.sqrt(EPS) * scale
-        if not full_pass:
-            omega_next = _omega_step(omega, omega_prev, alphas, betas, j, beta, eps_n * scale)
-            lost = float(np.max(np.abs(omega_next)))
-            # a late pass leaves ~beta * lost of H q_j out of T, which a Ritz
-            # vector carries with weight ~ritz_est / beta <= 1
-            full_pass = lost > REORTH_OMEGA or lost * min(ritz_est, beta) > PASS_DROP * floor
-        if full_pass:
-            beta = _orthogonalize(_krylov_rows(blocks, k), w)
-            omega_next = np.full(k, eps_n)
-            pair = not pair
-        omega_prev, omega = omega, np.append(omega_next, 1.0)
         if beta <= 1e-14 * scale:
-            breakdown = True  # invariant subspace: Ritz pairs are exact
+            break  # breakdown: the Krylov space is (numerically) invariant
+        if beta * abs(_lowest_ritz_pair(alphas, betas, k)[1][-1]) < floor:
             break
-        if k >= n_low:
-            evals, evecs = eigh_tridiagonal(
-                alphas[:k], betas[: k - 1], select="i", select_range=(0, n_low - 1)
-            )
-            est = beta * np.abs(evecs[-1, :])
-            ritz_est = float(np.max(est))
-            if ritz_est < floor:
-                break
         betas[j] = beta
         beta_max = max(beta_max, beta)
         q_prev, q = q, w / beta
-    else:
-        k = m_max
 
-    evals, evecs = eigh_tridiagonal(
-        alphas[:k], betas[: k - 1], select="i", select_range=(0, min(n_low, k) - 1)
-    )
-    basis = _krylov_rows(blocks, k)
-    x = _sign_fix(_ritz_vector(basis, evecs[:, 0]))
-    e0 = float(evals[0])
+    e0, y = _lowest_ritz_pair(alphas, betas, k)
+    x = _sign_fix(_ritz_vector(blocks, y))
     residual = float(np.linalg.norm(h.apply(x) - e0 * x))
     gs = GroundState(e0, x, m, residual, "lanczos", k, seed, tolerance=floor)
-    converged = breakdown or residual < floor
-    if n_low == 2:
-        if k < 2:
-            raise LanczosError("Krylov space exhausted before second eigenvalue", gs)
-        # re-check the second pair's true residual
-        x1 = _ritz_vector(basis, evecs[:, 1])
-        r1 = float(np.linalg.norm(h.apply(x1) - float(evals[1]) * x1))
-        converged = converged and (breakdown or r1 < 1e3 * floor)
-        gs = replace(gs, gap=float(evals[1]) - e0, gap_residual=r1)
-    if not converged:
+    if not residual < floor:
         raise LanczosError(
             f"no convergence after {k} iterations (residual {residual:.3e})", gs
         )

@@ -32,10 +32,6 @@ class LatticeSpec:
     def n_sites(self) -> int:
         return self.linear_size**self.dimension
 
-    @property
-    def coordination(self) -> int:
-        return 2 * self.dimension
-
 
 @dataclass(frozen=True)
 class Bond:

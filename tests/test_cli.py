@@ -45,8 +45,7 @@ def test_ed_report_four_ring(capsys):
 
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     # 16-site ring: 12,870 states, too many for the dense oracle; one
-    # two-pair Lanczos run in the ground state's flip parity and one
-    # ground-state run in the other parity give the ground state and the gap
+    # Lanczos run in each flip parity gives the ground state and the gap
     calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
     for name in calls:
         original = getattr(ed, name)
@@ -76,27 +75,32 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
 
 
 def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
-    # 924 states: small sectors take the gap from the same two-pair run
+    # 924 states: the gap comes from the two parity runs, at negative delta too
     def refuse(self):
         raise AssertionError("dense solve in xxzent ed")
 
-    monkeypatch.setattr(ed.SparseHamiltonian, "to_dense", refuse)
-    rc = cli.main(["ed", "--dim", "1", "--size", "12"])
-    assert rc == cli.EXIT_OK
-    monkeypatch.undo()
-    report = _parse_report(capsys.readouterr().out)
-    h = parity_block(ed.build_sector(LatticeSpec(1, 12)), None).at(1.0)
-    low = np.linalg.eigvalsh(h.to_dense())[:2]
-    assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10)
-    assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10)
+    h = parity_block(ed.build_sector(LatticeSpec(1, 12)), None)
+    for delta in (1.0, -0.5, -0.9):
+        monkeypatch.setattr(ed.SparseHamiltonian, "to_dense", refuse)
+        rc = cli.main(["ed", "--dim", "1", "--size", "12", f"--delta={delta}"])
+        assert rc == cli.EXIT_OK
+        monkeypatch.undo()
+        report = _parse_report(capsys.readouterr().out)
+        low = np.linalg.eigvalsh(h.at(delta).to_dense())[:2]
+        assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10), delta
+        assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10), delta
 
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize("delta", [-1.5, 0.0, 1.0, 5.0])
 def test_ed_two_site_report_matches_the_full_block(delta, capsys):
-    # the ground-state parity block has one state, so the gap comes from
-    # the other parity alone
+    # each parity block has one state; delta <= -1 is refused as outside
+    # the antiferromagnet
     rc = cli.main(["ed", "--dim", "1", "--size", "2", f"--delta={delta}"])
+    if delta <= -1:
+        assert rc == cli.EXIT_USAGE
+        assert "error: --delta: ED needs delta > -1" in capsys.readouterr().err
+        return
     assert rc == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
     full = parity_block(ed.build_sector(LatticeSpec(1, 2)), None)
@@ -115,7 +119,8 @@ def test_ed_two_site_report_matches_the_full_block(delta, capsys):
      (["ed", "--dim", "2", "--delta", "1e308"], "--delta")],  # delta * H_zz = inf
 )
 def test_overflowing_delta_is_a_usage_error(argv, flag, capsys):
-    # refused before the Krylov block exists, with no numpy overflow warning
+    # refused before the Krylov block exists, with no numpy overflow warning;
+    # a negative one already as outside the antiferromagnet
     argv = argv[:1] + ["--dim", "1", "--size", "4"] + argv[1:]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -125,7 +130,36 @@ def test_overflowing_delta_is_a_usage_error(argv, flag, capsys):
             rc = exc.code
     assert rc == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"{flag}: " in err and "overflows" in err
+    reason = "ED needs delta > -1" if argv[-1].startswith("--delta=-") else "overflows"
+    assert f"{flag}: " in err and reason in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["ed", "--size", "8", "--delta=-2"], "--delta"),
+     (["ed", "--size", "8", "--delta=-1"], "--delta"),
+     (["ed", "--size", "12", "--delta=-1e6"], "--delta"),
+     (["scan", "--size", "8", "--from=-1", "--to", "0", "--step", "0.5"], "--from")],
+)
+def test_delta_at_or_below_minus_one_is_a_usage_error(argv, flag, capsys, monkeypatch):
+    # M = 0 no longer holds the ground state there (the fully polarized
+    # states of the 8-ring lie at -4 for delta = -2); refused before any solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved a ferromagnetic delta")
+
+    monkeypatch.setattr(ed, "build_sector", refuse)
+    try:
+        rc = cli.main(argv[:1] + ["--dim", "1"] + argv[1:])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == cli.EXIT_USAGE
+    assert f"{flag}: ED needs delta > -1" in capsys.readouterr().err
+
+
+def test_delta_just_above_minus_one_still_solves(capsys):
+    assert cli.main(["ed", "--dim", "1", "--size", "8", "--delta=-0.99"]) == cli.EXIT_OK
+    assert cli.main(["scan", "--dim", "1", "--size", "8", "--from=-0.99", "--to", "0",
+                     "--step", "0.33"]) == cli.EXIT_OK
 
 
 def test_large_finite_delta_still_solves(capsys):
@@ -147,7 +181,6 @@ def test_residual_floor_admits_large_delta(delta, capsys):
     sector = ed.build_sector(LatticeSpec(1, 8))
     e0 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[0]
     assert float(report["energy"]) == pytest.approx(e0, rel=1e-11)  # 12 printed digits
-    assert ed.lanczos_ground(sector.h.at(delta), n_low=2).energy == pytest.approx(e0, rel=1e-12)
     assert float(report["residual"]) < float(report["tolerance"])
 
 

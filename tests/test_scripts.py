@@ -36,3 +36,10 @@ def test_chain_extrapolation_script():
     proc = _run("chain_extrapolation.py", "--sizes", "4", "6", "8", "10")
     assert proc.returncode == 0, proc.stderr
     assert "extrapolated E0/N" in proc.stdout
+
+
+def test_lanczos_battery_script():
+    proc = _run("lanczos_battery.py", "--lattices", "d1L8", "d1L9open", "d2L2",
+                "--deltas", "-1.5", "0", "1e6", "--tols", "1e-11", "1e-14")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "18 solves, 0 failed"
