@@ -305,7 +305,7 @@ def _spec_id(spec: LatticeSpec) -> str:
     [LatticeSpec(1, 8, periodic=False), LatticeSpec(1, 10), LatticeSpec(1, 12)],
     ids=_spec_id,
 )
-def test_lanczos_converges_on_exhaustion_sized_sectors(spec, delta):
+def test_lanczos_runs_to_krylov_exhaustion(spec, delta):
     # 35, 126 and 462 representatives: few enough that a run to a tight tol
     # could fill the Krylov space, where plain Lanczos turns up ghost copies
     # of converged levels. E0 must still come out as the dense ground level
@@ -343,6 +343,21 @@ def test_gap_four_ring():
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
     assert other.energy == pytest.approx(-1.0, abs=1e-12)
     assert other.energy == pytest.approx(levels[1], abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [-1.5, 0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "spec, m", [(LatticeSpec(1, 4), 0.0), (LatticeSpec(1, 8), 0.0), (LatticeSpec(1, 10), 0.0)]
+)
+def test_gap_lanczos_pair_matches_dense(spec, m, delta):
+    # the gap xxzent ed reports, from one Lanczos run in each flip parity,
+    # against the dense spectrum of the whole M = 0 sector
+    sector = ed.build_sector(spec)
+    d0, d1 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[:2]
+    gs = ed.lanczos_ground(sector.h.at(delta), m=m)
+    other = ed.lanczos_ground(parity_block(sector, -sector.basis.parity).at(delta), m=m)
+    assert gs.energy == pytest.approx(d0, abs=1e-9)
+    assert other.energy - gs.energy == pytest.approx(d1 - d0, abs=1e-8)
 
 
 GAP_DELTAS = (-0.99, -0.9, -0.5, -0.2, 0.0, 0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0,
