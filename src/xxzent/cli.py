@@ -140,10 +140,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     try:
         gs = ed.lanczos_ground(h, **solver)
         # the lowest M = 0 excitation is the other flip parity's ground state
-        flipped = dataclasses.replace(sector.basis, parity=-sector.basis.parity)
-        other = ed.lanczos_ground(
-            ed.build_hamiltonian(sector.lattice, flipped).at(args.delta), **solver
-        )
+        other = ed.lanczos_ground(h.flipped(), **solver)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

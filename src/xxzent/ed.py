@@ -13,13 +13,16 @@ solve is one `lanczos_ground` run for the lowest pair.
 Flipping every spin commutes with H(delta). By Marshall's sign rule and
 Perron-Frobenius (Lieb & Mattis 1962) the M = 0 ground state has flip
 parity (-1)^(N/2) for every real delta, so the M = 0 basis carries that
-parity and operators and vectors live on its dim/2 representatives.
+parity and operators and vectors live on its dim/2 representatives. The
+parity blocks differ only in the sign of the hops onto a flip partner, so
+`SparseHamiltonian.flipped` gives the other block without re-assembly.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
 the loss of orthogonality that follows convergence (Paige 1980) never
 reaches it. Residuals are judged against max(tol, RESIDUAL_FLOOR * eps *
-||T||), since no residual can fall much below eps * ||H||.
+||T||), since no residual can fall much below eps * ||H||. A step is one
+matvec, numpy-loop reductions, in-place updates and one LAPACK bisection.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .lattice import Lattice, LatticeSpec, build_lattice
 
@@ -39,6 +42,7 @@ DEFAULT_SEED = 1234
 KRYLOV_BLOCK = 32  # Krylov vectors per allocation in lanczos_ground
 EPS = float(np.finfo(float).eps)
 RESIDUAL_FLOOR = 64  # residuals below RESIDUAL_FLOOR * eps * ||T|| count as converged
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.empty(1),))  # tridiagonal eigenpairs
 
 
 class SectorError(ValueError):
@@ -137,12 +141,16 @@ def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal)."""
+    """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal).
+
+    In a flip-parity block offdiag = A + pB, and `mirror` keeps pB for `flipped`.
+    """
 
     dimension: int
     zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
+    mirror: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -152,6 +160,12 @@ class SparseHamiltonian:
     def at(self, delta: float) -> "SparseHamiltonian":
         """The same sector operator at another delta, without re-assembly."""
         return replace(self, delta=delta)
+
+    def flipped(self) -> "SparseHamiltonian":
+        """The other flip parity's block, A - pB: exact, as 0.5 - 1.0 = -0.5."""
+        if self.mirror is None:
+            raise ValueError("this operator keeps no flip-partner hops to negate")
+        return replace(self, offdiag=self.offdiag - 2 * self.mirror, mirror=-self.mirror)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.offdiag @ v + self.diagonal * v
@@ -174,7 +188,9 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     between configurations differing by one antiparallel bond flip. Only
     the representative rows are built: with a flip parity p, a hop onto
     state j >= dim/2 lands on column dim-1-j with weight p/2, so the
-    result is P^T H P for the parity-p combinations P.
+    result P^T H P = A + pB holds the direct hops A and the hops B onto a
+    flip partner; pB is kept as `mirror`. Up to N = 4 sites a row can reach
+    one column both ways (flip(t) differs in N bits); COO -> CSR adds them.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
@@ -182,30 +198,26 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     n = len(states)
     last = len(basis) - 1
     zz = np.zeros(n)
-    # int32 indices and one bool per entry keep the temporaries small
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    mirrored: list[np.ndarray] = []  # hops onto a flip partner; only with a parity
+    # int32 indices and one bool per entry (a hop onto a flip partner) keep
+    # the temporaries small
+    rows, cols, mirrored = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0, bool)]
     for bond in lattice.bonds:
         anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
         zz += np.where(anti, -0.25, 0.25)
         src = np.nonzero(anti)[0]
-        if len(src) == 0:
-            continue
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
         targets = basis.index_of_many(states[src] ^ mask)
         flip = targets >= n
         rows.append(src.astype(np.int32))
         cols.append(np.where(flip, last - targets, targets).astype(np.int32))
         mirrored.append(flip)
-    if rows:
-        vals = np.where(np.concatenate(mirrored), 0.5 * (basis.parity or 1), 0.5)
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        off = sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
-    else:
-        off = sp.csr_matrix((n, n))
-    return SparseHamiltonian(dimension=n, zz=zz, offdiag=off, delta=0.0)
+    r, c, flip = map(np.concatenate, (rows, cols, mirrored))
+    vals = np.where(flip, 0.5 * (basis.parity or 1), 0.5)
+
+    def csr(keep=slice(None)) -> sp.csr_matrix:
+        return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=(n, n)).tocsr()
+
+    return SparseHamiltonian(n, zz, csr(), 0.0, csr(flip))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +272,25 @@ def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # numpy's own loop: a BLAS dot between sparse matvecs leaves OpenBLAS's
+    # other threads spinning, at up to twice the CPU time
+    return float(np.einsum("i,i->", a, b))
+
+
 def _lowest_ritz_pair(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    evals, evecs = eigh_tridiagonal(alphas[:k], betas[: k - 1], select="i", select_range=(0, 0))
-    return float(evals[0]), evecs[:, 0]
+    """Lowest eigenpair of the leading k x k tridiagonal, from the LAPACK calls
+    and arguments of eigh_tridiagonal(select="i", select_range=(0, 0)) without
+    its per-call validation, so the numbers are the same."""
+    if k == 1:
+        return float(alphas[0]), np.ones(1)
+    d, e = alphas[:k], betas[: k - 1]
+    m, w, iblock, isplit, info = _STEBZ(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = _STEIN(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal eigenproblem of order {k} failed (info {info})")
+    return float(w[0]), z[:, 0]
 
 
 def lanczos_ground(
@@ -288,7 +316,8 @@ def lanczos_ground(
 
     Orthogonality is lost only along Ritz vectors that have converged
     (Paige, Linear Algebra Appl. 34, 235 (1980)), so a run that stops as
-    soon as the lowest pair converges needs no Gram-Schmidt pass.
+    soon as the lowest pair converges needs no Gram-Schmidt pass. Each step
+    makes one `h.apply`; its reductions use numpy's loop, not BLAS.
 
     Raises ValueError for max_iter < 1 or tol <= 0, ScaleError when the
     square of a bound on ||H|| overflows (a Krylov norm could), and
@@ -312,7 +341,8 @@ def lanczos_ground(
 
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(_dot(q, q))
+    scratch = np.empty(n)
     # the Krylov basis is stored KRYLOV_BLOCK rows at a time, so memory
     # follows the iterations made, not max_iter; freeing a mostly untouched
     # max_iter x n block of up to 32 MB would raise glibc's mmap threshold
@@ -327,12 +357,12 @@ def lanczos_ground(
             blocks.append(np.empty((min(KRYLOV_BLOCK, max_iter - j), n)))
         blocks[-1][j % KRYLOV_BLOCK] = q
         w = h.apply(q)
-        alpha = float(q @ w)
+        alpha = _dot(q, w)
         alphas[j] = alpha
-        w -= alpha * q
+        w -= np.multiply(alpha, q, out=scratch)
         if j > 0:
-            w -= betas[j - 1] * q_prev
-        beta = float(np.linalg.norm(w))
+            w -= np.multiply(betas[j - 1], q_prev, out=scratch)
+        beta = math.sqrt(_dot(w, w))
         k = j + 1
         alpha_max = max(alpha_max, abs(alpha))
         scale = max(1.0, alpha_max + beta_max)
@@ -343,11 +373,13 @@ def lanczos_ground(
             break
         betas[j] = beta
         beta_max = max(beta_max, beta)
-        q_prev, q = q, w / beta
+        w /= beta
+        q_prev, q = q, w
 
     e0, y = _lowest_ritz_pair(alphas, betas, k)
     x = _sign_fix(_ritz_vector(blocks, y))
-    residual = float(np.linalg.norm(h.apply(x) - e0 * x))
+    r = h.apply(x) - e0 * x
+    residual = math.sqrt(_dot(r, r))
     gs = GroundState(e0, x, m, residual, "lanczos", k, seed, tolerance=floor)
     if not residual < floor:
         raise LanczosError(

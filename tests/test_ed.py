@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import DENSE_DIM_LIMIT, dense_ground_oracle, parity_block
 from xxzent import ed
@@ -198,6 +199,37 @@ def test_parity_sectors_split_the_m0_spectrum(spec, delta):
     np.testing.assert_allclose(both, levels(None), rtol=0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
+    + [LatticeSpec(2, 2), LatticeSpec(3, 2)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_flipped_is_the_other_parity_block(spec):
+    # one assembly serves both parities: A - pB must be the block assembled
+    # in parity -p, entry for entry. Up to N = 4 sites (chains L = 2 and 4,
+    # the 2x2 square) a direct and a mirrored hop share an entry
+    sector = ed.build_sector(spec)
+    h = sector.h
+    other = parity_block(sector, -sector.basis.parity)
+    for delta in (-0.5, 0.0, 1.0, 2.5):
+        flipped = h.flipped().at(delta).to_dense()
+        np.testing.assert_array_equal(flipped, other.at(delta).to_dense())
+        np.testing.assert_array_equal(h.at(delta).flipped().to_dense(), flipped)
+        np.testing.assert_array_equal(
+            h.flipped().flipped().at(delta).to_dense(), h.at(delta).to_dense()
+        )
+
+
+def test_flipped_needs_the_mirrored_hops():
+    h = ed.build_sector(LatticeSpec(1, 6)).h
+    bare = ed.SparseHamiltonian(h.dimension, h.zz, h.offdiag, h.delta)
+    assert bare == h  # the mirror takes no part in equality
+    with pytest.raises(ValueError, match="flip-partner"):
+        bare.flipped()
+
+
 # ------------------------------------------------------------- solvers
 
 
@@ -228,6 +260,41 @@ def test_lanczos_matches_dense(spec, delta):
     assert gs.energy == pytest.approx(reference.energy, abs=1e-10)
     overlap = abs(np.dot(gs.vector, reference.vector))
     assert overlap == pytest.approx(1.0, abs=1e-8)
+
+
+def _assert_same_ritz_pair(alphas, betas, k):
+    e, y = ed._lowest_ritz_pair(alphas, betas, k)
+    w, v = eigh_tridiagonal(alphas[:k], betas[: k - 1], select="i", select_range=(0, 0))
+    assert e == w[0], k
+    assert y[-1] == v[-1, 0], k
+    np.testing.assert_array_equal(y, v[:, 0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 70, 300])
+def test_lowest_ritz_pair_matches_scipy(k):
+    # the direct stebz/stein call must give eigh_tridiagonal's numbers bit
+    # for bit; the arrays are longer than k, as in lanczos_ground
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        alphas = rng.standard_normal(k + 3)
+        betas = np.abs(rng.standard_normal(k + 3))
+        _assert_same_ritz_pair(alphas, betas, k)
+
+
+def test_lowest_ritz_pair_matches_scipy_on_a_lanczos_run(monkeypatch):
+    calls = []
+    original = ed._lowest_ritz_pair
+
+    def recorded(alphas, betas, k):
+        calls.append((alphas.copy(), betas.copy(), k))
+        return original(alphas, betas, k)
+
+    monkeypatch.setattr(ed, "_lowest_ritz_pair", recorded)
+    ed.lanczos_ground(ed.build_sector(LatticeSpec(2, 4)).h.at(1.0))
+    alphas, betas, k = calls[-1]
+    assert k > 20
+    for j in (1, 2, k // 2, k):
+        _assert_same_ritz_pair(alphas, betas, j)
 
 
 def test_lanczos_residual_below_tolerance():

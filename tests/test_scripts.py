@@ -43,3 +43,13 @@ def test_lanczos_battery_script():
                 "--deltas", "-1.5", "0", "1e6", "--tols", "1e-11", "1e-14")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines()[-1] == "18 solves, 0 failed"
+
+
+def test_stage_times_script():
+    proc = _run("stage_times.py", "--dim", "1", "--size", "12", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    stages = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
+    assert stages == ["lattice", "basis", "assembly", "flipped", "lanczos", "lanczos",
+                      "correlators", "total"]
+    assert "924 states" in proc.stdout
+    assert proc.stdout.count(" iterations") == 2
