@@ -7,12 +7,17 @@ the M = 0 basis, the assembly, the other flip parity's block by
 iterations) and the bond correlators. The flow is run --repeat times and
 each stage's median is printed. CPU time is the process's, over all its
 threads, so a stage that wakes BLAS threads shows more CPU than wall time.
+The peak_rss_mb column is the process's peak resident set (ru_maxrss) at
+the end of each stage of the first run, so it includes the interpreter and
+the imports.
 
     PYTHONPATH=src python scripts/stage_times.py --dim 1 --size 22 --repeat 3
 """
 
 import argparse
+import resource
 import statistics
+import sys
 import time
 
 from xxzent import ed, entanglement
@@ -23,14 +28,21 @@ def _iterations(gs: ed.GroundState) -> str:
     return f"{gs.iterations} iterations"
 
 
-def run_flow(spec: LatticeSpec, delta: float) -> list[tuple[str, float, float, str]]:
-    """One pass of the ed flow: (stage, wall s, CPU s, note) per stage."""
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def run_flow(spec: LatticeSpec, delta: float) -> list[tuple[str, float, float, float, str]]:
+    """One pass of the ed flow: (stage, wall s, CPU s, peak RSS MB, note) per stage."""
     stages = []
 
     def timed(name, fn, *args, note=lambda out: ""):
         wall, cpu = time.perf_counter(), time.process_time()
         out = fn(*args)
-        stages.append((name, time.perf_counter() - wall, time.process_time() - cpu, note(out)))
+        stages.append((name, time.perf_counter() - wall, time.process_time() - cpu,
+                       _peak_rss_mb(), note(out)))
         return out
 
     lattice = timed("lattice", build_lattice, spec)
@@ -61,11 +73,11 @@ def main() -> None:
     runs = [run_flow(spec, args.delta) for _ in range(args.repeat)]
     print(f"d={args.dim} L={args.size} periodic delta={args.delta:g}: "
           f"median of {args.repeat} run(s)")
-    print(f"{'stage':<20} {'wall_s':>8} {'cpu_s':>8}  note")
-    for i, (name, *_, note) in enumerate(runs[0]):
+    print(f"{'stage':<20} {'wall_s':>8} {'cpu_s':>8} {'peak_rss_mb':>12}  note")
+    for i, (name, _, _, rss, note) in enumerate(runs[0]):
         wall = statistics.median(run[i][1] for run in runs)
         cpu = statistics.median(run[i][2] for run in runs)
-        print(f"{name:<20} {wall:>8.3f} {cpu:>8.3f}  {note}")
+        print(f"{name:<20} {wall:>8.3f} {cpu:>8.3f} {rss:>12.1f}  {note}")
     wall = statistics.median(sum(s[1] for s in run) for run in runs)
     cpu = statistics.median(sum(s[2] for s in run) for run in runs)
     print(f"{'total':<20} {wall:>8.3f} {cpu:>8.3f}")

@@ -277,6 +277,19 @@ class FitResult:
         return self.dof <= 0
 
 
+def _least_squares(a: np.ndarray, y: np.ndarray, **provenance) -> FitResult:
+    """Fit y by the columns of a; no norm or product here goes through BLAS."""
+    coef = np.linalg.lstsq(a, y, rcond=None)[0]
+    return FitResult(
+        coefficients=tuple(float(x) for x in coef),
+        residual_norm=math.hypot(*(np.einsum("ij,j->i", a, coef) - y)),
+        data_norm=math.hypot(*y),
+        n_points=len(y),
+        dof=len(y) - len(coef),
+        **provenance,
+    )
+
+
 def quadratic_fit_near_iso(
     curve: ConcurrenceCurve, window: tuple[float, float] = (0.9, 1.1)
 ) -> FitResult:
@@ -288,16 +301,7 @@ def quadratic_fit_near_iso(
     if len(deltas) < 5:
         raise ValueError(f"need >= 5 points in window, got {len(deltas)}")
     a = np.column_stack([np.ones_like(deltas), -((deltas - 1.0) ** 2)])
-    coef, _, _, _ = np.linalg.lstsq(a, c, rcond=None)
-    resid = float(np.linalg.norm(a @ coef - c))
-    return FitResult(
-        coefficients=tuple(float(x) for x in coef),
-        residual_norm=resid,
-        data_norm=float(np.linalg.norm(c)),
-        n_points=len(deltas),
-        dof=len(deltas) - 2,
-        window=window,
-    )
+    return _least_squares(a, c, window=window)
 
 
 def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:
@@ -309,15 +313,7 @@ def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:
     if len(set(ls.tolist())) < degree + 1:
         raise ValueError(f"degree {degree} fit needs {degree + 1} distinct sizes")
     a = np.column_stack([(1.0 / ls) ** n for n in range(degree + 1)])
-    coef, _, _, _ = np.linalg.lstsq(a, ys, rcond=None)
-    resid = float(np.linalg.norm(a @ coef - ys))
-    return FitResult(
-        coefficients=tuple(float(x) for x in coef),
-        residual_norm=resid,
-        data_norm=float(np.linalg.norm(ys)),
-        n_points=len(ls),
-        dof=len(ls) - (degree + 1),
-    )
+    return _least_squares(a, ys)
 
 
 def slope_identity_residuals(curve: ConcurrenceCurve) -> np.ndarray:

@@ -15,14 +15,15 @@ Perron-Frobenius (Lieb & Mattis 1962) the M = 0 ground state has flip
 parity (-1)^(N/2) for every real delta, so the M = 0 basis carries that
 parity and operators and vectors live on its dim/2 representatives. The
 parity blocks differ only in the sign of the hops onto a flip partner, so
-`SparseHamiltonian.flipped` gives the other block without re-assembly.
+`SparseHamiltonian.flipped` gives the other block on the same pattern.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
 the loss of orthogonality that follows convergence (Paige 1980) never
 reaches it. Residuals are judged against max(tol, RESIDUAL_FLOOR * eps *
 ||T||), since no residual can fall much below eps * ||H||. A step is one
-matvec, numpy-loop reductions, in-place updates and one LAPACK bisection.
+matvec, numpy-loop reductions, in-place updates and one LAPACK bisection;
+no reduction uses BLAS, so no result depends on its thread count.
 """
 
 from __future__ import annotations
@@ -143,14 +144,16 @@ def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
 class SparseHamiltonian:
     """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal).
 
-    In a flip-parity block offdiag = A + pB, and `mirror` keeps pB for `flipped`.
+    In a flip-parity block offdiag = A + pB. `mirror` holds the positions in
+    offdiag.data of the entries that carry a hop of B, and `mirror_sign` is p.
     """
 
     dimension: int
     zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
-    mirror: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
+    mirror: np.ndarray | None = field(default=None, repr=False, compare=False)
+    mirror_sign: int = field(default=1, repr=False, compare=False)
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -162,10 +165,15 @@ class SparseHamiltonian:
         return replace(self, delta=delta)
 
     def flipped(self) -> "SparseHamiltonian":
-        """The other flip parity's block, A - pB: exact, as 0.5 - 1.0 = -0.5."""
+        """The other flip parity's block, A - pB, on the same indices and indptr:
+        p is subtracted at the mirror positions, which is exact (0.5 - 1.0 = -0.5)."""
         if self.mirror is None:
             raise ValueError("this operator keeps no flip-partner hops to negate")
-        return replace(self, offdiag=self.offdiag - 2 * self.mirror, mirror=-self.mirror)
+        data = self.offdiag.data.copy()
+        data[self.mirror] -= self.mirror_sign
+        offdiag = sp.csr_matrix((data, self.offdiag.indices, self.offdiag.indptr),
+                                shape=self.offdiag.shape)
+        return replace(self, offdiag=offdiag, mirror_sign=-self.mirror_sign)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.offdiag @ v + self.diagonal * v
@@ -182,42 +190,50 @@ class SparseHamiltonian:
 
 
 def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian:
-    """Assemble the sector operator bond by bond, at delta = 0.
+    """Assemble the sector operator bond by bond, at delta = 0, in CSR order.
 
     H_zz: sum_bonds sz_i sz_j with sz = +-1/2 on the diagonal. H_xy: 1/2
     between configurations differing by one antiparallel bond flip. Only
     the representative rows are built: with a flip parity p, a hop onto
     state j >= dim/2 lands on column dim-1-j with weight p/2, so the
     result P^T H P = A + pB holds the direct hops A and the hops B onto a
-    flip partner; pB is kept as `mirror`. Up to N = 4 sites a row can reach
-    one column both ways (flip(t) differs in N bits); COO -> CSR adds them.
+    flip partner. Each hop's key, 4 * column + (1 for A, 2 for B), goes in
+    its bond's row of a table with one column per state; sorting each
+    state's keys gives its CSR entries in column order, with no COO -> CSR
+    sort. Up to N = 4 sites a row can reach one column both ways (flip(t)
+    differs in N bits): keys 4c+1 and 4c+2 then merge into the entry 4c+3.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
     states = basis.representatives
     n = len(states)
     last = len(basis) - 1
-    zz = np.zeros(n)
-    # int32 indices and one bool per entry (a hop onto a flip partner) keep
-    # the temporaries small
-    rows, cols, mirrored = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0, bool)]
-    for bond in lattice.bonds:
+    anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its hops; each is -1/4 in H_zz
+    empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
+    keys = np.full((lattice.n_bonds, n), empty, dtype=np.int32)
+    for slot, bond in enumerate(lattice.bonds):
         anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
-        zz += np.where(anti, -0.25, 0.25)
-        src = np.nonzero(anti)[0]
+        anti_bonds += anti
+        src = np.flatnonzero(anti)
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
         targets = basis.index_of_many(states[src] ^ mask)
         flip = targets >= n
-        rows.append(src.astype(np.int32))
-        cols.append(np.where(flip, last - targets, targets).astype(np.int32))
-        mirrored.append(flip)
-    r, c, flip = map(np.concatenate, (rows, cols, mirrored))
-    vals = np.where(flip, 0.5 * (basis.parity or 1), 0.5)
-
-    def csr(keep=slice(None)) -> sp.csr_matrix:
-        return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=(n, n)).tocsr()
-
-    return SparseHamiltonian(n, zz, csr(), 0.0, csr(flip))
+        keys[slot, src] = 4 * np.where(flip, last - targets, targets) + 1 + flip
+    keys = np.sort(keys.T, axis=1)
+    entries = anti_bonds
+    if lattice.n_sites <= 4:
+        both = keys[:, 1:] - keys[:, :-1] == 1
+        keys[:, :-1][both] += 2
+        keys[:, 1:][both] = empty
+        entries = anti_bonds - both.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(entries))).astype(np.int32)
+    keys = keys[keys != empty]
+    p = basis.parity or 1
+    data = np.take([0.0, 0.5, 0.5 * p, 0.5 + 0.5 * p], keys & 3)
+    mirror = np.flatnonzero(keys & 2).astype(np.int32)
+    offdiag = sp.csr_matrix((data, keys >> 2, indptr), shape=(n, n))
+    zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
+    return SparseHamiltonian(n, zz, offdiag, 0.0, mirror, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,20 +278,20 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return -v if v[k] < 0 else v
 
 
-def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """The normalized sum of y_j q_j over the first len(y) stored Krylov vectors."""
-    k = len(y)
-    x = sum(
-        b[: k - i * KRYLOV_BLOCK].T @ y[i * KRYLOV_BLOCK : (i + 1) * KRYLOV_BLOCK]
-        for i, b in enumerate(blocks)
-    )
-    return x / np.linalg.norm(x)
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     # numpy's own loop: a BLAS dot between sparse matvecs leaves OpenBLAS's
-    # other threads spinning, at up to twice the CPU time
+    # other threads spinning, at up to twice the CPU time, and splits its sum
+    # by the thread count
     return float(np.einsum("i,i->", a, b))
+
+
+def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """The normalized sum of y_j q_j over the first len(y) stored Krylov vectors."""
+    x = sum(
+        np.einsum("ji,j->i", b[: len(part)], part)
+        for b, part in zip(blocks, np.split(y, range(KRYLOV_BLOCK, len(y), KRYLOV_BLOCK)))
+    )
+    return x / math.sqrt(_dot(x, x))
 
 
 def _lowest_ritz_pair(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[float, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ed import GroundState, SectorBasis, SparseHamiltonian
+from .ed import GroundState, SectorBasis, SparseHamiltonian, _dot
 from .lattice import Bond, Lattice
 
 TRACE_TOL = 1e-12
@@ -146,8 +146,8 @@ def operator_bond_correlators(
     """
     psi = state.vector
     nb = lattice.n_bonds
-    gxx = float(psi @ (h.offdiag @ psi)) / (2 * nb)
-    gzz = float(psi @ (h.zz * psi)) / nb
+    gxx = _dot(psi, h.offdiag @ psi) / (2 * nb)
+    gzz = _dot(psi, h.zz * psi) / nb
     return BondCorrelators(gxx=gxx, gyy=gxx, gzz=gzz)
 
 

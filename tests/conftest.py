@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from xxzent import ed, spinwave
 from xxzent.lattice import LatticeSpec
@@ -58,6 +59,32 @@ def parity_block(sector: ed.Sector, parity: int | None) -> ed.SparseHamiltonian:
     """The sector's M = 0 operator in one flip parity; parity None gives the
     full, unreduced M = 0 block that the parity blocks are checked against."""
     return ed.build_hamiltonian(sector.lattice, replace(sector.basis, parity=parity))
+
+
+def coo_hamiltonian(lattice, basis: ed.SectorBasis):
+    """The spin-flip part collected hop by hop and bond by bond into COO form
+    and summed by scipy's COO -> CSR conversion: the reference for the
+    row-ordered assembly. Returns (offdiag, mirror), both CSR, with mirror
+    the hops onto a flip partner alone."""
+    states = basis.representatives
+    n, last = len(states), len(basis) - 1
+    rows, cols, mirrored = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0, bool)]
+    for bond in lattice.bonds:
+        anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
+        src = np.nonzero(anti)[0]
+        mask = np.uint64((1 << bond.i) | (1 << bond.j))
+        targets = basis.index_of_many(states[src] ^ mask)
+        flip = targets >= n
+        rows.append(src.astype(np.int32))
+        cols.append(np.where(flip, last - targets, targets).astype(np.int32))
+        mirrored.append(flip)
+    r, c, flip = map(np.concatenate, (rows, cols, mirrored))
+    vals = np.where(flip, 0.5 * (basis.parity or 1), 0.5)
+
+    def csr(keep=slice(None)):
+        return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=(n, n)).tocsr()
+
+    return csr(), csr(flip)
 
 
 def full_gamma_grid(dimension: int, k_points: int) -> np.ndarray:

@@ -565,6 +565,30 @@ def test_module_entry_point_without_install():
     assert "concurrence: 0.5" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--engine", "spinwave", "--dim", "3", "--from", "0", "--to", "2",
+         "--step", "0.01"],
+        ["verify", "--suite", "spinwave"],
+        ["ed", "--dim", "1", "--size", "18"],
+    ],
+    ids=["scan-spinwave", "verify-spinwave", "ed"],
+)
+def test_output_does_not_depend_on_the_blas_thread_count(argv):
+    # no reduction goes through BLAS, whose threaded sums split by thread count
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "xxzent.cli", *argv],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.skipif(shutil.which("xxzent") is None, reason="console script not on PATH")
 def test_console_script_smoke():
     proc = subprocess.run(

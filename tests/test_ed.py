@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import DENSE_DIM_LIMIT, dense_ground_oracle, parity_block
+from conftest import DENSE_DIM_LIMIT, coo_hamiltonian, dense_ground_oracle, parity_block
 from xxzent import ed
 from xxzent.lattice import DegenerateLatticeWarning, LatticeSpec, build_lattice
 
@@ -213,6 +213,12 @@ def test_flipped_is_the_other_parity_block(spec):
     sector = ed.build_sector(spec)
     h = sector.h
     other = parity_block(sector, -sector.basis.parity)
+    # only data is new: the two blocks share one sparsity pattern
+    block = h.flipped().offdiag
+    assert np.shares_memory(block.indices, h.offdiag.indices)
+    assert np.shares_memory(block.indptr, h.offdiag.indptr)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(block, name), getattr(other.offdiag, name))
     for delta in (-0.5, 0.0, 1.0, 2.5):
         flipped = h.flipped().at(delta).to_dense()
         np.testing.assert_array_equal(flipped, other.at(delta).to_dense())
@@ -220,6 +226,35 @@ def test_flipped_is_the_other_parity_block(spec):
         np.testing.assert_array_equal(
             h.flipped().flipped().at(delta).to_dense(), h.at(delta).to_dense()
         )
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, n, periodic=p) for n in range(2, 13) for p in (True, False)
+     if n % 2 == 0 or not p]
+    + [LatticeSpec(2, 2), LatticeSpec(2, 4), LatticeSpec(3, 2)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_assembly_is_bit_identical_to_the_coo_reference(spec):
+    # the row-ordered assembly needs no COO -> CSR sort but must give the same
+    # CSR arrays, including the N <= 4 entries that sum a direct and a
+    # mirrored hop; odd open chains have no M = 0, so they take M = 1/2
+    lattice = build_lattice(spec)
+    basis = ed.enumerate_basis(lattice.n_sites, (lattice.n_sites % 2) / 2)
+    h = ed.build_hamiltonian(lattice, basis)
+    offdiag, mirror = coo_hamiltonian(lattice, basis)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(h.offdiag, name), getattr(offdiag, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    # the mirror positions hold exactly the reference mirror's entries
+    assert h.mirror.dtype == np.int32 and h.mirror_sign == (basis.parity or 1)
+    rows = np.searchsorted(h.offdiag.indptr, h.mirror, side="right") - 1
+    mirror = mirror.tocoo()
+    assert sorted(zip(rows.tolist(), h.offdiag.indices[h.mirror].tolist())) == sorted(
+        zip(mirror.row.tolist(), mirror.col.tolist())
+    )
 
 
 def test_flipped_needs_the_mirrored_hops():

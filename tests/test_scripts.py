@@ -48,8 +48,13 @@ def test_lanczos_battery_script():
 def test_stage_times_script():
     proc = _run("stage_times.py", "--dim", "1", "--size", "12", "--repeat", "2")
     assert proc.returncode == 0, proc.stderr
-    stages = [line.split()[0] for line in proc.stdout.splitlines()[2:]]
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == ["stage", "wall_s", "cpu_s", "peak_rss_mb", "note"]
+    stages = [line.split()[0] for line in lines[2:]]
     assert stages == ["lattice", "basis", "assembly", "flipped", "lanczos", "lanczos",
                       "correlators", "total"]
+    # the peak resident set after each stage of the first run never falls
+    rss = [float(line[20:].split()[2]) for line in lines[2:-1]]
+    assert rss == sorted(rss) and rss[0] > 0
     assert "924 states" in proc.stdout
     assert proc.stdout.count(" iterations") == 2

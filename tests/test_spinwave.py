@@ -82,6 +82,26 @@ def test_wedge_matches_full_grid(d, n):
         assert abs(sw.gzz_per_bond(delta, zone) - sw.gzz_per_bond(delta, full)) <= 1e-11
 
 
+@pytest.mark.parametrize("d, n", [(3, 96), (2, 512), (3, 192), (2, 1024)])
+def test_zone_mean_is_within_three_ulp_of_the_exact_sum(d, n, monkeypatch):
+    # the wedge sum is a pairwise sum; a straight loop or a BLAS dot, whose
+    # split depends on the thread count, drifts further from the exact sum
+    zone = sw.gamma_grid(d, n)
+    worst = []
+
+    def checked_mean(self, f):
+        got = mean(self, f)
+        exact = math.fsum(self.multiplicity * f) / n**d
+        worst.append(abs(got - exact) / np.spacing(abs(exact)))
+        return got
+
+    mean = sw.ZoneGrid.mean
+    monkeypatch.setattr(sw.ZoneGrid, "mean", checked_mean)
+    for delta in np.linspace(0.0, 3.0, 61):  # both branches' integrands
+        sw.energy_per_site(float(delta), zone)
+    assert len(worst) == 61 and max(worst) <= 3
+
+
 # ------------------------------------------------------------- Bogoliubov
 
 
