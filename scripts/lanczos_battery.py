@@ -63,7 +63,9 @@ def main() -> int:
         h0, m = sector_operator(spec)
         for delta in args.deltas:
             h = h0.at(delta)
-            e0 = float(np.linalg.eigvalsh(h.to_dense())[0])
+            dense = h.offdiag.toarray()
+            dense[np.diag_indices(h.dimension)] += h.diagonal
+            e0 = float(np.linalg.eigvalsh(dense)[0])
             for tol in args.tols:
                 solves += 1
                 try:

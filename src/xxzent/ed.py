@@ -23,7 +23,9 @@ the loss of orthogonality that follows convergence (Paige 1980) never
 reaches it. Residuals are judged against max(tol, RESIDUAL_FLOOR * eps *
 ||T||), since no residual can fall much below eps * ||H||. A step is one
 matvec, numpy-loop reductions, in-place updates and one LAPACK bisection;
-no reduction uses BLAS, so no result depends on its thread count.
+no reduction uses BLAS, so no result depends on its thread count. The
+vectors the recurrence makes are the Krylov basis: the Ritz vector is
+summed from them, and no copy is stored.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .lattice import Lattice, LatticeSpec, build_lattice
 DEFAULT_TOL = 1e-11
 DEFAULT_MAX_ITER = 600
 DEFAULT_SEED = 1234
-KRYLOV_BLOCK = 32  # Krylov vectors per allocation in lanczos_ground
 EPS = float(np.finfo(float).eps)
 RESIDUAL_FLOOR = 64  # residuals below RESIDUAL_FLOOR * eps * ||T|| count as converged
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.empty(1),))  # tridiagonal eigenpairs
@@ -178,12 +179,6 @@ class SparseHamiltonian:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.offdiag @ v + self.diagonal * v
 
-    def as_sparse(self) -> sp.csr_matrix:
-        return (self.offdiag + sp.diags(self.diagonal)).tocsr()
-
-    def to_dense(self) -> np.ndarray:
-        return self.as_sparse().toarray()
-
     @property
     def nnz(self) -> int:
         return self.offdiag.nnz + self.dimension
@@ -266,9 +261,7 @@ class GroundState:
     vector: np.ndarray
     m: float
     residual: float
-    method: str
     iterations: int
-    seed: int | None
     tolerance: float = math.nan  # the residual threshold applied: max(tol, the floor)
 
 
@@ -285,13 +278,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _ritz_vector(blocks: list[np.ndarray], y: np.ndarray) -> np.ndarray:
-    """The normalized sum of y_j q_j over the first len(y) stored Krylov vectors."""
-    x = sum(
-        np.einsum("ji,j->i", b[: len(part)], part)
-        for b, part in zip(blocks, np.split(y, range(KRYLOV_BLOCK, len(y), KRYLOV_BLOCK)))
-    )
-    return x / math.sqrt(_dot(x, x))
+def _ritz_vector(basis: list[np.ndarray], y: np.ndarray) -> np.ndarray:
+    """The normalized sum of y_j q_j over the Krylov vectors, by in-place adds."""
+    x = np.zeros_like(basis[0])
+    scratch = np.empty_like(x)
+    for q, c in zip(basis, y):
+        x += np.multiply(c, q, out=scratch)
+    x /= math.sqrt(_dot(x, x))
+    return x
 
 
 def _lowest_ritz_pair(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[float, np.ndarray]:
@@ -333,7 +327,8 @@ def lanczos_ground(
     Orthogonality is lost only along Ritz vectors that have converged
     (Paige, Linear Algebra Appl. 34, 235 (1980)), so a run that stops as
     soon as the lowest pair converges needs no Gram-Schmidt pass. Each step
-    makes one `h.apply`; its reductions use numpy's loop, not BLAS.
+    makes one `h.apply`, whose array becomes the next Krylov vector; its
+    reductions use numpy's loop, not BLAS.
 
     Raises ValueError for max_iter < 1 or tol <= 0, ScaleError when the
     square of a bound on ||H|| overflows (a Krylov norm could), and
@@ -350,53 +345,43 @@ def lanczos_ground(
         raise ScaleError(
             f"delta={h.delta:g} puts the operator scale at {bound:.3g}, whose square overflows"
         )
-    n = h.dimension
-    if n == 1:
-        e = float(h.apply(np.ones(1))[0])
-        return GroundState(e, np.ones(1), m, 0.0, "exact", 0, seed, tolerance=tol)
-
     rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
+    q = rng.standard_normal(h.dimension)
     q /= math.sqrt(_dot(q, q))
-    scratch = np.empty(n)
-    # the Krylov basis is stored KRYLOV_BLOCK rows at a time, so memory
-    # follows the iterations made, not max_iter; freeing a mostly untouched
-    # max_iter x n block of up to 32 MB would raise glibc's mmap threshold
-    # and keep later temporaries on the heap
-    blocks: list[np.ndarray] = []
+    scratch = np.empty_like(q)
+    # h.apply returns a new array that the step turns into the next q, so
+    # the recurrence's own vectors are the Krylov basis, with no copy
+    basis: list[np.ndarray] = []
     alphas = np.empty(max_iter)
     betas = np.empty(max_iter)
     alpha_max = beta_max = 0.0  # running max |alpha| and beta: the scale ||T_k||
-    k = 0
     for j in range(max_iter):
-        if j % KRYLOV_BLOCK == 0:
-            blocks.append(np.empty((min(KRYLOV_BLOCK, max_iter - j), n)))
-        blocks[-1][j % KRYLOV_BLOCK] = q
+        basis.append(q)
         w = h.apply(q)
         alpha = _dot(q, w)
         alphas[j] = alpha
         w -= np.multiply(alpha, q, out=scratch)
         if j > 0:
-            w -= np.multiply(betas[j - 1], q_prev, out=scratch)
+            w -= np.multiply(betas[j - 1], basis[-2], out=scratch)
         beta = math.sqrt(_dot(w, w))
-        k = j + 1
         alpha_max = max(alpha_max, abs(alpha))
         scale = max(1.0, alpha_max + beta_max)
         floor = max(tol, RESIDUAL_FLOOR * EPS * scale)
-        if beta <= 1e-14 * scale:
-            break  # breakdown: the Krylov space is (numerically) invariant
-        if beta * abs(_lowest_ritz_pair(alphas, betas, k)[1][-1]) < floor:
+        e0, y = _lowest_ritz_pair(alphas, betas, j + 1)
+        # breakdown (a vanishing beta: the Krylov space is numerically
+        # invariant) or a converged Ritz estimate beta |y_k|
+        if beta <= 1e-14 * scale or beta * abs(y[-1]) < floor:
             break
         betas[j] = beta
         beta_max = max(beta_max, beta)
         w /= beta
-        q_prev, q = q, w
+        q = w
 
-    e0, y = _lowest_ritz_pair(alphas, betas, k)
-    x = _sign_fix(_ritz_vector(blocks, y))
+    x = _sign_fix(_ritz_vector(basis, y))
     r = h.apply(x) - e0 * x
     residual = math.sqrt(_dot(r, r))
-    gs = GroundState(e0, x, m, residual, "lanczos", k, seed, tolerance=floor)
+    k = len(y)
+    gs = GroundState(e0, x, m, residual, k, tolerance=floor)
     if not residual < floor:
         raise LanczosError(
             f"no convergence after {k} iterations (residual {residual:.3e})", gs

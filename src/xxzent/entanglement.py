@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ed import GroundState, SectorBasis, SparseHamiltonian, _dot
-from .lattice import Bond, Lattice
+from .lattice import Lattice
 
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -67,19 +67,8 @@ class BondCorrelators:
     gzz: float
 
 
-def _site_pair(i: int | Bond, j: int | None) -> tuple[int, int]:
-    if isinstance(i, Bond):
-        return i.i, i.j
-    if j is None:
-        raise ValueError("second site index missing")
-    return i, j
-
-
-def two_site_rdm(
-    state: GroundState, basis: SectorBasis, i: int | Bond, j: int | None = None
-) -> TwoSiteRDM:
+def two_site_rdm(state: GroundState, basis: SectorBasis, i: int, j: int) -> TwoSiteRDM:
     """Trace out everything but sites (i, j)."""
-    i, j = _site_pair(i, j)
     if i == j:
         raise ValueError("two-site RDM needs distinct sites")
     psi = basis.expand(state.vector)
@@ -98,11 +87,8 @@ def two_site_rdm(
     return TwoSiteRDM(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=z)
 
 
-def correlators(
-    state: GroundState, basis: SectorBasis, i: int | Bond, j: int | None = None
-) -> BondCorrelators:
+def correlators(state: GroundState, basis: SectorBasis, i: int, j: int) -> BondCorrelators:
     """<Sx.Sx>, <Sy.Sy>, <Sz.Sz> for one site pair, computed directly."""
-    i, j = _site_pair(i, j)
     psi = basis.expand(state.vector)
     bi = basis.bit(i).astype(bool)
     bj = basis.bit(j).astype(bool)
@@ -125,7 +111,7 @@ def mean_bond_correlators(
     """Correlators averaged over every nearest-neighbor bond."""
     gx = gy = gz = 0.0
     for bond in lattice.bonds:
-        g = correlators(state, basis, bond)
+        g = correlators(state, basis, bond.i, bond.j)
         gx += g.gxx
         gy += g.gyy
         gz += g.gzz

@@ -63,7 +63,7 @@ def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float
     routes = {}
     for delta in map(float, deltas):
         gs = ed.lanczos_ground(sector.h.at(delta))
-        rdm = entanglement.two_site_rdm(gs, basis, bond)
+        rdm = entanglement.two_site_rdm(gs, basis, bond.i, bond.j)
         g = entanglement.mean_bond_correlators(gs, basis, lattice)
         eps0 = gs.energy / lattice.n_bonds
         routes[delta] = {

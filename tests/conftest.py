@@ -40,19 +40,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def sparse_matrix(h: ed.SparseHamiltonian) -> sp.csr_matrix:
+    """The operator H_xy + delta H_zz as one CSR matrix."""
+    return (h.offdiag + sp.diags(h.diagonal)).tocsr()
+
+
+def dense_matrix(h: ed.SparseHamiltonian) -> np.ndarray:
+    """The operator as a dense array."""
+    return sparse_matrix(h).toarray()
+
+
 def dense_ground_oracle(h: ed.SparseHamiltonian) -> ed.GroundState:
     """Full eigendecomposition reference; refuses sectors above DENSE_DIM_LIMIT."""
     if h.dimension > DENSE_DIM_LIMIT:
         raise ValueError(
             f"dense oracle refused: dimension {h.dimension} exceeds {DENSE_DIM_LIMIT}"
         )
-    w, v = np.linalg.eigh(h.to_dense())
+    w, v = np.linalg.eigh(dense_matrix(h))
     x = v[:, 0]
     k = int(np.argmax(np.abs(x)))
     x = -x if x[k] < 0 else x  # same sign convention as lanczos_ground
     e0 = float(w[0])
     residual = float(np.linalg.norm(h.apply(x) - e0 * x))
-    return ed.GroundState(e0, x, 0.0, residual, "dense", 0, None)
+    return ed.GroundState(e0, x, 0.0, residual, 0)
 
 
 def parity_block(sector: ed.Sector, parity: int | None) -> ed.SparseHamiltonian:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-from conftest import DENSE_DIM_LIMIT, parity_block
+from conftest import DENSE_DIM_LIMIT, dense_matrix, parity_block, sparse_matrix
 from xxzent import analysis, cli, ed, entanglement, lattice, spinwave, verify
 from xxzent.lattice import LatticeSpec
 
@@ -41,6 +42,7 @@ def test_ed_report_four_ring(capsys):
     assert float(report["gzz"]) == pytest.approx(-1.0 / 6.0, abs=1e-11)
     assert float(report["gap"]) == pytest.approx(1.0, abs=1e-10)
     assert report["solver"] == "lanczos"
+    assert report["seed"] == str(ed.DEFAULT_SEED)
 
 
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
@@ -71,23 +73,26 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     for key in ("gxx", "gyy", "gzz"):
         assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
     assert float(report["residual"]) <= 1e-11
-    low = np.sort(sla.eigsh(parity_block(sector, None).at(1.0).as_sparse(), k=2, which="SA")[0])
+    low = np.sort(sla.eigsh(sparse_matrix(parity_block(sector, None).at(1.0)), k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
 
 def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
-    # 924 states: the gap comes from the two parity runs, at negative delta too
-    def refuse(self):
+    # 924 states: the gap comes from the two parity runs, at negative delta
+    # too, and no operator is ever made dense
+    def refuse(*args, **kwargs):
         raise AssertionError("dense solve in xxzent ed")
 
     h = parity_block(ed.build_sector(LatticeSpec(1, 12)), None)
     for delta in (1.0, -0.5, -0.9):
-        monkeypatch.setattr(ed.SparseHamiltonian, "to_dense", refuse)
+        monkeypatch.setattr(sp.csr_matrix, "toarray", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         rc = cli.main(["ed", "--dim", "1", "--size", "12", f"--delta={delta}"])
         assert rc == cli.EXIT_OK
         monkeypatch.undo()
         report = _parse_report(capsys.readouterr().out)
-        low = np.linalg.eigvalsh(h.at(delta).to_dense())[:2]
+        low = np.linalg.eigvalsh(dense_matrix(h.at(delta)))[:2]
         assert float(report["energy"]) == pytest.approx(low[0], abs=1e-10), delta
         assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10), delta
 
@@ -105,10 +110,13 @@ def test_ed_two_site_report_matches_the_full_block(delta, capsys):
     assert rc == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
     full = parity_block(ed.build_sector(LatticeSpec(1, 2)), None)
-    low = np.linalg.eigvalsh(full.at(delta).to_dense())
+    low = np.linalg.eigvalsh(dense_matrix(full.at(delta)))
     assert report["sector_dimension"] == "2"
     assert float(report["energy"]) == pytest.approx(low[0], abs=1e-12)
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-12)
+    # both one-state blocks go through the recurrence, one step each
+    assert report["solver"] == "lanczos"
+    assert report["iterations"] == "2"
 
 
 @pytest.mark.parametrize(
@@ -180,7 +188,7 @@ def test_residual_floor_admits_large_delta(delta, capsys):
     assert rc == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
     sector = ed.build_sector(LatticeSpec(1, 8))
-    e0 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[0]
+    e0 = np.linalg.eigvalsh(dense_matrix(parity_block(sector, None).at(delta)))[0]
     assert float(report["energy"]) == pytest.approx(e0, rel=1e-11)  # 12 printed digits
     assert float(report["residual"]) < float(report["tolerance"])
 
@@ -238,6 +246,14 @@ def test_ed_solver_failure_exit_code(capsys, monkeypatch):
 def test_ed_rejects_odd_periodic_size(capsys):
     rc = cli.main(["ed", "--dim", "1", "--size", "5"])
     assert rc == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [["ed"], ["scan", "--from", "0", "--to", "1"]])
+def test_missing_sector_is_a_usage_error(command, capsys):
+    # an open chain of 5 sites has no M = 0 sector
+    rc = cli.main(command + ["--dim", "1", "--size", "5", "--boundary", "open"])
+    assert rc == cli.EXIT_USAGE
+    assert "error: sector M=0.0 does not exist for 5 sites" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- scan

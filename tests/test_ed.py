@@ -6,6 +6,7 @@ sector too large to diagonalize densely.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import DENSE_DIM_LIMIT, coo_hamiltonian, dense_ground_oracle, parity_block
+from conftest import (
+    DENSE_DIM_LIMIT,
+    coo_hamiltonian,
+    dense_ground_oracle,
+    dense_matrix,
+    parity_block,
+    sparse_matrix,
+)
 from xxzent import ed
 from xxzent.lattice import DegenerateLatticeWarning, LatticeSpec, build_lattice
 
@@ -143,16 +151,17 @@ def test_two_site_block_explicit():
     assert sector.basis.parity == -1
     for delta in (0.0, 0.7, 1.0, 2.5):
         expected = np.array([[-delta / 4, 0.5], [0.5, -delta / 4]])
-        np.testing.assert_allclose(full.at(delta).to_dense(), expected, atol=1e-15)
-        np.testing.assert_allclose(sector.h.at(delta).to_dense(), [[-delta / 4 - 0.5]], atol=1e-15)
-        np.testing.assert_allclose(triplet.at(delta).to_dense(), [[-delta / 4 + 0.5]], atol=1e-15)
+        singlet = sector.h.at(delta)
+        np.testing.assert_allclose(dense_matrix(full.at(delta)), expected, atol=1e-15)
+        np.testing.assert_allclose(dense_matrix(singlet), [[-delta / 4 - 0.5]], atol=1e-15)
+        np.testing.assert_allclose(dense_matrix(triplet.at(delta)), [[-delta / 4 + 0.5]], atol=1e-15)
 
 
 def test_hamiltonian_hermitian_and_sector_preserving():
     lat = build_lattice(LatticeSpec(1, 6))
     basis = ed.enumerate_basis(6, 1.0)
     h = ed.build_hamiltonian(lat, basis).at(0.8)
-    dense = h.to_dense()
+    dense = dense_matrix(h)
     np.testing.assert_allclose(dense, dense.T, atol=1e-14)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(h.dimension)
@@ -193,7 +202,7 @@ def test_parity_sectors_split_the_m0_spectrum(spec, delta):
     sector = ed.build_sector(spec)
 
     def levels(parity):
-        return np.linalg.eigvalsh(parity_block(sector, parity).at(delta).to_dense())
+        return np.linalg.eigvalsh(dense_matrix(parity_block(sector, parity).at(delta)))
 
     both = np.sort(np.concatenate((levels(1), levels(-1))))
     np.testing.assert_allclose(both, levels(None), rtol=0, atol=1e-12)
@@ -220,11 +229,11 @@ def test_flipped_is_the_other_parity_block(spec):
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(block, name), getattr(other.offdiag, name))
     for delta in (-0.5, 0.0, 1.0, 2.5):
-        flipped = h.flipped().at(delta).to_dense()
-        np.testing.assert_array_equal(flipped, other.at(delta).to_dense())
-        np.testing.assert_array_equal(h.at(delta).flipped().to_dense(), flipped)
+        flipped = dense_matrix(h.flipped().at(delta))
+        np.testing.assert_array_equal(flipped, dense_matrix(other.at(delta)))
+        np.testing.assert_array_equal(dense_matrix(h.at(delta).flipped()), flipped)
         np.testing.assert_array_equal(
-            h.flipped().flipped().at(delta).to_dense(), h.at(delta).to_dense()
+            dense_matrix(h.flipped().flipped().at(delta)), dense_matrix(h.at(delta))
         )
 
 
@@ -343,7 +352,7 @@ def test_lanczos_residual_below_tolerance():
 def test_lanczos_vs_arpack_large_sector():
     # independent route for a sector past the dense limit (dim 12870)
     h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
-    w = spla.eigsh(h.as_sparse(), k=1, which="SA", tol=1e-12,
+    w = spla.eigsh(sparse_matrix(h), k=1, which="SA", tol=1e-12,
                    v0=np.ones(h.dimension), return_eigenvectors=False)
     gs = ed.lanczos_ground(h)
     assert gs.energy == pytest.approx(float(w[0]), abs=1e-9)
@@ -388,6 +397,44 @@ def test_breakdown_terminates_exactly():
     assert gs.energy == pytest.approx(-0.75, abs=1e-13)
 
 
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+def test_one_state_blocks_go_through_the_recurrence():
+    # the start vector normalizes to +-1 exactly and the run breaks down at
+    # step 1 with alpha = H_11: both parity blocks of the 2-site chain and
+    # the polarized M = 3 sector of the 6-ring
+    sector = ed.build_sector(LatticeSpec(1, 2))
+    lat = build_lattice(LatticeSpec(1, 6))
+    polarized = ed.build_hamiltonian(lat, ed.enumerate_basis(6, 3.0))
+    for h0 in (sector.h, sector.h.flipped(), polarized):
+        for delta in (-0.5, 0.0, 0.7, 1.0, 2.5):
+            h = h0.at(delta)
+            assert h.dimension == 1
+            for seed in (ed.DEFAULT_SEED, 1, 2, 3):
+                gs = ed.lanczos_ground(h, seed=seed)
+                assert gs.energy == dense_matrix(h)[0, 0], (delta, seed)
+                assert gs.vector.tolist() == [1.0]
+                assert gs.iterations == 1
+                assert gs.residual == 0.0 < gs.tolerance
+
+
+@pytest.mark.parametrize(
+    "spec, delta",
+    [(LatticeSpec(1, 16), 1.0), (LatticeSpec(1, 18), 1.0), (LatticeSpec(2, 4), 0.5)],
+    ids=["d1L16", "d1L18", "d2L4"],
+)
+def test_krylov_storage_follows_the_iterations_made(spec, delta):
+    # the recurrence's own vectors are the Krylov basis: a run holds one
+    # vector per iteration and a few work vectors, no preallocated block
+    h = ed.build_sector(spec).h.at(delta)
+    tracemalloc.start()
+    try:
+        gs = ed.lanczos_ground(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (gs.iterations + 10) * h.dimension * 8, peak / (h.dimension * 8)
+
+
 def test_max_iter_exhaustion_raises_with_best():
     h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
     with pytest.raises(ed.LanczosError) as info:
@@ -412,7 +459,7 @@ def test_lanczos_runs_to_krylov_exhaustion(spec, delta):
     # could fill the Krylov space, where plain Lanczos turns up ghost copies
     # of converged levels. E0 must still come out as the dense ground level
     h = ed.build_sector(spec).h.at(delta)
-    e0 = np.linalg.eigvalsh(h.to_dense())[0]
+    e0 = np.linalg.eigvalsh(dense_matrix(h))[0]
     for tol in (ed.DEFAULT_TOL, 1e-14):
         gs = ed.lanczos_ground(h, tol=tol)
         assert gs.residual < gs.tolerance, tol
@@ -429,7 +476,7 @@ def test_lanczos_converges_where_partial_reorthogonalization_failed(spec, m, del
     # with Simon's partial reorthogonalization failed to converge
     lat = build_lattice(spec)
     h = ed.build_hamiltonian(lat, ed.enumerate_basis(lat.n_sites, m)).at(delta)
-    e0 = np.linalg.eigvalsh(h.to_dense())[0]
+    e0 = np.linalg.eigvalsh(dense_matrix(h))[0]
     gs = ed.lanczos_ground(h, tol=1e-13, m=m)
     assert gs.residual < gs.tolerance
     assert gs.energy == pytest.approx(e0, abs=gs.tolerance)
@@ -441,7 +488,7 @@ def test_gap_four_ring():
     sector = ed.build_sector(LatticeSpec(1, 4))
     gs = ed.lanczos_ground(sector.h.at(1.0))
     other = ed.lanczos_ground(parity_block(sector, -1).at(1.0))
-    levels = np.linalg.eigvalsh(parity_block(sector, None).at(1.0).to_dense())
+    levels = np.linalg.eigvalsh(dense_matrix(parity_block(sector, None).at(1.0)))
     assert gs.energy == pytest.approx(-2.0, abs=1e-12)
     assert other.energy == pytest.approx(-1.0, abs=1e-12)
     assert other.energy == pytest.approx(levels[1], abs=1e-12)
@@ -455,7 +502,7 @@ def test_gap_lanczos_pair_matches_dense(spec, m, delta):
     # the gap xxzent ed reports, from one Lanczos run in each flip parity,
     # against the dense spectrum of the whole M = 0 sector
     sector = ed.build_sector(spec)
-    d0, d1 = np.linalg.eigvalsh(parity_block(sector, None).at(delta).to_dense())[:2]
+    d0, d1 = np.linalg.eigvalsh(dense_matrix(parity_block(sector, None).at(delta)))[:2]
     gs = ed.lanczos_ground(sector.h.at(delta), m=m)
     other = ed.lanczos_ground(parity_block(sector, -sector.basis.parity).at(delta), m=m)
     assert gs.energy == pytest.approx(d0, abs=1e-9)
@@ -483,9 +530,9 @@ def test_first_excitation_lies_in_the_other_parity(spec, delta):
     # xxzent ed reports the gap as E0(-p) - E0(p), p the ground state's flip
     # parity: the lowest M = 0 excitation is never strictly inside parity p
     sector = ed.build_sector(spec)
-    e1_p = np.linalg.eigvalsh(sector.h.at(delta).to_dense())[1]
+    e1_p = np.linalg.eigvalsh(dense_matrix(sector.h.at(delta)))[1]
     other = parity_block(sector, -sector.basis.parity).at(delta)
-    assert np.linalg.eigvalsh(other.to_dense())[0] <= e1_p + _gap_slack(delta)
+    assert np.linalg.eigvalsh(dense_matrix(other))[0] <= e1_p + _gap_slack(delta)
 
 
 @pytest.mark.parametrize("spec", [LatticeSpec(2, 4), LatticeSpec(1, 16)], ids=_spec_id)
@@ -496,9 +543,9 @@ def test_first_excitation_lies_in_the_other_parity_past_the_dense_limit(spec):
     other = parity_block(sector, -sector.basis.parity)
     v0 = np.random.default_rng(5).standard_normal(sector.h.dimension)
     for delta in (-0.5, 0.5, 1.0, 3.0):
-        low = spla.eigsh(sector.h.at(delta).as_sparse(), k=2, which="SA", v0=v0,
+        low = spla.eigsh(sparse_matrix(sector.h.at(delta)), k=2, which="SA", v0=v0,
                          return_eigenvectors=False)
-        e0_other = spla.eigsh(other.at(delta).as_sparse(), k=1, which="SA", v0=v0,
+        e0_other = spla.eigsh(sparse_matrix(other.at(delta)), k=1, which="SA", v0=v0,
                               return_eigenvectors=False)[0]
         assert e0_other <= max(low) + _gap_slack(delta), delta
 
@@ -516,9 +563,9 @@ def test_m0_holds_the_lowest_level_above_minus_one(spec, delta):
     lat = build_lattice(spec)
     n = lat.n_sites
     levels = [
-        np.linalg.eigvalsh(ed.build_hamiltonian(
+        np.linalg.eigvalsh(dense_matrix(ed.build_hamiltonian(
             lat, replace(ed.enumerate_basis(n, up - n / 2), parity=None)
-        ).at(delta).to_dense())[0]
+        ).at(delta)))[0]
         for up in range(n + 1)
     ]
     if delta > -1:
@@ -531,7 +578,6 @@ def test_lanczos_ground_returns_a_ground_state():
     h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)
     gs = ed.lanczos_ground(h)
     assert isinstance(gs, ed.GroundState)
-    assert gs.method == "lanczos"
     assert gs.residual < gs.tolerance == ed.DEFAULT_TOL
 
 
@@ -552,7 +598,7 @@ def test_polarized_sector_energy():
     basis = ed.enumerate_basis(6, 3.0)
     h = ed.build_hamiltonian(lat, basis).at(1.8)
     assert h.dimension == 1
-    assert h.to_dense()[0, 0] == pytest.approx(1.8 * lat.n_bonds * 0.25, abs=1e-14)
+    assert dense_matrix(h)[0, 0] == pytest.approx(1.8 * lat.n_bonds * 0.25, abs=1e-14)
 
 
 @settings(max_examples=15, deadline=None)
@@ -650,6 +696,6 @@ def test_marshall_sign_and_flip_parity(spec):
         rotated *= np.sign(rotated[np.argmax(np.abs(rotated))])
         assert rotated.min() > 0, delta
         for bond in lattice.bonds:
-            rdm = entanglement.two_site_rdm(gs, basis, bond)
+            rdm = entanglement.two_site_rdm(gs, basis, bond.i, bond.j)
             assert rdm.u_plus == pytest.approx(rdm.u_minus, abs=1e-9), delta
             assert rdm.w1 == pytest.approx(rdm.w2, abs=1e-9), delta

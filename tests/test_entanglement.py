@@ -124,8 +124,8 @@ def test_square44_frozen_concurrence(square44_heisenberg):
 def test_route_equivalence_square44(square44_heisenberg):
     lattice, basis, gs = square44_heisenberg
     bond = lattice.bonds[0]
-    rdm = ent.two_site_rdm(gs, basis, bond)
-    g = ent.correlators(gs, basis, bond)
+    rdm = ent.two_site_rdm(gs, basis, bond.i, bond.j)
+    g = ent.correlators(gs, basis, bond.i, bond.j)
     eps0 = gs.energy / lattice.n_bonds
     values = [
         ent.concurrence_block(rdm),
@@ -223,7 +223,7 @@ def test_operator_bond_correlators_match_bond_loop(spec, m, delta):
 
 def test_mean_bond_correlators_translation_invariance(ring4):
     lattice, basis, gs = ring4
-    per_bond = [ent.correlators(gs, basis, b) for b in lattice.bonds]
+    per_bond = [ent.correlators(gs, basis, b.i, b.j) for b in lattice.bonds]
     mean = ent.mean_bond_correlators(gs, basis, lattice)
     for g in per_bond:
         assert g.gzz == pytest.approx(mean.gzz, abs=1e-12)
