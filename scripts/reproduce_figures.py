@@ -14,7 +14,7 @@ The 4x4 curve is the finite-lattice reference here.
 import argparse
 import os
 
-from xxzent import analysis, cli, ed
+from xxzent import analysis, cli, ed, spinwave
 from xxzent.analysis import delta_grid, extremum_and_derivative
 from xxzent.lattice import LatticeSpec
 
@@ -44,9 +44,9 @@ def main() -> None:
     curves = {
         "ed_2d_L4": (analysis.scan_ed(ed.build_sector(LatticeSpec(2, 4)), ed_grid),
                      args.ed_step),
-        "spinwave_d2": (analysis.scan_spinwave(2, sw_grid, k_points=args.kgrid_2d),
+        "spinwave_d2": (analysis.scan_spinwave(spinwave.gamma_grid(2, args.kgrid_2d), sw_grid),
                         args.sw_step),
-        "spinwave_d3": (analysis.scan_spinwave(3, sw_grid, k_points=args.kgrid_3d),
+        "spinwave_d3": (analysis.scan_spinwave(spinwave.gamma_grid(3, args.kgrid_3d), sw_grid),
                         args.sw_step),
     }
     for name, (curve, step) in curves.items():

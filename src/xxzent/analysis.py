@@ -12,6 +12,7 @@ from . import ed, entanglement, spinwave
 GRID_UNIFORMITY_RTOL = 1e-8
 DELTA_MATCH_TOL = 1e-9
 MAX_GRID_POINTS = 100_000
+HF_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -145,40 +146,23 @@ def scan_ed(
     return ConcurrenceCurve("ed", prov, tuple(samples))
 
 
-def spinwave_sample(delta: float, zone: spinwave.ZoneGrid) -> ScanSample:
-    """Spin-wave energy, Gzz and C at one delta on a prebuilt zone."""
-    eps = spinwave.energy_per_site(delta, zone) / zone.dimension
-    gzz = spinwave.gzz_per_bond(delta, zone)
-    c = entanglement.concurrence_from_energy(eps, gzz, delta)
-    return ScanSample(delta, c, eps, gzz, math.nan)
-
-
-def scan_spinwave(
-    dimension: int,
-    deltas,
-    *,
-    k_points: int | None = None,
-) -> ConcurrenceCurve:
-    """Spin-wave C(delta) curve on one zone; energy_total is NaN (thermodynamic limit)."""
-    if dimension not in spinwave.DEFAULT_K_POINTS:
-        raise ValueError("spin-wave needs d = 2 or 3")
-    n_k = spinwave.DEFAULT_K_POINTS[dimension] if k_points is None else k_points
-    zone = spinwave.gamma_grid(dimension, n_k)
-    samples = [spinwave_sample(float(d), zone) for d in np.asarray(deltas, dtype=float)]
+def scan_spinwave(zone: spinwave.ZoneGrid, deltas) -> ConcurrenceCurve:
+    """Spin-wave C(delta) curve on a prebuilt zone; energy_total is NaN (thermodynamic limit)."""
+    samples = []
+    for delta in map(float, np.asarray(deltas, dtype=float)):
+        eps = spinwave.energy_per_site(delta, zone) / zone.dimension
+        gzz = spinwave.gzz_per_bond(delta, zone)
+        c = entanglement.concurrence_from_energy(eps, gzz, delta)
+        samples.append(ScanSample(delta, c, eps, gzz, math.nan))
     prov = (
-        f"spinwave d={dimension} kgrid={n_k} spin={spinwave.SPIN} "
-        f"h={spinwave.DEFAULT_FD_STEP}"
+        f"spinwave d={zone.dimension} kgrid={zone.k_points} spin={spinwave.SPIN} "
+        f"h={spinwave.FD_STEP}"
     )
     return ConcurrenceCurve("spinwave", prov, tuple(samples))
 
 
-def hellmann_feynman_residual(
-    sector: ed.Sector,
-    delta: float,
-    *,
-    h: float = 1e-4,
-) -> float:
-    """|dE0/ddelta - N_B Gzz| with a central difference of step h.
+def hellmann_feynman_residual(sector: ed.Sector, delta: float) -> float:
+    """|dE0/ddelta - N_B Gzz| with a central difference of step HF_STEP.
 
     The sector operator serves all three solves. Gzz is measured bond by
     bond, not from the operator's own H_zz, so a fault in H_zz cannot
@@ -188,6 +172,7 @@ def hellmann_feynman_residual(
     def ground(d: float) -> ed.GroundState:
         return ed.lanczos_ground(sector.h.at(d))
 
+    h = HF_STEP
     de = (ground(delta + h).energy - ground(delta - h).energy) / (2.0 * h)
     g = entanglement.mean_bond_correlators(ground(delta), sector.basis, sector.lattice)
     return abs(de - sector.lattice.n_bonds * g.gzz)
@@ -203,9 +188,10 @@ def _uniform_step(deltas: np.ndarray) -> float:
     return h
 
 
-def second_differences(values: np.ndarray, step: float) -> np.ndarray:
+def second_differences(values: np.ndarray) -> np.ndarray:
+    """v[i+1] - 2 v[i] + v[i-1] at the interior points, not divided by the step."""
     v = np.asarray(values, dtype=float)
-    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / step**2
+    return v[2:] - 2.0 * v[1:-1] + v[:-2]
 
 
 def concavity_check(curve: ConcurrenceCurve) -> np.ndarray:
@@ -218,8 +204,7 @@ def concavity_check(curve: ConcurrenceCurve) -> np.ndarray:
     """
     quantity = "energy_total" if curve.engine == "ed" else "energy_per_bond"
     _uniform_step(curve.deltas())  # validates uniformity, >= 3 points
-    v = curve._column(quantity)
-    return v[2:] - 2.0 * v[1:-1] + v[:-2]
+    return second_differences(curve._column(quantity))
 
 
 @dataclass(frozen=True)
@@ -328,5 +313,5 @@ def slope_identity_residuals(curve: ConcurrenceCurve) -> np.ndarray:
     c = curve.concurrences()
     eps = curve.energies_per_bond()
     dc = (c[2:] - c[:-2]) / (2.0 * h)
-    d2e = second_differences(eps, h)
+    d2e = second_differences(eps) / h**2
     return np.abs(dc - 2.0 * (deltas[1:-1] - 1.0) * d2e)

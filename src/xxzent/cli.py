@@ -248,7 +248,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         if args.dim < 2:
             parser.error("spin-wave engine needs --dim 2 or 3")
-        curve = analysis.scan_spinwave(args.dim, grid, k_points=args.kgrid)
+        curve = analysis.scan_spinwave(spinwave.gamma_grid(args.dim, args.kgrid), grid)
     write_curve(curve, (args.delta_from, args.delta_to, args.step), args.out, args.format)
     if not curve.all_ok():
         failed = sum(1 for s in curve.samples if not s.ok)
@@ -258,14 +258,13 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_spinwave(args: argparse.Namespace) -> int:
-    n_k = spinwave.DEFAULT_K_POINTS[args.dim] if args.kgrid is None else args.kgrid
-    zone = spinwave.gamma_grid(args.dim, n_k)
-    s = analysis.spinwave_sample(args.delta, zone)
+    zone = spinwave.gamma_grid(args.dim, args.kgrid)
+    s = analysis.scan_spinwave(zone, [args.delta]).samples[0]
     for key, val in (
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),
         ("branch", "ising" if args.delta >= 1.0 else "planar"),
-        ("kgrid", n_k),
+        ("kgrid", zone.k_points),
         ("quad_points", zone.gamma.size),
         ("spin", _fmt(spinwave.SPIN)),
         ("energy_per_site", _fmt(s.energy_per_bond * args.dim)),
@@ -278,10 +277,7 @@ def cmd_spinwave(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.kgrid is not None:
-        kwargs["spinwave"] = {"k_points": args.kgrid}
-    results = verify.run_suites(args.suite, **kwargs)
+    results = verify.run_suites(args.suite, k_points=args.kgrid)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

@@ -108,8 +108,8 @@ class SectorBasis:
         return np.searchsorted(self.states, configs)
 
     def bit(self, site: int) -> np.ndarray:
-        """0/1 occupation of one site across the whole basis."""
-        return ((self.states >> np.uint64(site)) & np.uint64(1)).astype(np.int8)
+        """Whether one site is up, across the whole basis."""
+        return ((self.states >> np.uint64(site)) & np.uint64(1)).astype(bool)
 
 
 def sector_dimension(n_sites: int, m: float) -> int:
@@ -153,8 +153,8 @@ class SparseHamiltonian:
     zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
-    mirror: np.ndarray | None = field(default=None, repr=False, compare=False)
-    mirror_sign: int = field(default=1, repr=False, compare=False)
+    mirror: np.ndarray = field(repr=False, compare=False)
+    mirror_sign: int = field(repr=False, compare=False)
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -168,8 +168,6 @@ class SparseHamiltonian:
     def flipped(self) -> "SparseHamiltonian":
         """The other flip parity's block, A - pB, on the same indices and indptr:
         p is subtracted at the mirror positions, which is exact (0.5 - 1.0 = -0.5)."""
-        if self.mirror is None:
-            raise ValueError("this operator keeps no flip-partner hops to negate")
         data = self.offdiag.data.copy()
         data[self.mirror] -= self.mirror_sign
         offdiag = sp.csr_matrix((data, self.offdiag.indices, self.offdiag.indptr),

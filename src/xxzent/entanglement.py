@@ -73,8 +73,8 @@ def two_site_rdm(state: GroundState, basis: SectorBasis, i: int, j: int) -> TwoS
         raise ValueError("two-site RDM needs distinct sites")
     psi = basis.expand(state.vector)
     p = np.abs(psi) ** 2
-    bi = basis.bit(i).astype(bool)
-    bj = basis.bit(j).astype(bool)
+    bi = basis.bit(i)
+    bj = basis.bit(j)
     u_plus = float(p[bi & bj].sum())
     w1 = float(p[bi & ~bj].sum())
     w2 = float(p[~bi & bj].sum())
@@ -90,8 +90,8 @@ def two_site_rdm(state: GroundState, basis: SectorBasis, i: int, j: int) -> TwoS
 def correlators(state: GroundState, basis: SectorBasis, i: int, j: int) -> BondCorrelators:
     """<Sx.Sx>, <Sy.Sy>, <Sz.Sz> for one site pair, computed directly."""
     psi = basis.expand(state.vector)
-    bi = basis.bit(i).astype(bool)
-    bj = basis.bit(j).astype(bool)
+    bi = basis.bit(i)
+    bj = basis.bit(j)
     p = np.abs(psi) ** 2
     gzz = 0.25 * float(p[bi == bj].sum() - p[bi != bj].sum())
     anti = bi != bj

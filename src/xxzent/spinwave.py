@@ -17,12 +17,12 @@ even in each k_m and symmetric in the axes) with integer multiplicities,
 then divided by N^d (Monkhorst & Pack, PRB 13, 5188 (1976)). Both branches
 coincide at delta = 1. Gzz per bond is the derivative of the
 bond energy within the branch that delta implies (Ising at delta >= 1,
-one-sided at the branch edges).
+one-sided at the branch edges), by finite differences of step FD_STEP.
 
 The quadratures take the zone g = gamma_grid(d, k_points) as an argument
-and read d from g.dimension, so a caller builds it once for all deltas;
-analysis.scan_spinwave does that and turns energy and Gzz into the
-nearest-neighbor concurrence.
+and read d from g.dimension, so a caller builds it once for all deltas
+and passes it to analysis.scan_spinwave, which turns energy and Gzz into
+the nearest-neighbor concurrence.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
-DEFAULT_FD_STEP = 1e-4
+FD_STEP = 1e-4
 BOGOLIUBOV_EDGE = 1e-12
 
 
@@ -67,13 +67,19 @@ class ZoneGrid:
         return float(np.add.reduce(self.multiplicity * f)) / self.k_points**self.dimension
 
 
-def gamma_grid(dimension: int, k_points: int) -> ZoneGrid:
+def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
     """The zone wedge: sorted index tuples i_1 <= ... <= i_d of the half axis.
 
-    cos k is even, so the first ceil(N/2) axis points carry weight 2 each
-    (1 for k = 0 when N is odd). A sorted tuple with runs of equal indices
-    r_1, r_2, ... stands for d!/(r_1! r_2! ...) axis permutations.
+    The one place a zone is checked and sized: d must be 2 or 3, and
+    k_points None takes d's size from DEFAULT_K_POINTS. cos k is even, so
+    the first ceil(N/2) axis points carry weight 2 each (1 for k = 0 when N
+    is odd). A sorted tuple with runs of equal indices r_1, r_2, ... stands
+    for d!/(r_1! r_2! ...) axis permutations.
     """
+    if dimension not in DEFAULT_K_POINTS:
+        raise ValueError("spin-wave needs d = 2 or 3")
+    if k_points is None:
+        k_points = DEFAULT_K_POINTS[dimension]
     half = (k_points + 1) // 2
     cosk = np.cos(bz_axis(k_points)[:half])
     weight = np.full(half, 2, dtype=np.int64)
@@ -98,7 +104,7 @@ def gamma_grid(dimension: int, k_points: int) -> ZoneGrid:
 
 
 def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) with u^2 - v^2 = 1 and 2 u v = x_gamma (u^2 + v^2).
+    """Arrays (u, v) with u^2 - v^2 = 1 and 2 u v = x_gamma (u^2 + v^2), 0-d for a scalar.
 
     Rejects |x_gamma| >= 1 - 1e-12 where the transformation degenerates.
     """
@@ -110,8 +116,6 @@ def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndar
     # (1/s - 1)/2 cancels catastrophically as xg -> 0; use the identity
     # 1 - s = xg^2 / (1 + s) so v stays accurate down to v ~ xg/2
     v = xg / np.sqrt(2.0 * s * (1.0 + s))
-    if np.isscalar(x_gamma):
-        return float(u), float(v)
     return u, v
 
 
@@ -150,22 +154,23 @@ def energy_per_site(delta: float, g: ZoneGrid) -> float:
     return energy_per_site_planar(delta, g)
 
 
-def gzz_per_bond(delta: float, g: ZoneGrid, *, h: float = DEFAULT_FD_STEP) -> float:
+def gzz_per_bond(delta: float, g: ZoneGrid) -> float:
     """d(energy per bond)/d(delta) within the branch delta lies in, by finite differences.
 
     At exactly delta = 1 the Ising side is the convention; the concurrence
     is insensitive because of its (delta - 1) prefactor. Central differences
     where the stencil fits inside the branch domain, second-order one-sided
-    stencils at the edges; steps never straddle delta = 1.
+    stencils at the edges; steps never straddle delta = 1. With the step
+    FD_STEP one of the three always fits; a NaN delta reaches the planar
+    branch, which rejects it.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
     if delta >= 1.0:
-        branch, lo, hi, energy = "ising", 1.0, np.inf, energy_per_site_ising
+        lo, hi, energy = 1.0, np.inf, energy_per_site_ising
     else:
-        branch, lo, hi, energy = "planar", 0.0, 1.0, energy_per_site_planar
+        lo, hi, energy = 0.0, 1.0, energy_per_site_planar
+    h = FD_STEP
 
     def f(d: float) -> float:
         return energy(d, g) / g.dimension
@@ -174,6 +179,4 @@ def gzz_per_bond(delta: float, g: ZoneGrid, *, h: float = DEFAULT_FD_STEP) -> fl
         return (f(delta + h) - f(delta - h)) / (2.0 * h)
     if delta + 2.0 * h <= hi:
         return (-3.0 * f(delta) + 4.0 * f(delta + h) - f(delta + 2.0 * h)) / (2.0 * h)
-    if delta - 2.0 * h >= lo:
-        return (3.0 * f(delta) - 4.0 * f(delta - h) + f(delta - 2.0 * h)) / (2.0 * h)
-    raise ValueError(f"step h={h} too large for the {branch} branch at delta={delta}")
+    return (3.0 * f(delta) - 4.0 * f(delta - h) + f(delta - 2.0 * h)) / (2.0 * h)

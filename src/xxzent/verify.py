@@ -8,6 +8,9 @@ print one line per check and exit nonzero if any fail. Suites:
   concavity          second differences of E0(delta) never positive
   argmax             C(delta) peaks exactly at delta = 1 on the scan grid
   spinwave           Bogoliubov constraints, branch continuity, cusp
+
+Suites run at fixed deltas and steps; the one setting, the spin-wave zone
+size k_points, sizes one zone per dimension that both spinwave checks share.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ CUSP_FLOOR = 1e-3
 CUSP_STABILITY = 0.05
 
 DEFAULT_ED_CASES = (LatticeSpec(1, 4), LatticeSpec(1, 8), LatticeSpec(2, 4))
-DEFAULT_DELTAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+ROUTE_DELTAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+HF_DELTAS = (0.5, 1.0, 1.5)
 ED_SCAN_STEP = 0.05
-DEFAULT_SW_DIMS = (2, 3)
+SW_DIMS = (2, 3)
+CUSP_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -75,28 +80,24 @@ def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float
     return routes
 
 
-def check_route_equivalence(
-    sectors: dict[LatticeSpec, ed.Sector], deltas=DEFAULT_DELTAS
-) -> list[CheckResult]:
+def check_route_equivalence(sectors: dict[LatticeSpec, ed.Sector]) -> list[CheckResult]:
     results = []
     for spec, sector in sectors.items():
         worst = 0.0
-        for routes in concurrence_routes(sector, deltas).values():
+        for routes in concurrence_routes(sector, ROUTE_DELTAS).values():
             vals = list(routes.values())
             worst = max(worst, max(vals) - min(vals))
         results.append(_at_most(f"route-equivalence {_case_label(spec)}", worst, ROUTE_TOL,
-                                f"max spread over deltas {tuple(deltas)}"))
+                                f"max spread over deltas {ROUTE_DELTAS}"))
     return results
 
 
-def check_hellmann_feynman(
-    sectors: dict[LatticeSpec, ed.Sector], deltas=(0.5, 1.0, 1.5), h: float = 1e-4
-) -> list[CheckResult]:
+def check_hellmann_feynman(sectors: dict[LatticeSpec, ed.Sector]) -> list[CheckResult]:
     results = []
     for spec, sector in sectors.items():
-        worst = max(analysis.hellmann_feynman_residual(sector, float(d), h=h) for d in deltas)
+        worst = max(analysis.hellmann_feynman_residual(sector, d) for d in HF_DELTAS)
         results.append(_at_most(f"hellmann-feynman {_case_label(spec)}", worst, HF_TOL,
-                                f"max |dE0/ddelta - Nb*Gzz| at h={h}"))
+                                f"max |dE0/ddelta - Nb*Gzz| at h={analysis.HF_STEP}"))
     return results
 
 
@@ -147,31 +148,29 @@ def check_bogoliubov() -> list[CheckResult]:
                      "u^2-v^2=1 and 2uv=x*gamma*(u^2+v^2) on |x*gamma|<=0.999")]
 
 
-def check_branch_continuity(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -> list[CheckResult]:
+def check_branch_continuity(zones: list[spinwave.ZoneGrid]) -> list[CheckResult]:
     results = []
-    for d in dims:
-        n_k = spinwave.DEFAULT_K_POINTS[d] if k_points is None else k_points
-        g = spinwave.gamma_grid(d, n_k)
+    for g in zones:
         gapv = abs(
             spinwave.energy_per_site_ising(1.0, g) - spinwave.energy_per_site_planar(1.0, g)
         )
-        results.append(_at_most(f"branch continuity d={d}", gapv, BRANCH_TOL,
-                                f"|ising - planar| at delta=1, {n_k} points/direction"))
+        results.append(_at_most(f"branch continuity d={g.dimension}", gapv, BRANCH_TOL,
+                                f"|ising - planar| at delta=1, {g.k_points} points/direction"))
     return results
 
 
-def _sw_cusp(dimension: int, n_k: int, step: float) -> float:
-    grid = analysis.delta_grid(1.0 - 2 * step, 1.0 + 2 * step, step)
-    curve = analysis.scan_spinwave(dimension, grid, k_points=n_k)
-    return analysis.extremum_and_derivative(curve).cusp
+def _sw_cusp(zone: spinwave.ZoneGrid) -> float:
+    """The slope jump at delta = 1 on the three points its one-sided slopes read."""
+    grid = analysis.delta_grid(1.0 - CUSP_STEP, 1.0 + CUSP_STEP, CUSP_STEP)
+    return analysis.extremum_and_derivative(analysis.scan_spinwave(zone, grid)).cusp
 
 
-def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 0.01) -> list[CheckResult]:
+def check_cusp(zones: list[spinwave.ZoneGrid]) -> list[CheckResult]:
     results = []
-    for d in dims:
-        n_k = spinwave.DEFAULT_K_POINTS[d] if k_points is None else k_points
-        jump = _sw_cusp(d, n_k, step)
-        jump_fine = _sw_cusp(d, 2 * n_k, step)
+    for zone in zones:
+        d, n_k = zone.dimension, zone.k_points
+        jump = _sw_cusp(zone)
+        jump_fine = _sw_cusp(spinwave.gamma_grid(d, 2 * n_k))
         drift = abs(jump_fine - jump) / jump if jump else float("inf")
         results.append(
             CheckResult(
@@ -179,7 +178,7 @@ def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 
                 passed=jump > CUSP_FLOOR,
                 measured=jump,
                 tolerance=CUSP_FLOOR,
-                detail=f"one-sided slope jump at delta=1, step {step}, {n_k} points/direction",
+                detail=f"one-sided slope jump at delta=1, step {CUSP_STEP}, {n_k} points/direction",
             )
         )
         results.append(_at_most(f"cusp grid-stable d={d}", drift, CUSP_STABILITY,
@@ -187,12 +186,9 @@ def check_cusp(dims=DEFAULT_SW_DIMS, k_points: int | None = None, step: float = 
     return results
 
 
-def check_spinwave(dims=DEFAULT_SW_DIMS, k_points: int | None = None) -> list[CheckResult]:
-    return (
-        check_bogoliubov()
-        + check_branch_continuity(dims, k_points)
-        + check_cusp(dims, k_points)
-    )
+def check_spinwave(k_points: int | None = None) -> list[CheckResult]:
+    zones = [spinwave.gamma_grid(d, k_points) for d in SW_DIMS]
+    return check_bogoliubov() + check_branch_continuity(zones) + check_cusp(zones)
 
 
 SUITES = {
@@ -206,12 +202,13 @@ SECTOR_SUITES = ("route-equivalence", "hellmann-feynman")
 CURVE_SUITES = ("concavity", "argmax")
 
 
-def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
+def run_suites(names=("all",), k_points: int | None = None) -> list[CheckResult]:
     """Run the named suites (or all of them) and collect their rows.
 
     The ED suites share one sector per lattice in DEFAULT_ED_CASES, and the
     concavity and argmax suites one set of curves scanned on them; both are
     built here once per call when a suite that reads them is selected.
+    k_points sizes the spinwave suite's zones (None: the default per d).
     """
     if isinstance(names, str):
         names = (names,)
@@ -219,7 +216,7 @@ def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {unknown}; choose from {list(SUITES)}")
-    inputs = {}
+    inputs = {"spinwave": (k_points,)}
     if set(selected) & {*SECTOR_SUITES, *CURVE_SUITES}:
         sectors = {spec: ed.build_sector(spec) for spec in DEFAULT_ED_CASES}
         inputs.update(dict.fromkeys(SECTOR_SUITES, (sectors,)))
@@ -227,5 +224,5 @@ def run_suites(names=("all",), **kwargs) -> list[CheckResult]:
             inputs.update(dict.fromkeys(CURVE_SUITES, (ed_curves(sectors),)))
     results: list[CheckResult] = []
     for name in selected:
-        results.extend(SUITES[name](*inputs.get(name, ()), **kwargs.get(name, {})))
+        results.extend(SUITES[name](*inputs[name]))
     return results

@@ -33,12 +33,13 @@ def ed_curves(sectors):
 @pytest.fixture(scope="module")
 def sw_curves():
     grid = delta_grid(0.0, 2.0, 0.05)
-    return {d: analysis.scan_spinwave(d, grid, k_points=SW_GRIDS[d]) for d in (2, 3)}
+    return {d: analysis.scan_spinwave(spinwave.gamma_grid(d, n), grid)
+            for d, n in SW_GRIDS.items()}
 
 
 def _sw_jump(dimension: int, step: float, k_points: int) -> float:
     deltas = [1 - 2 * step, 1 - step, 1.0, 1 + step, 1 + 2 * step]
-    curve = analysis.scan_spinwave(dimension, deltas, k_points=k_points)
+    curve = analysis.scan_spinwave(spinwave.gamma_grid(dimension, k_points), deltas)
     return extremum_and_derivative(curve).cusp
 
 
@@ -120,7 +121,7 @@ def test_criterion_03_argmax_at_isotropy(ed_curves, acceptance_log):
 
 def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_curves, acceptance_log):
     concavity = verify.check_concavity(ed_curves)
-    hf = verify.check_hellmann_feynman(sectors, h=1e-4)
+    hf = verify.check_hellmann_feynman(sectors)
     worst_d2 = max(r.measured for r in concavity)
     worst_hf = max(r.measured for r in hf)
     ok = all(r.passed for r in concavity + hf)
@@ -149,9 +150,10 @@ def test_criterion_05_slope_identity_refines(sectors, acceptance_log):
 
 
 def test_criterion_06_branch_continuity_and_energy(acceptance_log):
-    rows = verify.check_branch_continuity()  # the production grids, 512 and 96
-    gaps = dict(zip(verify.DEFAULT_SW_DIMS, (r.measured for r in rows)))
-    e2 = spinwave.energy_per_site(1.0, spinwave.gamma_grid(2, 512))
+    zones = [spinwave.gamma_grid(d) for d in verify.SW_DIMS]  # the production grids
+    rows = verify.check_branch_continuity(zones)
+    gaps = dict(zip(verify.SW_DIMS, (r.measured for r in rows)))
+    e2 = spinwave.energy_per_site(1.0, zones[0])
     converged = -0.657947420953  # fine-grid study value, scripts/spinwave_convergence.py
     drift = abs(e2 - converged)
     ok = all(r.passed for r in rows) and drift <= 1e-7 and abs(e2 + 0.658) < 1e-3
@@ -188,7 +190,7 @@ def test_criterion_07_thermodynamic_cusp(sectors, sw_curves, acceptance_log):
 def test_criterion_08_quadratic_fit_contrast(sectors, acceptance_log):
     window = delta_grid(0.9, 1.1, 0.025)
     ed_curve = analysis.scan_ed(sectors[LatticeSpec(1, 12)], window)
-    sw_curve = analysis.scan_spinwave(2, window, k_points=512)
+    sw_curve = analysis.scan_spinwave(spinwave.gamma_grid(2, 512), window)
     fit_ed = analysis.quadratic_fit_near_iso(ed_curve)
     fit_sw = analysis.quadratic_fit_near_iso(sw_curve)
     contrast = fit_sw.relative_residual / fit_ed.relative_residual

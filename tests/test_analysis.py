@@ -72,7 +72,7 @@ def test_delta_grid_rejects_values_that_overflow_rounding():
 def test_second_differences_quadratic_exact():
     x = np.linspace(0, 1, 11)
     vals = 3.0 - 2.0 * x + 5.0 * x**2
-    d2 = second_differences(vals, float(x[1] - x[0]))
+    d2 = second_differences(vals) / float(x[1] - x[0]) ** 2
     np.testing.assert_allclose(d2, 10.0, atol=1e-9)
 
 
@@ -120,9 +120,9 @@ def test_scan_spinwave_matches_direct_evaluation():
     from xxzent import spinwave as sw
     from xxzent.entanglement import concurrence_from_energy
 
-    curve = scan_spinwave(2, [0.8, 1.0, 1.3], k_points=64)
-    assert curve.engine == "spinwave"
     g = sw.gamma_grid(2, 64)
+    curve = scan_spinwave(g, [0.8, 1.0, 1.3])
+    assert curve.engine == "spinwave"
     for sample in curve.samples:
         eps = sw.energy_per_site(sample.delta, g) / 2
         gzz = sw.gzz_per_bond(sample.delta, g)
@@ -133,12 +133,15 @@ def test_scan_spinwave_matches_direct_evaluation():
 
 
 def test_scan_spinwave_needs_two_or_three_dimensions():
-    # no default zone grid exists outside d = 2, 3: refuse instead of guessing one
+    # a scan takes its zone from gamma_grid, and no zone exists outside
+    # d = 2, 3: refuse instead of guessing one, with or without a size
+    from xxzent import spinwave as sw
+
     for dimension in (1, 4):
         with pytest.raises(ValueError, match="spin-wave needs d = 2 or 3"):
-            scan_spinwave(dimension, [1.0])
+            sw.gamma_grid(dimension)
     with pytest.raises(ValueError, match="spin-wave needs d = 2 or 3"):
-        scan_spinwave(1, [1.0], k_points=8)
+        sw.gamma_grid(1, 8)
 
 
 def test_scan_keeps_failed_samples_as_gaps(monkeypatch):
@@ -182,7 +185,7 @@ def test_scan_ed_assembles_once(monkeypatch):
 
 
 def test_hellmann_feynman_residual_small():
-    r = analysis.hellmann_feynman_residual(ed.build_sector(LatticeSpec(1, 4)), 1.0, h=1e-4)
+    r = analysis.hellmann_feynman_residual(ed.build_sector(LatticeSpec(1, 4)), 1.0)
     assert r < 1e-9
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -455,7 +456,7 @@ def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
     assert calls["n"] == 1
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
-    sample = analysis.scan_spinwave(2, [0.5], k_points=64).samples[0]
+    sample = analysis.scan_spinwave(spinwave.gamma_grid(2, 64), [0.5]).samples[0]
     assert report["branch"] == "planar"
     assert report["spin"] == "0.5"
     assert report["gzz"] == cli._fmt(sample.gzz)
@@ -515,7 +516,7 @@ def test_verify_builds_each_lattice_once(monkeypatch):
         for module in (lattice, ed, analysis, verify, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    rows = verify.run_suites("all", spinwave={"k_points": 16})
+    rows = verify.run_suites("all", k_points=16)
     n = len(verify.DEFAULT_ED_CASES)
     assert calls == {"build_lattice": n, "enumerate_basis": n, "build_hamiltonian": n}
     assert n == 3
@@ -542,11 +543,11 @@ def test_fault_injection_breaks_derivative_identity(monkeypatch):
 
     def flipped(lattice, basis):
         h = original(lattice, basis)
-        return ed.SparseHamiltonian(h.dimension, -h.zz, h.offdiag, h.delta)
+        return dataclasses.replace(h, zz=-h.zz)
 
     monkeypatch.setattr(ed, "build_hamiltonian", flipped)
     spec = LatticeSpec(1, 6)
-    results = verify.check_hellmann_feynman({spec: ed.build_sector(spec)}, deltas=(1.5,))
+    results = verify.check_hellmann_feynman({spec: ed.build_sector(spec)})
     assert len(results) == 1
     assert not results[0].passed
     assert results[0].measured > 1e-3

@@ -266,14 +266,6 @@ def test_assembly_is_bit_identical_to_the_coo_reference(spec):
     )
 
 
-def test_flipped_needs_the_mirrored_hops():
-    h = ed.build_sector(LatticeSpec(1, 6)).h
-    bare = ed.SparseHamiltonian(h.dimension, h.zz, h.offdiag, h.delta)
-    assert bare == h  # the mirror takes no part in equality
-    with pytest.raises(ValueError, match="flip-partner"):
-        bare.flipped()
-
-
 # ------------------------------------------------------------- solvers
 
 

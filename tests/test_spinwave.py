@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import full_gamma_grid, full_zone
 from xxzent import spinwave as sw
 from xxzent.analysis import scan_spinwave
-from xxzent.verify import check_branch_continuity
+from xxzent.verify import run_suites
 
 # per-site energies on the production grids, plus finer-grid converged values
 E_SITE_D2_ISO = -0.657947416515705  # 512 points/axis
@@ -185,13 +185,15 @@ def test_planar_energy_finite_and_negative_everywhere():
 
 def test_gzz_frozen_value():
     g = sw.gamma_grid(2, 512)
-    assert sw.gzz_per_bond(1.5, g, h=1e-4) == pytest.approx(-0.215076961297, abs=1e-9)
+    assert sw.FD_STEP == 1e-4
+    assert sw.gzz_per_bond(1.5, g) == pytest.approx(-0.215076961297, abs=1e-9)
 
 
-def test_gzz_step_insensitive():
+def test_gzz_step_insensitive(monkeypatch):
     g = sw.gamma_grid(2, 256)
-    a = sw.gzz_per_bond(1.5, g, h=1e-3)
-    b = sw.gzz_per_bond(1.5, g, h=1e-4)
+    b = sw.gzz_per_bond(1.5, g)
+    monkeypatch.setattr(sw, "FD_STEP", 1e-3)
+    a = sw.gzz_per_bond(1.5, g)
     assert a == pytest.approx(b, abs=2e-6)
 
 
@@ -209,30 +211,29 @@ def test_gzz_one_sided_at_isotropy():
 
 def test_gzz_rejects_wrong_branch():
     g = sw.gamma_grid(2, 64)
-    with pytest.raises(ValueError, match="too large for the planar branch"):
-        sw.gzz_per_bond(0.5, g, h=0.6)  # no stencil fits the planar window
     with pytest.raises(ValueError, match="delta must be >= 0"):
         sw.gzz_per_bond(-0.5, g)
+    with pytest.raises(ValueError, match="planar branch needs"):
+        sw.gzz_per_bond(math.nan, g)
 
 
 def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
-    # the grid is delta-independent: a scan builds it once for all its
-    # points, the branch-continuity check once per dimension for both branches
+    # the grid is delta-independent: the spinwave suite builds each zone it
+    # reads once, and its branch-continuity and cusp checks share the
+    # (d, N) zones; only the cusp's grid-stability row needs (d, 2N)
     shapes = []
     original = sw.gamma_grid
 
-    def counted(dimension, k_points):
+    def counted(dimension, k_points=None):
         shapes.append((dimension, k_points))
         return original(dimension, k_points)
 
     monkeypatch.setattr(sw, "gamma_grid", counted)
-    curve = scan_spinwave(2, np.linspace(0.0, 2.0, 9), k_points=32)
-    assert len(curve.samples) == 9
-    assert shapes == [(2, 32)]
-    shapes.clear()
-    rows = check_branch_continuity(k_points=16)
-    assert shapes == [(2, 16), (3, 16)]
-    assert all(r.passed for r in rows)
+    rows = run_suites("spinwave", k_points=16)
+    assert sorted(shapes) == [(2, 16), (2, 32), (3, 16), (3, 32)]
+    # a 16-point zone is too coarse for the grid-stability rows; the rest pass
+    assert len(rows) == 7
+    assert all(r.passed for r in rows if "grid-stable" not in r.name)
 
 
 # -------------------------------------------------------------- concurrence
@@ -240,18 +241,19 @@ def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
 
 
 def test_concurrence_peak_values_frozen():
-    c2 = scan_spinwave(2, [1.0], k_points=512).samples[0].concurrence
-    c3 = scan_spinwave(3, [1.0], k_points=96).samples[0].concurrence
+    c2 = scan_spinwave(sw.gamma_grid(2, 512), [1.0]).samples[0].concurrence
+    c3 = scan_spinwave(sw.gamma_grid(3, 96), [1.0]).samples[0].concurrence
     assert c2 == pytest.approx(0.157947416515705, abs=1e-9)
     assert c3 == pytest.approx(0.097157998626396, abs=1e-9)
 
 
 def test_concurrence_positive_and_decaying_past_peak():
-    values = scan_spinwave(2, [1.0, 1.5, 2.0, 3.0, 6.0], k_points=128).concurrences().tolist()
+    curve = scan_spinwave(sw.gamma_grid(2, 128), [1.0, 1.5, 2.0, 3.0, 6.0])
+    values = curve.concurrences().tolist()
     assert all(v > 0 for v in values)
     assert values == sorted(values, reverse=True)
 
 
 def test_concurrence_peak_dominates_neighbors():
-    c = scan_spinwave(2, [0.9, 1.0, 1.1], k_points=128).concurrences()
+    c = scan_spinwave(sw.gamma_grid(2, 128), [0.9, 1.0, 1.1]).concurrences()
     assert c[1] > c[0] and c[1] > c[2]
