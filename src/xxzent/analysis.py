@@ -61,9 +61,6 @@ class ConcurrenceCurve:
     def energies_per_bond(self) -> np.ndarray:
         return self._column("energy_per_bond")
 
-    def energies_total(self) -> np.ndarray:
-        return self._column("energy_total")
-
     def all_ok(self) -> bool:
         return all(s.ok for s in self.samples)
 

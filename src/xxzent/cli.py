@@ -2,10 +2,11 @@
 
 Subcommands: ed (single ground-state report), scan (C(delta) curves from
 either engine), spinwave (single thermodynamic-limit evaluation), verify
-(run the machine-check suites).
+(one machine-check suite, or all of them).
 
-Exit codes: 0 success, 2 usage error, 3 infeasible sector size,
-4 solver failure, 5 verification failure.
+Exit codes: 0 success, 2 usage error (an --out that cannot be written
+included), 3 an M = 0 sector above DEFAULT_BASIS_CAP states, refused before
+it is built, 4 solver failure, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
 
-DEFAULT_BASIS_CAP = 20_000_000
+DEFAULT_BASIS_CAP = 20_000_000  # states in the M = 0 sector
 
 # flags that only exact diagonalization reads, with their defaults; `scan`
 # parses them as None so that one passed to the spin-wave engine is caught
@@ -35,7 +36,6 @@ ED_FLAG_DEFAULTS = {
     "tol": ed.DEFAULT_TOL,
     "max_iter": ed.DEFAULT_MAX_ITER,
     "seed": ed.DEFAULT_SEED,
-    "max_basis": DEFAULT_BASIS_CAP,
 }
 
 CSV_HEADER = "delta,concurrence,energy_per_bond,gzz,engine"
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_finite_float, default=ED_FLAG_DEFAULTS["tol"])
         p.add_argument("--max-iter", type=int, default=ED_FLAG_DEFAULTS["max_iter"])
         p.add_argument("--seed", type=int, default=ED_FLAG_DEFAULTS["seed"])
-        p.add_argument("--max-basis", type=int, default=ED_FLAG_DEFAULTS["max_basis"],
-                       help="refuse sectors larger than this")
 
     p_ed = sub.add_parser("ed", help="exact diagonalization at a single delta")
     add_lattice_args(p_ed)
@@ -108,17 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_feasible(spec: LatticeSpec, cap: int) -> int | None:
+class Infeasible(Exception):
+    """An M = 0 sector above DEFAULT_BASIS_CAP; main maps it to EXIT_INFEASIBLE."""
+
+
+def _ed_sector(args: argparse.Namespace) -> ed.Sector:
+    """The M = 0 sector of the lattice the flags describe, refused above the cap."""
+    spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
     dim = ed.sector_dimension(spec.n_sites, 0.0)
-    if dim > cap:
-        print(
-            f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
-            f"{dim} states (~{dim:.2e}), above the cap {cap} "
-            f"(~{cap:.0e}); not desk-feasible",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
-    return None
+    if dim > DEFAULT_BASIS_CAP:
+        raise Infeasible(f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
+                         f"{dim} states (~{dim:.2e}), above the cap {DEFAULT_BASIS_CAP} "
+                         f"(~{DEFAULT_BASIS_CAP:.0e}); not desk-feasible")
+    return ed.build_sector(spec)
 
 
 def _require_antiferromagnet(delta: float, flag: str) -> None:
@@ -130,11 +130,7 @@ def _require_antiferromagnet(delta: float, flag: str) -> None:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
-    spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
-    bad = _check_feasible(spec, args.max_basis)
-    if bad is not None:
-        return bad
-    sector = ed.build_sector(spec)
+    sector = _ed_sector(args)
     h = sector.h.at(args.delta)
     solver = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
     try:
@@ -235,21 +231,22 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if getattr(args, key) is None:
                 setattr(args, key, default)
         _require_antiferromagnet(args.delta_from, "--from")
-        spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
-        bad = _check_feasible(spec, args.max_basis)
-        if bad is not None:
-            return bad
+        sector = _ed_sector(args)
         try:
-            curve = analysis.scan_ed(
-                ed.build_sector(spec), grid, tol=args.tol, max_iter=args.max_iter, seed=args.seed
-            )
+            curve = analysis.scan_ed(sector, grid, tol=args.tol, max_iter=args.max_iter,
+                                     seed=args.seed)
         except ed.ScaleError as exc:
             parser.error(f"--from/--to: {exc}")
     else:
         if args.dim < 2:
             parser.error("spin-wave engine needs --dim 2 or 3")
         curve = analysis.scan_spinwave(spinwave.gamma_grid(args.dim, args.kgrid), grid)
-    write_curve(curve, (args.delta_from, args.delta_to, args.step), args.out, args.format)
+    try:
+        write_curve(curve, (args.delta_from, args.delta_to, args.step), args.out, args.format)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        parser.error(f"--out: {exc}")
     if not curve.all_ok():
         failed = sum(1 for s in curve.samples if not s.ok)
         print(f"warning: {failed} of {len(curve.samples)} points failed", file=sys.stderr)
@@ -299,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_spinwave(args)
         if args.command == "verify":
             return cmd_verify(args)
+    except Infeasible as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
     except ValueError as exc:  # ed.SectorError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ the nearest-neighbor concurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,12 @@ import numpy as np
 SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
 FD_STEP = 1e-4
+MAX_ZONE_POINTS = 10_000_000  # wedge points; a build peaks near 100 B per point
 BOGOLIUBOV_EDGE = 1e-12
 
 
 def bz_axis(k_points: int) -> np.ndarray:
     """Midpoint-shifted momenta k = -pi + pi (2n + 1) / N, n = 0..N-1."""
-    if k_points < 2:
-        raise ValueError("need at least 2 points per direction")
     n = np.arange(k_points)
     return -np.pi + np.pi * (2 * n + 1) / k_points
 
@@ -70,8 +70,10 @@ class ZoneGrid:
 def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
     """The zone wedge: sorted index tuples i_1 <= ... <= i_d of the half axis.
 
-    The one place a zone is checked and sized: d must be 2 or 3, and
-    k_points None takes d's size from DEFAULT_K_POINTS. cos k is even, so
+    The one place a zone is checked and sized: d must be 2 or 3, k_points
+    None takes d's size from DEFAULT_K_POINTS, and a zone of fewer than 2
+    points per direction or more than MAX_ZONE_POINTS wedge points is
+    refused before anything is allocated. cos k is even, so
     the first ceil(N/2) axis points carry weight 2 each (1 for k = 0 when N
     is odd). A sorted tuple with runs of equal indices r_1, r_2, ... stands
     for d!/(r_1! r_2! ...) axis permutations.
@@ -80,7 +82,12 @@ def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
         raise ValueError("spin-wave needs d = 2 or 3")
     if k_points is None:
         k_points = DEFAULT_K_POINTS[dimension]
+    if k_points < 2:
+        raise ValueError("need at least 2 points per direction")
     half = (k_points + 1) // 2
+    points = math.comb(half + dimension - 1, dimension)
+    if points > MAX_ZONE_POINTS:
+        raise ValueError(f"{k_points}^{dimension} zone: {points} wedge points, above {MAX_ZONE_POINTS}")
     cosk = np.cos(bz_axis(k_points)[:half])
     weight = np.full(half, 2, dtype=np.int64)
     weight[-1] -= k_points % 2  # k = 0 is its own mirror

@@ -9,6 +9,7 @@ print one line per check and exit nonzero if any fail. Suites:
   argmax             C(delta) peaks exactly at delta = 1 on the scan grid
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
+run_suites(name) runs one suite, or all, building only the inputs they read.
 Suites run at fixed deltas and steps; the one setting, the spin-wave zone
 size k_points, sizes one zone per dimension that both spinwave checks share.
 """
@@ -198,31 +199,22 @@ SUITES = {
     "argmax": check_argmax,
     "spinwave": check_spinwave,
 }
-SECTOR_SUITES = ("route-equivalence", "hellmann-feynman")
-CURVE_SUITES = ("concavity", "argmax")
 
 
-def run_suites(names=("all",), k_points: int | None = None) -> list[CheckResult]:
-    """Run the named suites (or all of them) and collect their rows.
+def run_suites(name: str = "all", k_points: int | None = None) -> list[CheckResult]:
+    """Run the suite name (or all of them, in SUITES order) and collect its rows.
 
-    The ED suites share one sector per lattice in DEFAULT_ED_CASES, and the
-    concavity and argmax suites one set of curves scanned on them; both are
-    built here once per call when a suite that reads them is selected.
+    The ED suites share one sector per lattice in DEFAULT_ED_CASES, built
+    here unless only the spinwave suite runs; concavity and argmax share
+    one set of curves scanned on them, built only when one of the two runs.
     k_points sizes the spinwave suite's zones (None: the default per d).
     """
-    if isinstance(names, str):
-        names = (names,)
-    selected = list(SUITES) if "all" in names else list(names)
-    unknown = [n for n in selected if n not in SUITES]
-    if unknown:
-        raise ValueError(f"unknown suite(s): {unknown}; choose from {list(SUITES)}")
-    inputs = {"spinwave": (k_points,)}
-    if set(selected) & {*SECTOR_SUITES, *CURVE_SUITES}:
+    selected = list(SUITES) if name == "all" else [name]
+    inputs = {"spinwave": k_points}
+    if name != "spinwave":
         sectors = {spec: ed.build_sector(spec) for spec in DEFAULT_ED_CASES}
-        inputs.update(dict.fromkeys(SECTOR_SUITES, (sectors,)))
-        if set(selected) & set(CURVE_SUITES):
-            inputs.update(dict.fromkeys(CURVE_SUITES, (ed_curves(sectors),)))
-    results: list[CheckResult] = []
-    for name in selected:
-        results.extend(SUITES[name](*inputs[name]))
-    return results
+        inputs.update({"route-equivalence": sectors, "hellmann-feynman": sectors})
+        if name in ("all", "concavity", "argmax"):
+            curves = ed_curves(sectors)
+            inputs.update(concavity=curves, argmax=curves)
+    return [row for n in selected for row in SUITES[n](inputs[n])]

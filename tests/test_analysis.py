@@ -110,8 +110,7 @@ def test_scan_ed_four_ring():
     assert curve.all_ok()
     assert len(curve.samples) == 5
     # energies match direct solves, peak sits at the isotropic point
-    energies = curve.energies_total()
-    assert energies[2] == pytest.approx(-2.0, abs=1e-11)
+    assert curve.samples[2].energy_total == pytest.approx(-2.0, abs=1e-11)
     assert int(np.argmax(curve.concurrences())) == 2
     assert curve.samples[2].concurrence == pytest.approx(0.5, abs=1e-11)
 

@@ -361,7 +361,7 @@ def test_scan_rejects_engine_foreign_flags(capsys):
                   "--from", "1", "--to", "1", "--step", "0.1"])
     assert info.value.code == cli.EXIT_USAGE
     assert "--size, --boundary, --seed: not used by --engine spinwave" in capsys.readouterr().err
-    for flag, value in (("--tol", "1e-9"), ("--max-iter", "50"), ("--max-basis", "100")):
+    for flag, value in (("--tol", "1e-9"), ("--max-iter", "50")):
         with pytest.raises(SystemExit) as info:
             cli.main(["scan", "--engine", "spinwave", "--dim", "2", flag, value])
         assert info.value.code == cli.EXIT_USAGE
@@ -370,6 +370,16 @@ def test_scan_rejects_engine_foreign_flags(capsys):
         cli.main(["scan", "--dim", "1", "--size", "4", "--kgrid", "8"])
     assert info.value.code == cli.EXIT_USAGE
     assert "--kgrid: not used by --engine ed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-such-dir", "a-directory"])
+def test_scan_unwritable_out_is_a_usage_error(target, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "--dim", "1", "--size", "4", "--from", "1", "--to", "1",
+                  "--step", "0.1", "--out", str(tmp_path / target)])
+    assert info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: --out: " in err and "Traceback" not in err
 
 
 def test_scan_reports_partial_failure(tmp_path, capsys, monkeypatch):
@@ -418,6 +428,18 @@ def test_kgrid_zero_is_rejected(capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: need at least 2 points per direction\n"
         assert "kgrid" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["spinwave", "--dim", "3"],
+    ["scan", "--engine", "spinwave", "--dim", "3", "--from", "1", "--to", "1", "--step", "0.1"],
+    ["verify", "--suite", "spinwave"],
+], ids=["spinwave", "scan", "verify"])
+def test_oversized_kgrid_is_refused(argv, capsys):
+    # a zone above spinwave.MAX_ZONE_POINTS is refused before it is allocated
+    rc = cli.main(argv + ["--kgrid", "100000"])
+    assert rc == cli.EXIT_USAGE
+    assert f"wedge points, above {spinwave.MAX_ZONE_POINTS}" in capsys.readouterr().err
 
 
 def test_spinwave_rejects_bad_delta(capsys):
@@ -489,8 +511,9 @@ def test_verify_scans_each_lattice_once_for_concavity_and_argmax(monkeypatch):
         return done[key]
 
     monkeypatch.setattr(analysis, "scan_ed", counted)
-    both = verify.run_suites(("concavity", "argmax"))
+    every = verify.run_suites("all", k_points=16)
     assert calls["n"] == len(verify.DEFAULT_ED_CASES) == 3
+    both = [r for r in every if r.name.split()[0] in ("concavity", "argmax")]
     alone = []
     for suite in ("concavity", "argmax"):
         calls["n"] = 0
@@ -520,7 +543,8 @@ def test_verify_builds_each_lattice_once(monkeypatch):
     n = len(verify.DEFAULT_ED_CASES)
     assert calls == {"build_lattice": n, "enumerate_basis": n, "build_hamiltonian": n}
     assert n == 3
-    ed_rows = [r for r in rows if r.name.split()[0] in verify.SECTOR_SUITES + verify.CURVE_SUITES]
+    # ED rows are named after their suite; the spinwave suite's rows are not
+    ed_rows = [r for r in rows if r.name.split()[0] in verify.SUITES]
     assert len(ed_rows) == 4 * n and all(r.passed for r in ed_rows)
 
 
@@ -556,12 +580,17 @@ def test_fault_injection_breaks_derivative_identity(monkeypatch):
 # ----------------------------------------------------------- entry point
 
 
-def test_every_exported_name_resolves():
-    # a deleted function must not leave a dead name in the public API
-    import xxzent
-
-    missing = [name for name in xxzent.__all__ if not hasattr(xxzent, name)]
-    assert missing == []
+def test_spinwave_module_imports_numpy_only():
+    # the package root imports nothing, so the spin-wave route never loads
+    # scipy or the ED modules
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, xxzent.spinwave; "
+            "print(sorted(m for m in ('numpy', 'scipy', 'xxzent.ed', 'xxzent.analysis') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['numpy']"
 
 
 def test_entrypoint_raises_system_exit(monkeypatch):

@@ -1,4 +1,5 @@
-"""Smoke tests for scripts/: each study runs on small inputs and exits 0."""
+"""Smoke tests for scripts/ and the README: each study runs on small inputs
+and exits 0, and the README's Python API example gives the numbers it states."""
 
 import os
 import subprocess
@@ -58,3 +59,15 @@ def test_stage_times_script():
     assert rss == sorted(rss) and rss[0] > 0
     assert "924 states" in proc.stdout
     assert proc.stdout.count(" iterations") == 2
+
+
+def test_readme_python_api_example():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Python API\n\n```python\n", 1)[1].split("\n```", 1)[0]
+    for stated in ("0.2017802...", "12870 states, 6435 representatives", "32,896 of 512^2"):
+        assert stated in block
+    names = {}
+    exec(block, names)
+    assert 0.2017802 <= names["c"] < 0.2017803
+    assert (len(names["sector"].basis), names["sector"].h.dimension) == (12870, 6435)
+    assert names["g"].gamma.size == 32_896 and names["g"].k_points == 512

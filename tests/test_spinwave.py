@@ -64,6 +64,30 @@ def _ising_term(delta, g):
     return np.sqrt(np.clip(1.0 - (g / delta) ** 2, 0.0, None)) - 1.0
 
 
+@pytest.mark.parametrize("d, largest", [(2, 8942), (3, 780)])
+def test_gamma_grid_refuses_oversized_zones_before_allocating(d, largest, monkeypatch):
+    # the wedge of an N^d zone has C(ceil(N/2) + d - 1, d) points; largest is
+    # the last N whose wedge fits under the cap
+    def wedge(n):
+        return math.comb((n + 1) // 2 + d - 1, d)
+
+    assert wedge(largest) <= sw.MAX_ZONE_POINTS < wedge(largest + 1)
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(k_points):
+        raise Admitted
+
+    # the axis is the first thing a build allocates
+    monkeypatch.setattr(sw, "bz_axis", admitted)
+    with pytest.raises(Admitted):
+        sw.gamma_grid(d, largest)
+    for n in (largest + 1, 100_000):
+        with pytest.raises(ValueError, match=f"above {sw.MAX_ZONE_POINTS}$"):
+            sw.gamma_grid(d, n)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 7, 8, 16, 33])
 def test_wedge_matches_full_grid(d, n):
