@@ -33,8 +33,8 @@ def main() -> None:
     ap.add_argument("--outdir", default="results")
     ap.add_argument("--ed-step", type=float, default=0.05)
     ap.add_argument("--sw-step", type=float, default=0.01)
-    ap.add_argument("--kgrid-2d", type=int, default=512)
-    ap.add_argument("--kgrid-3d", type=int, default=96)
+    ap.add_argument("--kgrid-2d", type=int, default=None)  # None: spinwave.DEFAULT_K_POINTS
+    ap.add_argument("--kgrid-3d", type=int, default=None)  # None: spinwave.DEFAULT_K_POINTS
     args = ap.parse_args()
     os.makedirs(args.outdir, exist_ok=True)
 

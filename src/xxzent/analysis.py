@@ -95,26 +95,20 @@ def delta_grid(start: float, stop: float, step: float) -> np.ndarray:
     return grid
 
 
-def scan_ed(
-    sector: ed.Sector,
-    deltas,
-    *,
-    tol: float = ed.DEFAULT_TOL,
-    max_iter: int = ed.DEFAULT_MAX_ITER,
-    seed: int = ed.DEFAULT_SEED,
-) -> ConcurrenceCurve:
+def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
     """ED C(delta) curve: sector.h re-pointed per delta, bond means from its quadratic forms.
 
-    The provenance records tol and, where the Lanczos residual floor
-    replaced it at some delta, the largest threshold applied (tol_applied).
+    Every solve runs at ed.DEFAULT_TOL, which the provenance records with,
+    where the Lanczos residual floor replaced it at some delta, the largest
+    threshold applied (tol_applied).
     """
     lattice = sector.lattice
     samples = []
-    applied = tol  # the largest residual threshold a solve was judged at
+    applied = ed.DEFAULT_TOL  # the largest residual threshold a solve was judged at
     for delta in np.asarray(deltas, dtype=float):
         h = sector.h.at(float(delta))
         try:
-            gs = ed.lanczos_ground(h, tol=tol, max_iter=max_iter, seed=seed)
+            gs = ed.lanczos_ground(h, seed=seed)
         except ed.LanczosError as exc:
             best = exc.best
             if best:
@@ -135,10 +129,10 @@ def scan_ed(
         )
     spec = lattice.spec
     bc = "periodic" if spec.periodic else "open"
-    lifted = f" tol_applied={applied:.3g}" if applied > tol else ""
+    lifted = f" tol_applied={applied:.3g}" if applied > ed.DEFAULT_TOL else ""
     prov = (
         f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
-        f"tol={tol}{lifted} seed={seed}"
+        f"tol={ed.DEFAULT_TOL}{lifted} seed={seed}"
     )
     return ConcurrenceCurve("ed", prov, tuple(samples))
 

@@ -2,7 +2,8 @@
 
 Subcommands: ed (single ground-state report), scan (C(delta) curves from
 either engine), spinwave (single thermodynamic-limit evaluation), verify
-(one machine-check suite, or all of them).
+(one machine-check suite, or all of them). Lanczos runs at ed.DEFAULT_TOL
+(or the residual floor above it); verify runs on the default spin-wave zones.
 
 Exit codes: 0 success, 2 usage error (an --out that cannot be written
 included), 3 an M = 0 sector above DEFAULT_BASIS_CAP states, refused before
@@ -30,13 +31,7 @@ DEFAULT_BASIS_CAP = 20_000_000  # states in the M = 0 sector
 
 # flags that only exact diagonalization reads, with their defaults; `scan`
 # parses them as None so that one passed to the spin-wave engine is caught
-ED_FLAG_DEFAULTS = {
-    "size": 8,
-    "boundary": "periodic",
-    "tol": ed.DEFAULT_TOL,
-    "max_iter": ed.DEFAULT_MAX_ITER,
-    "seed": ed.DEFAULT_SEED,
-}
+ED_FLAG_DEFAULTS = {"size": 8, "boundary": "periodic", "seed": ed.DEFAULT_SEED}
 
 CSV_HEADER = "delta,concurrence,energy_per_bond,gzz,engine"
 
@@ -56,6 +51,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: an integer >= 0, as numpy's generator takes for a seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xxzent",
@@ -63,27 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lattice_args(p: argparse.ArgumentParser) -> None:
+    def add_ed_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
         p.add_argument("--size", type=int, default=ED_FLAG_DEFAULTS["size"],
                        help="linear size L")
         p.add_argument("--boundary", choices=("periodic", "open"),
                        default=ED_FLAG_DEFAULTS["boundary"])
-
-    def add_solver_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=_finite_float, default=ED_FLAG_DEFAULTS["tol"])
-        p.add_argument("--max-iter", type=int, default=ED_FLAG_DEFAULTS["max_iter"])
-        p.add_argument("--seed", type=int, default=ED_FLAG_DEFAULTS["seed"])
+        p.add_argument("--seed", type=_seed, default=ED_FLAG_DEFAULTS["seed"],
+                       help="Lanczos start-vector seed")
 
     p_ed = sub.add_parser("ed", help="exact diagonalization at a single delta")
-    add_lattice_args(p_ed)
-    add_solver_args(p_ed)
+    add_ed_flags(p_ed)
     p_ed.add_argument("--delta", type=_finite_float, default=1.0)
 
     p_scan = sub.add_parser("scan", help="C(delta) over a uniform grid")
     p_scan.add_argument("--engine", choices=("ed", "spinwave"), default="ed")
-    add_lattice_args(p_scan)
-    add_solver_args(p_scan)
+    add_ed_flags(p_scan)
     p_scan.add_argument("--from", dest="delta_from", type=_finite_float, default=0.0)
     p_scan.add_argument("--to", dest="delta_to", type=_finite_float, default=2.0)
     p_scan.add_argument("--step", type=_finite_float, default=0.05)
@@ -101,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the machine-check suites")
     p_ver.add_argument("--suite", choices=("all",) + tuple(verify.SUITES),
                        default="all")
-    p_ver.add_argument("--kgrid", type=int, default=None,
-                       help="override spin-wave grid for faster runs")
     return parser
 
 
@@ -132,11 +127,10 @@ def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
     sector = _ed_sector(args)
     h = sector.h.at(args.delta)
-    solver = {"tol": args.tol, "max_iter": args.max_iter, "seed": args.seed}
     try:
-        gs = ed.lanczos_ground(h, **solver)
+        gs = ed.lanczos_ground(h, seed=args.seed)
         # the lowest M = 0 excitation is the other flip parity's ground state
-        other = ed.lanczos_ground(h.flipped(), **solver)
+        other = ed.lanczos_ground(h.flipped(), seed=args.seed)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -168,7 +162,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("seed", args.seed),
     ]
     tolerance = max(gs.tolerance, other.tolerance)
-    if tolerance > args.tol:  # the residual floor replaced --tol
+    if tolerance > ed.DEFAULT_TOL:  # the residual floor replaced DEFAULT_TOL
         rows.append(("tolerance", _fmt(tolerance)))
     for key, val in rows:
         print(f"{key}: {val}")
@@ -233,8 +227,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         _require_antiferromagnet(args.delta_from, "--from")
         sector = _ed_sector(args)
         try:
-            curve = analysis.scan_ed(sector, grid, tol=args.tol, max_iter=args.max_iter,
-                                     seed=args.seed)
+            curve = analysis.scan_ed(sector, grid, seed=args.seed)
         except ed.ScaleError as exc:
             parser.error(f"--from/--to: {exc}")
     else:
@@ -274,7 +267,7 @@ def cmd_spinwave(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suites(args.suite, k_points=args.kgrid)
+    results = verify.run_suites(args.suite)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

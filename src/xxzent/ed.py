@@ -40,7 +40,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from .lattice import Lattice, LatticeSpec, build_lattice
 
 DEFAULT_TOL = 1e-11
-DEFAULT_MAX_ITER = 600
+MAX_ITER = 600  # Lanczos steps before a run gives up with LanczosError
 DEFAULT_SEED = 1234
 EPS = float(np.finfo(float).eps)
 RESIDUAL_FLOOR = 64  # residuals below RESIDUAL_FLOOR * eps * ||T|| count as converged
@@ -305,7 +305,6 @@ def lanczos_ground(
     h: SparseHamiltonian,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     seed: int = DEFAULT_SEED,
     m: float = 0.0,
 ) -> GroundState:
@@ -314,7 +313,7 @@ def lanczos_ground(
     The start vector is drawn from a fixed-seed generator so repeated runs
     are bit-identical. The run stops when the Ritz estimate
     beta_k |y_k| of the lowest pair drops below max(tol, RESIDUAL_FLOOR *
-    eps * ||T||), on breakdown (a vanishing beta), or after max_iter
+    eps * ||T||), on breakdown (a vanishing beta), or after MAX_ITER
     steps, which may exceed the dimension: without reorthogonalization the
     recurrence is not bounded by it. The true residual ||H x - E x||
     (absolute, energy units of the planar coupling) then decides
@@ -328,13 +327,12 @@ def lanczos_ground(
     makes one `h.apply`, whose array becomes the next Krylov vector; its
     reductions use numpy's loop, not BLAS.
 
-    Raises ValueError for max_iter < 1 or tol <= 0, ScaleError when the
-    square of a bound on ||H|| overflows (a Krylov norm could), and
+    Every caller in the package solves at DEFAULT_TOL; tol is left open for
+    convergence studies. Raises ValueError for tol <= 0, ScaleError when
+    the square of a bound on ||H|| overflows (a Krylov norm could), and
     LanczosError when the residual misses the threshold; the exception
     carries the best estimate.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     # a bound on ||H||: while its square is finite, no Krylov norm overflows
@@ -350,10 +348,10 @@ def lanczos_ground(
     # h.apply returns a new array that the step turns into the next q, so
     # the recurrence's own vectors are the Krylov basis, with no copy
     basis: list[np.ndarray] = []
-    alphas = np.empty(max_iter)
-    betas = np.empty(max_iter)
+    alphas = np.empty(MAX_ITER)
+    betas = np.empty(MAX_ITER)
     alpha_max = beta_max = 0.0  # running max |alpha| and beta: the scale ||T_k||
-    for j in range(max_iter):
+    for j in range(MAX_ITER):
         basis.append(q)
         w = h.apply(q)
         alpha = _dot(q, w)

@@ -156,9 +156,15 @@ def concurrence_from_energy(eps0: float, gzz: float, delta: float) -> float:
     """Concurrence from the bond energy density.
 
     Valid on translation-invariant (periodic) lattices where every bond
-    carries the same energy eps0 = Gxx + Gyy + delta Gzz.
+    carries the same energy eps0 = Gxx + Gyy + delta Gzz. Raises ValueError
+    for |gzz| > 1/4 or C > 1 (beyond CORR_BOUND_TOL), which no state has.
     """
-    return 2.0 * max(-eps0 - 0.25 + (delta - 1.0) * gzz, 0.0)
+    if abs(gzz) > 0.25 + CORR_BOUND_TOL:
+        raise ValueError(f"|gzz| = {abs(gzz)} exceeds 1/4")
+    c = 2.0 * max(-eps0 - 0.25 + (delta - 1.0) * gzz, 0.0)
+    if c > 1.0 + CORR_BOUND_TOL:
+        raise ValueError(f"concurrence {c} exceeds 1")
+    return c
 
 
 def wootters_oracle(rho: np.ndarray) -> float:

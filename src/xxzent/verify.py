@@ -10,8 +10,10 @@ print one line per check and exit nonzero if any fail. Suites:
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
 run_suites(name) runs one suite, or all, building only the inputs they read.
-Suites run at fixed deltas and steps; the one setting, the spin-wave zone
-size k_points, sizes one zone per dimension that both spinwave checks share.
+Suites have no settings: they run at fixed deltas and steps, and the
+spinwave checks share one default zone per dimension (512^2 and 96^3,
+spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and CUSP_STABILITY were
+set for.
 """
 
 from __future__ import annotations
@@ -187,8 +189,7 @@ def check_cusp(zones: list[spinwave.ZoneGrid]) -> list[CheckResult]:
     return results
 
 
-def check_spinwave(k_points: int | None = None) -> list[CheckResult]:
-    zones = [spinwave.gamma_grid(d, k_points) for d in SW_DIMS]
+def check_spinwave(zones: list[spinwave.ZoneGrid]) -> list[CheckResult]:
     return check_bogoliubov() + check_branch_continuity(zones) + check_cusp(zones)
 
 
@@ -201,16 +202,18 @@ SUITES = {
 }
 
 
-def run_suites(name: str = "all", k_points: int | None = None) -> list[CheckResult]:
+def run_suites(name: str = "all") -> list[CheckResult]:
     """Run the suite name (or all of them, in SUITES order) and collect its rows.
 
     The ED suites share one sector per lattice in DEFAULT_ED_CASES, built
     here unless only the spinwave suite runs; concavity and argmax share
     one set of curves scanned on them, built only when one of the two runs.
-    k_points sizes the spinwave suite's zones (None: the default per d).
+    The spinwave suite's default zones are built only when it runs.
     """
     selected = list(SUITES) if name == "all" else [name]
-    inputs = {"spinwave": k_points}
+    inputs = {}
+    if name in ("all", "spinwave"):
+        inputs["spinwave"] = [spinwave.gamma_grid(d) for d in SW_DIMS]
     if name != "spinwave":
         sectors = {spec: ed.build_sector(spec) for spec in DEFAULT_ED_CASES}
         inputs.update({"route-equivalence": sectors, "hellmann-feynman": sectors})

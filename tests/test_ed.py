@@ -427,10 +427,11 @@ def test_krylov_storage_follows_the_iterations_made(spec, delta):
     assert peak <= (gs.iterations + 10) * h.dimension * 8, peak / (h.dimension * 8)
 
 
-def test_max_iter_exhaustion_raises_with_best():
+def test_max_iter_exhaustion_raises_with_best(monkeypatch):
     h = ed.build_sector(LatticeSpec(2, 4)).h.at(1.0)
+    monkeypatch.setattr(ed, "MAX_ITER", 5)
     with pytest.raises(ed.LanczosError) as info:
-        ed.lanczos_ground(h, max_iter=5)
+        ed.lanczos_ground(h)
     best = info.value.best
     assert best is not None
     assert best.energy > -11.228483208429 - 1e-9  # variational from above
@@ -575,8 +576,7 @@ def test_lanczos_ground_returns_a_ground_state():
 
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
-     ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
+    [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
 )
 def test_lanczos_rejects_unusable_inputs(kwargs, name):
     h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)

@@ -195,6 +195,15 @@ def test_concurrence_corr_bound_check():
         ent.concurrence_corr(ent.BondCorrelators(gxx=0.3, gyy=0.3, gzz=0.0))
 
 
+def test_concurrence_from_energy_bound_checks():
+    # a Gzz or a C that no state has is refused, not returned
+    with pytest.raises(ValueError, match="exceeds 1/4"):
+        ent.concurrence_from_energy(-0.5, -0.30517578125, 1e12)
+    with pytest.raises(ValueError, match="concurrence .* exceeds 1"):
+        ent.concurrence_from_energy(-2.5e15, 0.0, 1e16)
+    assert ent.concurrence_from_energy(-0.25 - 0.5, -0.25, 1.0) == pytest.approx(1.0)
+
+
 def test_concurrence_corr_zero_clamp():
     # weakly correlated pair: formula clamps at zero
     g = ent.BondCorrelators(gxx=0.01, gyy=0.01, gzz=0.01)

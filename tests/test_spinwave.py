@@ -244,20 +244,20 @@ def test_gzz_rejects_wrong_branch():
 def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
     # the grid is delta-independent: the spinwave suite builds each zone it
     # reads once, and its branch-continuity and cusp checks share the
-    # (d, N) zones; only the cusp's grid-stability row needs (d, 2N)
+    # default (d, N) zones; only the cusp's grid-stability row needs (d, 2N)
     shapes = []
     original = sw.gamma_grid
 
     def counted(dimension, k_points=None):
-        shapes.append((dimension, k_points))
-        return original(dimension, k_points)
+        zone = original(dimension, k_points)
+        shapes.append((dimension, zone.k_points))
+        return zone
 
     monkeypatch.setattr(sw, "gamma_grid", counted)
-    rows = run_suites("spinwave", k_points=16)
-    assert sorted(shapes) == [(2, 16), (2, 32), (3, 16), (3, 32)]
-    # a 16-point zone is too coarse for the grid-stability rows; the rest pass
+    rows = run_suites("spinwave")
+    assert sorted(shapes) == [(2, 512), (2, 1024), (3, 96), (3, 192)]
     assert len(rows) == 7
-    assert all(r.passed for r in rows if "grid-stable" not in r.name)
+    assert all(r.passed for r in rows)
 
 
 # -------------------------------------------------------------- concurrence
