@@ -574,9 +574,11 @@ def test_lanczos_ground_returns_a_ground_state():
     assert gs.residual < gs.tolerance == ed.DEFAULT_TOL
 
 
+# the ids keep the names these cases had beside the former max_iter cases
 @pytest.mark.parametrize(
     "kwargs, name",
     [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
+    ids=["kwargs2-tol", "kwargs3-tol", "kwargs4-tol"],
 )
 def test_lanczos_rejects_unusable_inputs(kwargs, name):
     h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)
