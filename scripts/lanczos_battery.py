@@ -40,6 +40,17 @@ def parse_lattice(name: str) -> LatticeSpec:
     return LatticeSpec(int(match[1]), int(match[2]), periodic=match[3] is None)
 
 
+def tolerance(text: str) -> float:
+    """argparse type: a residual threshold, finite and > 0 as lanczos_ground takes it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def sector_operator(spec: LatticeSpec) -> tuple[ed.SparseHamiltonian, float]:
     """The delta-free operator the battery solves, and its magnetization."""
     if spec.n_sites % 2 == 0:
@@ -53,7 +64,7 @@ def main() -> int:
     ap.add_argument("--lattices", type=parse_lattice, nargs="+",
                     default=[parse_lattice(n) for n in LATTICES])
     ap.add_argument("--deltas", type=float, nargs="+", default=DELTAS)
-    ap.add_argument("--tols", type=float, nargs="+", default=TOLS)
+    ap.add_argument("--tols", type=tolerance, nargs="+", default=TOLS)
     args = ap.parse_args()
 
     warnings.simplefilter("ignore")  # the L = 2 wrap-around warning

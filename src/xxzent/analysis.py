@@ -64,13 +64,6 @@ class ConcurrenceCurve:
     def all_ok(self) -> bool:
         return all(s.ok for s in self.samples)
 
-    def restrict(self, lo: float, hi: float) -> "ConcurrenceCurve":
-        """Sub-curve with lo <= delta <= hi (small tolerance on the edges)."""
-        kept = tuple(
-            s for s in self.samples if lo - DELTA_MATCH_TOL <= s.delta <= hi + DELTA_MATCH_TOL
-        )
-        return ConcurrenceCurve(self.engine, self.provenance, kept)
-
 
 def delta_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Uniform grid start, start+step, ..., stop (stop included within 1e-9).
@@ -138,13 +131,20 @@ def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> Concur
 
 
 def scan_spinwave(zone: spinwave.ZoneGrid, deltas) -> ConcurrenceCurve:
-    """Spin-wave C(delta) curve on a prebuilt zone; energy_total is NaN (thermodynamic limit)."""
+    """Spin-wave C(delta) curve on a prebuilt zone; energy_total is NaN (thermodynamic limit).
+
+    A delta whose result concurrence_from_energy refuses stays as a failed sample.
+    """
     samples = []
     for delta in map(float, np.asarray(deltas, dtype=float)):
         eps = spinwave.energy_per_site(delta, zone) / zone.dimension
         gzz = spinwave.gzz_per_bond(delta, zone)
-        c = entanglement.concurrence_from_energy(eps, gzz, delta)
-        samples.append(ScanSample(delta, c, eps, gzz, math.nan))
+        try:
+            c = entanglement.concurrence_from_energy(eps, gzz, delta)
+        except ValueError as exc:
+            samples.append(ScanSample(delta, *[math.nan] * 4, ok=False, error=str(exc)))
+        else:
+            samples.append(ScanSample(delta, c, eps, gzz, math.nan))
     prov = (
         f"spinwave d={zone.dimension} kgrid={zone.k_points} spin={spinwave.SPIN} "
         f"h={spinwave.FD_STEP}"
@@ -240,9 +240,7 @@ class FitResult:
     coefficients: tuple[float, ...]
     residual_norm: float
     data_norm: float
-    n_points: int
     dof: int
-    window: tuple[float, float] | None = None
 
     @property
     def relative_residual(self) -> float:
@@ -253,31 +251,25 @@ class FitResult:
         return self.dof <= 0
 
 
-def _least_squares(a: np.ndarray, y: np.ndarray, **provenance) -> FitResult:
+def _least_squares(a: np.ndarray, y: np.ndarray) -> FitResult:
     """Fit y by the columns of a; no norm or product here goes through BLAS."""
     coef = np.linalg.lstsq(a, y, rcond=None)[0]
     return FitResult(
         coefficients=tuple(float(x) for x in coef),
         residual_norm=math.hypot(*(np.einsum("ij,j->i", a, coef) - y)),
         data_norm=math.hypot(*y),
-        n_points=len(y),
         dof=len(y) - len(coef),
-        **provenance,
     )
 
 
-def quadratic_fit_near_iso(
-    curve: ConcurrenceCurve, window: tuple[float, float] = (0.9, 1.1)
-) -> FitResult:
-    """Fit C ~ c0 - c1 (delta - 1)^2 inside the window (needs >= 5 points)."""
-    lo, hi = window
-    sub = curve.restrict(lo, hi)
-    deltas = sub.deltas()
-    c = sub.concurrences()
+def quadratic_fit_near_iso(curve: ConcurrenceCurve) -> FitResult:
+    """Fit C ~ c0 - c1 (delta - 1)^2 to the curve as scanned (needs >= 5 points)."""
+    deltas = curve.deltas()
+    c = curve.concurrences()
     if len(deltas) < 5:
-        raise ValueError(f"need >= 5 points in window, got {len(deltas)}")
+        raise ValueError(f"need >= 5 points, got {len(deltas)}")
     a = np.column_stack([np.ones_like(deltas), -((deltas - 1.0) ** 2)])
-    return _least_squares(a, c, window=window)
+    return _least_squares(a, c)
 
 
 def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:

@@ -6,8 +6,10 @@ either engine), spinwave (single thermodynamic-limit evaluation), verify
 (or the residual floor above it); verify runs on the default spin-wave zones.
 
 Exit codes: 0 success, 2 usage error (an --out that cannot be written
-included), 3 an M = 0 sector above DEFAULT_BASIS_CAP states, refused before
-it is built, 4 solver failure, 5 verification failure.
+included, and an unphysical spin-wave result), 3 an M = 0 sector above
+DEFAULT_BASIS_CAP states at any lattice size, refused before it is built,
+4 a failed point (a solver failure, or a scan's `:failed` rows), 5
+verification failure.
 """
 
 from __future__ import annotations
@@ -108,12 +110,18 @@ class Infeasible(Exception):
 def _ed_sector(args: argparse.Namespace) -> ed.Sector:
     """The M = 0 sector of the lattice the flags describe, refused above the cap."""
     spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
-    dim = ed.sector_dimension(spec.n_sites, 0.0)
-    if dim > DEFAULT_BASIS_CAP:
-        raise Infeasible(f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
-                         f"{dim} states (~{dim:.2e}), above the cap {DEFAULT_BASIS_CAP} "
-                         f"(~{DEFAULT_BASIS_CAP:.0e}); not desk-feasible")
-    return ed.build_sector(spec)
+    n = spec.n_sites
+    if n % 2 == 0 and n // 2 > math.log2(DEFAULT_BASIS_CAP):
+        # comb(n, n/2) > 2^(n/2): neither built nor printed, nor is n (it may be huge)
+        count = f"more than 2^(N/2) states (N = L^{spec.dimension} sites)"
+    else:
+        dim = ed.sector_dimension(n, 0.0)
+        count = f"{dim} states (~{dim:.2e})"
+        if dim <= DEFAULT_BASIS_CAP:
+            return ed.build_sector(spec)
+    raise Infeasible(f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
+                     f"{count}, above the cap {DEFAULT_BASIS_CAP} "
+                     f"(~{DEFAULT_BASIS_CAP:.0e}); not desk-feasible")
 
 
 def _require_antiferromagnet(delta: float, flag: str) -> None:
@@ -250,6 +258,8 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_spinwave(args: argparse.Namespace) -> int:
     zone = spinwave.gamma_grid(args.dim, args.kgrid)
     s = analysis.scan_spinwave(zone, [args.delta]).samples[0]
+    if not s.ok:
+        raise ValueError(s.error)
     for key, val in (
         ("dimension", args.dim),
         ("delta", _fmt(args.delta)),

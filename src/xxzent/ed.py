@@ -113,11 +113,11 @@ class SectorBasis:
 
 
 def sector_dimension(n_sites: int, m: float) -> int:
-    n_up = m + n_sites / 2
-    n_up_int = round(n_up)
-    if abs(n_up - n_up_int) > 1e-9 or not 0 <= n_up_int <= n_sites:
+    half, odd = divmod(n_sites, 2)  # exact where n_sites / 2 would round or overflow
+    n_up = half + round(m + odd / 2)
+    if abs(m + odd / 2 - (n_up - half)) > 1e-9 or not 0 <= n_up <= n_sites:
         raise SectorError(f"sector M={m} does not exist for {n_sites} sites")
-    return math.comb(n_sites, n_up_int)
+    return math.comb(n_sites, n_up)
 
 
 def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
@@ -328,13 +328,13 @@ def lanczos_ground(
     reductions use numpy's loop, not BLAS.
 
     Every caller in the package solves at DEFAULT_TOL; tol is left open for
-    convergence studies. Raises ValueError for tol <= 0, ScaleError when
+    convergence studies. Raises ValueError unless 0 < tol < inf, ScaleError when
     the square of a bound on ||H|| overflows (a Krylov norm could), and
     LanczosError when the residual misses the threshold; the exception
     carries the best estimate.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     # a bound on ||H||: while its square is finite, no Krylov norm overflows
     bound = float(np.max(np.abs(h.diagonal))) + float(np.abs(h.offdiag.data).sum())
     if not math.isfinite(bound * bound):

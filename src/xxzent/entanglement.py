@@ -8,8 +8,9 @@ For an Sz-conserving state the two-site RDM in the product basis
      [0,  z*, w2, 0 ],
      [0,  0,  0,  u-]]
 
-Three closed-form concurrence routes follow from this shape, plus the
-general square-root-eigenvalue formula as an independent oracle.
+The bond correlators are read off its entries, and three closed-form
+concurrence routes follow from this shape, plus the general
+square-root-eigenvalue formula as an independent oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ class TwoSiteRDM:
         rho[2, 1] = np.conj(self.z)
         return rho
 
+    def correlators(self) -> BondCorrelators:
+        """Gzz = (u+ + u- - w1 - w2)/4 and Gxx = Gyy = Re z / 2 for the site pair."""
+        gxx = self.z.real / 2.0
+        return BondCorrelators(gxx=gxx, gyy=gxx,
+                               gzz=(self.u_plus + self.u_minus - self.w1 - self.w2) / 4.0)
+
 
 @dataclass(frozen=True)
 class BondCorrelators:
@@ -87,31 +94,13 @@ def two_site_rdm(state: GroundState, basis: SectorBasis, i: int, j: int) -> TwoS
     return TwoSiteRDM(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=z)
 
 
-def correlators(state: GroundState, basis: SectorBasis, i: int, j: int) -> BondCorrelators:
-    """<Sx.Sx>, <Sy.Sy>, <Sz.Sz> for one site pair, computed directly."""
-    psi = basis.expand(state.vector)
-    bi = basis.bit(i)
-    bj = basis.bit(j)
-    p = np.abs(psi) ** 2
-    gzz = 0.25 * float(p[bi == bj].sum() - p[bi != bj].sum())
-    anti = bi != bj
-    mask = np.uint64((1 << i) | (1 << j))
-    flipped = basis.states[anti] ^ mask
-    idx = basis.index_of_many(flipped)
-    # <S+_i S-_j + S-_i S+_j>: both orderings appear as `anti` runs over
-    # up-down and down-up pairs
-    flip_sum = float(np.real(np.sum(np.conj(psi[anti]) * psi[idx])))
-    gxx = gyy = flip_sum / 4.0
-    return BondCorrelators(gxx=gxx, gyy=gyy, gzz=gzz)
-
-
 def mean_bond_correlators(
     state: GroundState, basis: SectorBasis, lattice: Lattice
 ) -> BondCorrelators:
-    """Correlators averaged over every nearest-neighbor bond."""
+    """Correlators averaged over every nearest-neighbor bond, each read off its RDM."""
     gx = gy = gz = 0.0
     for bond in lattice.bonds:
-        g = correlators(state, basis, bond.i, bond.j)
+        g = two_site_rdm(state, basis, bond.i, bond.j).correlators()
         gx += g.gxx
         gy += g.gyy
         gz += g.gzz

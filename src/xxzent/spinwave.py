@@ -17,7 +17,7 @@ even in each k_m and symmetric in the axes) with integer multiplicities,
 then divided by N^d (Monkhorst & Pack, PRB 13, 5188 (1976)). Both branches
 coincide at delta = 1. Gzz per bond is the derivative of the
 bond energy within the branch that delta implies (Ising at delta >= 1,
-one-sided at the branch edges), by finite differences of step FD_STEP.
+one-sided at the branch edges), by finite differences of energy_per_site.
 
 The quadratures take the zone g = gamma_grid(d, k_points) as an argument
 and read d from g.dimension, so a caller builds it once for all deltas
@@ -164,23 +164,18 @@ def energy_per_site(delta: float, g: ZoneGrid) -> float:
 def gzz_per_bond(delta: float, g: ZoneGrid) -> float:
     """d(energy per bond)/d(delta) within the branch delta lies in, by finite differences.
 
-    At exactly delta = 1 the Ising side is the convention; the concurrence
-    is insensitive because of its (delta - 1) prefactor. Central differences
-    where the stencil fits inside the branch domain, second-order one-sided
-    stencils at the edges; steps never straddle delta = 1. With the step
-    FD_STEP one of the three always fits; a NaN delta reaches the planar
-    branch, which rejects it.
+    Central differences of energy_per_site where the stencil fits inside the
+    branch domain ([1, inf) at delta >= 1, the Ising convention at exactly 1,
+    else [0, 1]), second-order one-sided stencils at the edges. A planar
+    stencil may end on delta = 1, where both branches agree bit for bit.
+    With the step FD_STEP one of the three always fits; energy_per_site
+    rejects delta < 0 and NaN.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    if delta >= 1.0:
-        lo, hi, energy = 1.0, np.inf, energy_per_site_ising
-    else:
-        lo, hi, energy = 0.0, 1.0, energy_per_site_planar
+    lo, hi = (1.0, np.inf) if delta >= 1.0 else (0.0, 1.0)
     h = FD_STEP
 
     def f(d: float) -> float:
-        return energy(d, g) / g.dimension
+        return energy_per_site(d, g) / g.dimension
 
     if delta - h >= lo and delta + h <= hi:
         return (f(delta + h) - f(delta - h)) / (2.0 * h)

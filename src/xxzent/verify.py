@@ -63,8 +63,8 @@ def _case_label(spec: LatticeSpec) -> str:
 def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float]]:
     """The four concurrence routes at each delta, on the sector's one operator.
 
-    The correlator and energy routes measure correlators bond by bond,
-    independently of the assembled operator.
+    The correlator and energy routes read the correlators off every bond's
+    two-site RDM, not off the assembled operator's quadratic forms.
     """
     lattice, basis = sector.lattice, sector.basis
     bond = lattice.bonds[0]

@@ -93,12 +93,6 @@ def test_curve_requires_increasing_deltas():
         ConcurrenceCurve("magic", "toy", ())
 
 
-def test_curve_restrict_window():
-    c = _toy_curve([0.0, 0.5, 1.0, 1.5, 2.0], [0.1, 0.2, 0.3, 0.2, 0.1])
-    sub = c.restrict(0.5, 1.5)
-    assert sub.deltas().tolist() == [0.5, 1.0, 1.5]
-
-
 def test_scan_ed_four_ring():
     curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5))
     assert curve.engine == "ed"

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -236,6 +237,24 @@ def test_ed_refuses_infeasible_sector(capsys):
     assert "not desk-feasible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ed", "--dim", "2", "--size", "40"],
+    ["ed", "--dim", "3", "--size", "14"],
+    ["ed", "--dim", "1", "--size", "15000"],
+    ["ed", "--dim", "1", "--size", "2000000"],
+    ["ed", "--dim", "3", "--size", "1" + "0" * 4000],
+    ["scan", "--dim", "2", "--size", "40"],
+])
+def test_infeasible_sector_refused_at_any_size(argv, capsys):
+    # the size of such a sector is bounded below, not built: comb(N, N/2)
+    # as an integer takes minutes at N = 2e6 and cannot be printed at all
+    start = time.perf_counter()
+    rc = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == cli.EXIT_INFEASIBLE
+    assert "states (N = L^" in capsys.readouterr().err
+
+
 def test_ed_solver_failure_exit_code(capsys, monkeypatch):
     def boom(*a, **k):
         raise ed.LanczosError("injected", best=None)
@@ -457,6 +476,18 @@ def test_spinwave_refuses_an_unphysical_result(delta, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds" in captured.err
+
+
+def test_scan_keeps_a_refused_spinwave_point(capsys):
+    # at delta = 1e5 the finite-difference Gzz on a 16^2 zone passes -1/4
+    rc = cli.main(["scan", "--engine", "spinwave", "--dim", "2", "--kgrid", "16",
+                   "--from", "0", "--to", "1e5", "--step", "5e4"])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "1 of 3 points failed" in captured.err
+    rows = [l for l in captured.out.splitlines() if not l.startswith("#")][1:]
+    assert rows[2] == "100000,nan,nan,nan,spinwave:failed"
+    assert rows[0].endswith(",spinwave") and rows[1].endswith(",spinwave")
 
 
 @pytest.mark.parametrize("delta", ["1e3", "1e4"])

@@ -44,6 +44,8 @@ def test_sector_dimension_rejects_bad_m():
         ed.sector_dimension(4, 3.0)
     with pytest.raises(ed.SectorError):
         ed.sector_dimension(5, 0.0)  # half-integer total Sz only
+    with pytest.raises(ed.SectorError):
+        ed.sector_dimension(2**53 + 1, 0.0)  # where (2^53 + 1) / 2 rounds to an integer
 
 
 def test_enumerate_basis_n4_m0():
@@ -577,8 +579,9 @@ def test_lanczos_ground_returns_a_ground_state():
 # the ids keep the names these cases had beside the former max_iter cases
 @pytest.mark.parametrize(
     "kwargs, name",
-    [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol")],
-    ids=["kwargs2-tol", "kwargs3-tol", "kwargs4-tol"],
+    [({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
+     ({"tol": math.inf}, "tol")],
+    ids=["kwargs2-tol", "kwargs3-tol", "kwargs4-tol", "inf-tol"],
 )
 def test_lanczos_rejects_unusable_inputs(kwargs, name):
     h = ed.build_sector(LatticeSpec(1, 8)).h.at(1.0)

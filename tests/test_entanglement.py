@@ -75,7 +75,7 @@ def test_rdm_matches_dense_partial_trace(spec, pairs, delta):
         rho = ent.two_site_rdm(gs, basis, i, j)
         rho.validate()
         np.testing.assert_allclose(rho.as_matrix(), rho_ref, atol=1e-12)
-        gfast = ent.correlators(gs, basis, i, j)
+        gfast = rho.correlators()
         gx, gy, gz = dense_pair_correlators(full, lat.n_sites, i, j)
         assert gfast.gxx == pytest.approx(gx, abs=1e-12)
         assert gfast.gyy == pytest.approx(gy, abs=1e-12)
@@ -125,7 +125,7 @@ def test_route_equivalence_square44(square44_heisenberg):
     lattice, basis, gs = square44_heisenberg
     bond = lattice.bonds[0]
     rdm = ent.two_site_rdm(gs, basis, bond.i, bond.j)
-    g = ent.correlators(gs, basis, bond.i, bond.j)
+    g = rdm.correlators()
     eps0 = gs.energy / lattice.n_bonds
     values = [
         ent.concurrence_block(rdm),
@@ -232,7 +232,7 @@ def test_operator_bond_correlators_match_bond_loop(spec, m, delta):
 
 def test_mean_bond_correlators_translation_invariance(ring4):
     lattice, basis, gs = ring4
-    per_bond = [ent.correlators(gs, basis, b.i, b.j) for b in lattice.bonds]
+    per_bond = [ent.two_site_rdm(gs, basis, b.i, b.j).correlators() for b in lattice.bonds]
     mean = ent.mean_bond_correlators(gs, basis, lattice)
     for g in per_bond:
         assert g.gzz == pytest.approx(mean.gzz, abs=1e-12)

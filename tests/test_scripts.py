@@ -46,6 +46,14 @@ def test_lanczos_battery_script():
     assert proc.stdout.splitlines()[-1] == "18 solves, 0 failed"
 
 
+def test_lanczos_battery_refuses_unusable_tols():
+    # lanczos_ground refuses both; the script rejects them as it parses
+    for tol in ("inf", "0"):
+        proc = _run("lanczos_battery.py", "--lattices", "d1L4", "--tols", tol)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "argument --tols: must be finite and > 0" in proc.stderr
+
+
 def test_stage_times_script():
     proc = _run("stage_times.py", "--dim", "1", "--size", "12", "--repeat", "2")
     assert proc.returncode == 0, proc.stderr

@@ -233,6 +233,22 @@ def test_gzz_one_sided_at_isotropy():
     assert right - left > 0.05
 
 
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_gzz_below_isotropy_equals_the_planar_stencil(dimension):
+    # at delta = 1 - h the central stencil reaches delta = 1.0 exactly, where
+    # energy_per_site takes the Ising branch; it agrees bit for bit with the
+    # planar branch there, so Gzz is the planar-only stencil
+    g = sw.gamma_grid(dimension)
+    h = sw.FD_STEP
+
+    def f(d):
+        return sw.energy_per_site_planar(d, g) / g.dimension
+
+    for delta in (1.0 - h, 1.0 - 2.0 * h):
+        assert delta + h <= 1.0
+        assert sw.gzz_per_bond(delta, g) == (f(delta + h) - f(delta - h)) / (2.0 * h)
+
+
 def test_gzz_rejects_wrong_branch():
     g = sw.gamma_grid(2, 64)
     with pytest.raises(ValueError, match="delta must be >= 0"):
