@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ed, entanglement, spinwave
+from .lattice import Lattice
 
 GRID_UNIFORMITY_RTOL = 1e-8
 DELTA_MATCH_TOL = 1e-9
@@ -88,46 +89,68 @@ def delta_grid(start: float, stop: float, step: float) -> np.ndarray:
     return grid
 
 
-def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
-    """ED C(delta) curve: sector.h re-pointed per delta, bond means from its quadratic forms.
+class EdSamples:
+    """An ED curve built one solved delta at a time.
 
-    Every solve runs at ed.DEFAULT_TOL, which the provenance records with,
-    where the Lanczos residual floor replaced it at some delta, the largest
-    threshold applied (tol_applied).
+    `scan_ed` and the verify suites both make their curves here, so a
+    delta's sample has one builder: the bond means from the operator's
+    quadratic forms, or, for a failed solve, an explicit gap that keeps its
+    best estimate's iterations and residual. Every solve runs at
+    ed.DEFAULT_TOL, which the provenance records with, where the Lanczos
+    residual floor replaced it at some delta, the largest threshold applied
+    (tol_applied).
     """
-    lattice = sector.lattice
-    samples = []
-    applied = ed.DEFAULT_TOL  # the largest residual threshold a solve was judged at
-    for delta in np.asarray(deltas, dtype=float):
-        h = sector.h.at(float(delta))
-        try:
-            gs = ed.lanczos_ground(h, seed=seed)
-        except ed.LanczosError as exc:
-            best = exc.best
+
+    def __init__(self, lattice: Lattice, seed: int) -> None:
+        self.lattice = lattice
+        self.seed = seed
+        self.samples: list[ScanSample] = []
+        self.applied = ed.DEFAULT_TOL  # the largest residual threshold a solve was judged at
+
+    def add(self, h: ed.SparseHamiltonian, outcome: ed.GroundState | ed.LanczosError) -> None:
+        """Append the sample of the solve of h: its ground state, or its LanczosError."""
+        if isinstance(outcome, ed.LanczosError):
+            best = outcome.best
             if best:
-                applied = max(applied, best.tolerance)
-            samples.append(
-                ScanSample(float(delta), math.nan, math.nan, math.nan, math.nan,
-                           ok=False, error=str(exc),
+                self.applied = max(self.applied, best.tolerance)
+            self.samples.append(
+                ScanSample(h.delta, math.nan, math.nan, math.nan, math.nan,
+                           ok=False, error=str(outcome),
                            iterations=best.iterations if best else 0,
                            residual=best.residual if best else math.nan)
             )
-            continue
-        applied = max(applied, gs.tolerance)
-        g = entanglement.operator_bond_correlators(gs, h, lattice)
+            return
+        self.applied = max(self.applied, outcome.tolerance)
+        n_bonds = self.lattice.n_bonds
+        g = entanglement.operator_bond_correlators(outcome, h, self.lattice)
         c = entanglement.concurrence_corr(g)
-        samples.append(
-            ScanSample(float(delta), c, gs.energy / lattice.n_bonds, g.gzz, gs.energy,
-                       iterations=gs.iterations, residual=gs.residual)
+        self.samples.append(
+            ScanSample(h.delta, c, outcome.energy / n_bonds, g.gzz, outcome.energy,
+                       iterations=outcome.iterations, residual=outcome.residual)
         )
-    spec = lattice.spec
-    bc = "periodic" if spec.periodic else "open"
-    lifted = f" tol_applied={applied:.3g}" if applied > ed.DEFAULT_TOL else ""
-    prov = (
-        f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
-        f"tol={ed.DEFAULT_TOL}{lifted} seed={seed}"
-    )
-    return ConcurrenceCurve("ed", prov, tuple(samples))
+
+    def curve(self) -> ConcurrenceCurve:
+        spec = self.lattice.spec
+        bc = "periodic" if spec.periodic else "open"
+        lifted = f" tol_applied={self.applied:.3g}" if self.applied > ed.DEFAULT_TOL else ""
+        prov = (
+            f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
+            f"tol={ed.DEFAULT_TOL}{lifted} seed={self.seed}"
+        )
+        return ConcurrenceCurve("ed", prov, tuple(self.samples))
+
+
+def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
+    """ED C(delta) curve: sector.h re-pointed and solved once per delta (see EdSamples)."""
+    scan = EdSamples(sector.lattice, seed)
+    for delta in np.asarray(deltas, dtype=float):
+        h = sector.h.at(float(delta))
+        try:
+            outcome = ed.lanczos_ground(h, seed=seed)
+        except ed.LanczosError as exc:
+            outcome = exc
+        scan.add(h, outcome)
+    return scan.curve()
 
 
 def scan_spinwave(zone: spinwave.ZoneGrid, deltas) -> ConcurrenceCurve:
@@ -152,21 +175,17 @@ def scan_spinwave(zone: spinwave.ZoneGrid, deltas) -> ConcurrenceCurve:
     return ConcurrenceCurve("spinwave", prov, tuple(samples))
 
 
-def hellmann_feynman_residual(sector: ed.Sector, delta: float) -> float:
-    """|dE0/ddelta - N_B Gzz| with a central difference of step HF_STEP.
+def hellmann_feynman_residual(e_minus: float, e_plus: float, gzz: float, n_bonds: int) -> float:
+    """|dE0/ddelta - N_B Gzz| at delta, from e_minus and e_plus, the ground
+    energies at delta -+ HF_STEP, by a central difference.
 
-    The sector operator serves all three solves. Gzz is measured bond by
-    bond, not from the operator's own H_zz, so a fault in H_zz cannot
-    cancel out.
+    The verify suite takes both energies and Gzz from the solves it shares
+    with the other ED suites, and Gzz is the bond-by-bond mean
+    (entanglement.mean_bond_correlators), not the operator's own H_zz, so a
+    fault in H_zz cannot cancel out.
     """
-
-    def ground(d: float) -> ed.GroundState:
-        return ed.lanczos_ground(sector.h.at(d))
-
-    h = HF_STEP
-    de = (ground(delta + h).energy - ground(delta - h).energy) / (2.0 * h)
-    g = entanglement.mean_bond_correlators(ground(delta), sector.basis, sector.lattice)
-    return abs(de - sector.lattice.n_bonds * g.gzz)
+    de = (e_plus - e_minus) / (2.0 * HF_STEP)
+    return abs(de - n_bonds * gzz)
 
 
 def _uniform_step(deltas: np.ndarray) -> float:

@@ -189,12 +189,18 @@ def _write_csv(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
         )
 
 
+def _json_number(value):
+    """JSON has no nan or infinity: a missing number is written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(curve: analysis.ConcurrenceCurve, meta, stream) -> None:
     payload = {
         "metadata": {k: v for k, v in meta},
-        "samples": [dataclasses.asdict(s) for s in curve.samples],
+        "samples": [{k: _json_number(v) for k, v in dataclasses.asdict(s).items()}
+                    for s in curve.samples],
     }
-    json.dump(payload, stream, indent=2, sort_keys=True)
+    json.dump(payload, stream, indent=2, sort_keys=True, allow_nan=False)
     stream.write("\n")
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -111,6 +112,31 @@ class SectorBasis:
         """Whether one site is up, across the whole basis."""
         return ((self.states >> np.uint64(site)) & np.uint64(1)).astype(bool)
 
+    def pair_table(self, i: int, j: int) -> PairTable:
+        """The basis split by the bits of sites i and j (see PairTable)."""
+        code = 2 * self.bit(i).astype(np.int8) + self.bit(j)
+        order = np.argsort(code, kind="stable").astype(np.int32)
+        bounds = (0, *np.cumsum(np.bincount(code, minlength=4)).tolist())
+        mask = np.uint64((1 << i) | (1 << j))
+        up_down = order[bounds[2]:bounds[3]]
+        partners = self.index_of_many(self.states[up_down] ^ mask).astype(np.int32)
+        return PairTable(order, bounds, partners)
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """A basis split into four classes by the bits (b_i, b_j) of two sites.
+
+    `order` lists the state indices class by class, (0, 0), (0, 1), (1, 0),
+    (1, 1), each class in basis order; class k is order[bounds[k]:bounds[k + 1]].
+    `partners[n]` indexes the state that flips both sites of the n-th state
+    of class (1, 0).
+    """
+
+    order: np.ndarray  # int32, a permutation of the basis
+    bounds: tuple[int, ...]  # 5 offsets into order
+    partners: np.ndarray  # int32
+
 
 def sector_dimension(n_sites: int, m: float) -> int:
     half, odd = divmod(n_sites, 2)  # exact where n_sites / 2 would round or overflow
@@ -175,7 +201,9 @@ class SparseHamiltonian:
         return replace(self, offdiag=offdiag, mirror_sign=-self.mirror_sign)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.offdiag @ v + self.diagonal * v
+        w = self.offdiag @ v
+        w += self.diagonal * v
+        return w
 
     @property
     def nnz(self) -> int:
@@ -234,11 +262,18 @@ class Sector:
     """One lattice's M = 0 sector: its basis and the delta-free operator.
 
     Compared and hashed by identity: the arrays it holds have no scalar ==.
+    The bond tables that the two-site RDMs read are built on first use, so
+    a caller that reads no RDM never pays for them.
     """
 
     lattice: Lattice
     basis: SectorBasis
     h: SparseHamiltonian
+
+    @cached_property
+    def bond_tables(self) -> tuple[PairTable, ...]:
+        """basis.pair_table of each bond, in lattice.bonds order."""
+        return tuple(self.basis.pair_table(b.i, b.j) for b in self.lattice.bonds)
 
 
 def build_sector(spec: LatticeSpec) -> Sector:

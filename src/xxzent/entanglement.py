@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ed import GroundState, SectorBasis, SparseHamiltonian, _dot
+from .ed import GroundState, PairTable, Sector, SectorBasis, SparseHamiltonian, _dot
 from .lattice import Lattice
 
 TRACE_TOL = 1e-12
@@ -74,37 +74,40 @@ class BondCorrelators:
     gzz: float
 
 
+def _rdm(psi: np.ndarray, p: np.ndarray, table: PairTable) -> TwoSiteRDM:
+    """The block of a site pair from the full-sector amplitudes psi, their
+    weights p = |psi|^2 and the pair's PairTable."""
+    q = np.take(p, table.order)
+    b = table.bounds
+    u_minus, w2, w1, u_plus = (float(q[b[k]:b[k + 1]].sum()) for k in range(4))
+    up_down = np.take(psi, table.order[b[2]:b[3]])
+    z = complex(np.sum(up_down * np.conj(np.take(psi, table.partners))))
+    return TwoSiteRDM(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=z)
+
+
 def two_site_rdm(state: GroundState, basis: SectorBasis, i: int, j: int) -> TwoSiteRDM:
     """Trace out everything but sites (i, j)."""
     if i == j:
         raise ValueError("two-site RDM needs distinct sites")
     psi = basis.expand(state.vector)
+    return _rdm(psi, np.abs(psi) ** 2, basis.pair_table(i, j))
+
+
+def mean_bond_correlators(state: GroundState, sector: Sector) -> BondCorrelators:
+    """Correlators averaged over every nearest-neighbor bond, each read off its RDM.
+
+    The amplitudes are expanded once per state; each bond's classes and
+    flip partners come from the sector's bond tables, built on first use.
+    """
+    psi = sector.basis.expand(state.vector)
     p = np.abs(psi) ** 2
-    bi = basis.bit(i)
-    bj = basis.bit(j)
-    u_plus = float(p[bi & bj].sum())
-    w1 = float(p[bi & ~bj].sum())
-    w2 = float(p[~bi & bj].sum())
-    u_minus = float(p[~bi & ~bj].sum())
-    sel = bi & ~bj
-    mask = np.uint64((1 << i) | (1 << j))
-    partners = basis.states[sel] ^ mask
-    idx = basis.index_of_many(partners)
-    z = complex(np.sum(psi[sel] * np.conj(psi[idx])))
-    return TwoSiteRDM(u_plus=u_plus, w1=w1, w2=w2, u_minus=u_minus, z=z)
-
-
-def mean_bond_correlators(
-    state: GroundState, basis: SectorBasis, lattice: Lattice
-) -> BondCorrelators:
-    """Correlators averaged over every nearest-neighbor bond, each read off its RDM."""
     gx = gy = gz = 0.0
-    for bond in lattice.bonds:
-        g = two_site_rdm(state, basis, bond.i, bond.j).correlators()
+    for table in sector.bond_tables:
+        g = _rdm(psi, p, table).correlators()
         gx += g.gxx
         gy += g.gyy
         gz += g.gzz
-    nb = lattice.n_bonds
+    nb = sector.lattice.n_bonds
     return BondCorrelators(gxx=gx / nb, gyy=gy / nb, gzz=gz / nb)
 
 

@@ -10,6 +10,12 @@ print one line per check and exit nonzero if any fail. Suites:
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
 run_suites(name) runs one suite, or all, building only the inputs they read.
+The ED suites share one sector per lattice and one Lanczos solve per
+(lattice, delta): solve_lattice solves the union of the deltas they read
+(the step-ED_SCAN_STEP grid on [0, 2], which holds ROUTE_DELTAS and
+HF_DELTAS, plus HF_DELTAS -+ HF_STEP), 141 solves for all of them. It keeps
+vectors only at ROUTE_DELTAS and HF_DELTAS, and reads their bond-averaged
+correlators once, through the sector's bond tables, for both suites.
 Suites have no settings: they run at fixed deltas and steps, and the
 spinwave checks share one default zone per dimension (512^2 and 96^3,
 spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and CUSP_STABILITY were
@@ -60,19 +66,79 @@ def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float]]:
-    """The four concurrence routes at each delta, on the sector's one operator.
+@dataclass(frozen=True)
+class LatticeSolves:
+    """One lattice's ground states at the deltas its selected ED suites read.
+
+    `solve_lattice` solves each delta once. `curve` holds the scan grid's
+    samples (empty unless concavity or argmax runs), `energies` every
+    solved delta's E0, and `kept` the ground states at ROUTE_DELTAS and
+    HF_DELTAS, the only vectors kept, each with its bond means read off the
+    two-site RDMs. A failed solve is a gap in the curve, and `energy` and
+    `ground` raise its LanczosError when route-equivalence or
+    hellmann-feynman reads it.
+    """
+
+    sector: ed.Sector
+    curve: analysis.ConcurrenceCurve
+    energies: dict[float, float]
+    kept: dict[float, tuple[ed.GroundState, entanglement.BondCorrelators]]
+    failures: dict[float, ed.LanczosError]
+
+    def energy(self, delta: float) -> float:
+        if delta in self.failures:
+            raise self.failures[delta]
+        return self.energies[delta]
+
+    def ground(self, delta: float) -> tuple[ed.GroundState, entanglement.BondCorrelators]:
+        """The kept ground state at delta and its bond means."""
+        if delta in self.failures:
+            raise self.failures[delta]
+        return self.kept[delta]
+
+
+def solve_lattice(sector: ed.Sector, suites) -> LatticeSolves:
+    """Solve sector.h once at each delta that one of the ED suites named in
+    suites reads: the scan grid for concavity and argmax, ROUTE_DELTAS for
+    route-equivalence, and HF_DELTAS and HF_DELTAS -+ HF_STEP for
+    hellmann-feynman."""
+    grid, keep, sides = set(), set(), set()
+    if {"concavity", "argmax"} & set(suites):
+        grid.update(map(float, analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)))
+    if "route-equivalence" in suites:
+        keep.update(ROUTE_DELTAS)
+    if "hellmann-feynman" in suites:
+        keep.update(HF_DELTAS)
+        sides.update(d + s for d in HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP))
+    scan = analysis.EdSamples(sector.lattice, ed.DEFAULT_SEED)
+    energies, kept, failures = {}, {}, {}
+    for delta in sorted(grid | keep | sides):
+        h = sector.h.at(delta)
+        try:
+            outcome = ed.lanczos_ground(h)
+        except ed.LanczosError as exc:
+            outcome = failures[delta] = exc
+        else:
+            energies[delta] = outcome.energy
+            if delta in keep:
+                kept[delta] = (outcome, entanglement.mean_bond_correlators(outcome, sector))
+        if delta in grid:
+            scan.add(h, outcome)
+    return LatticeSolves(sector, scan.curve(), energies, kept, failures)
+
+
+def concurrence_routes(solves: LatticeSolves) -> dict[float, dict[str, float]]:
+    """The four concurrence routes at each of ROUTE_DELTAS, on the kept states.
 
     The correlator and energy routes read the correlators off every bond's
     two-site RDM, not off the assembled operator's quadratic forms.
     """
-    lattice, basis = sector.lattice, sector.basis
+    lattice, basis = solves.sector.lattice, solves.sector.basis
     bond = lattice.bonds[0]
     routes = {}
-    for delta in map(float, deltas):
-        gs = ed.lanczos_ground(sector.h.at(delta))
+    for delta in ROUTE_DELTAS:
+        gs, g = solves.ground(delta)
         rdm = entanglement.two_site_rdm(gs, basis, bond.i, bond.j)
-        g = entanglement.mean_bond_correlators(gs, basis, lattice)
         eps0 = gs.energy / lattice.n_bonds
         routes[delta] = {
             "block": entanglement.concurrence_block(rdm),
@@ -83,11 +149,11 @@ def concurrence_routes(sector: ed.Sector, deltas) -> dict[float, dict[str, float
     return routes
 
 
-def check_route_equivalence(sectors: dict[LatticeSpec, ed.Sector]) -> list[CheckResult]:
+def check_route_equivalence(solved: dict[LatticeSpec, LatticeSolves]) -> list[CheckResult]:
     results = []
-    for spec, sector in sectors.items():
+    for spec, solves in solved.items():
         worst = 0.0
-        for routes in concurrence_routes(sector, ROUTE_DELTAS).values():
+        for routes in concurrence_routes(solves).values():
             vals = list(routes.values())
             worst = max(worst, max(vals) - min(vals))
         results.append(_at_most(f"route-equivalence {_case_label(spec)}", worst, ROUTE_TOL,
@@ -95,19 +161,19 @@ def check_route_equivalence(sectors: dict[LatticeSpec, ed.Sector]) -> list[Check
     return results
 
 
-def check_hellmann_feynman(sectors: dict[LatticeSpec, ed.Sector]) -> list[CheckResult]:
+def check_hellmann_feynman(solved: dict[LatticeSpec, LatticeSolves]) -> list[CheckResult]:
     results = []
-    for spec, sector in sectors.items():
-        worst = max(analysis.hellmann_feynman_residual(sector, d) for d in HF_DELTAS)
+    step = analysis.HF_STEP
+    for spec, solves in solved.items():
+        n_bonds = solves.sector.lattice.n_bonds
+        worst = max(
+            analysis.hellmann_feynman_residual(solves.energy(d - step), solves.energy(d + step),
+                                               solves.ground(d)[1].gzz, n_bonds)
+            for d in HF_DELTAS
+        )
         results.append(_at_most(f"hellmann-feynman {_case_label(spec)}", worst, HF_TOL,
-                                f"max |dE0/ddelta - Nb*Gzz| at h={analysis.HF_STEP}"))
+                                f"max |dE0/ddelta - Nb*Gzz| at h={step}"))
     return results
-
-
-def ed_curves(sectors: dict[LatticeSpec, ed.Sector]) -> dict[LatticeSpec, analysis.ConcurrenceCurve]:
-    """The delta in [0, 2] scans that the concavity and argmax suites share."""
-    grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)
-    return {spec: analysis.scan_ed(sector, grid) for spec, sector in sectors.items()}
 
 
 def check_concavity(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
@@ -202,22 +268,25 @@ SUITES = {
 }
 
 
+def _run_ed_suites(names: list[str]) -> list[CheckResult]:
+    solved = {spec: solve_lattice(ed.build_sector(spec), names) for spec in DEFAULT_ED_CASES}
+    curves = {spec: solves.curve for spec, solves in solved.items()}
+    inputs = {"route-equivalence": solved, "hellmann-feynman": solved,
+              "concavity": curves, "argmax": curves}
+    return [row for n in names for row in SUITES[n](inputs[n])]
+
+
 def run_suites(name: str = "all") -> list[CheckResult]:
     """Run the suite name (or all of them, in SUITES order) and collect its rows.
 
-    The ED suites share one sector per lattice in DEFAULT_ED_CASES, built
-    here unless only the spinwave suite runs; concavity and argmax share
-    one set of curves scanned on them, built only when one of the two runs.
-    The spinwave suite's default zones are built only when it runs.
+    The ED suites share one sector per lattice in DEFAULT_ED_CASES and one
+    solve per (lattice, delta) over the union of the deltas they read
+    (solve_lattice); that all goes before the spinwave suite builds its
+    default zones, which are built only when it runs.
     """
     selected = list(SUITES) if name == "all" else [name]
-    inputs = {}
-    if name in ("all", "spinwave"):
-        inputs["spinwave"] = [spinwave.gamma_grid(d) for d in SW_DIMS]
-    if name != "spinwave":
-        sectors = {spec: ed.build_sector(spec) for spec in DEFAULT_ED_CASES}
-        inputs.update({"route-equivalence": sectors, "hellmann-feynman": sectors})
-        if name in ("all", "concavity", "argmax"):
-            curves = ed_curves(sectors)
-            inputs.update(concavity=curves, argmax=curves)
-    return [row for n in selected for row in SUITES[n](inputs[n])]
+    ed_names = [n for n in selected if n != "spinwave"]
+    rows = _run_ed_suites(ed_names) if ed_names else []
+    if "spinwave" in selected:
+        rows += check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
+    return rows

@@ -158,13 +158,13 @@ def dense_pair_correlators(full_psi: np.ndarray, n_sites: int, i: int, j: int):
 
 @pytest.fixture(scope="session")
 def ring4():
-    """4-site periodic chain with its isotropic ground state."""
+    """4-site periodic chain sector with its isotropic ground state."""
     sector = ed.build_sector(LatticeSpec(1, 4))
-    return sector.lattice, sector.basis, ed.lanczos_ground(sector.h.at(1.0))
+    return sector, ed.lanczos_ground(sector.h.at(1.0))
 
 
 @pytest.fixture(scope="session")
 def square44_heisenberg():
-    """4x4 periodic square lattice ground state at delta = 1 (Lanczos)."""
+    """4x4 periodic square lattice sector with its ground state at delta = 1 (Lanczos)."""
     sector = ed.build_sector(LatticeSpec(2, 4))
-    return sector.lattice, sector.basis, ed.lanczos_ground(sector.h.at(1.0))
+    return sector, ed.lanczos_ground(sector.h.at(1.0))

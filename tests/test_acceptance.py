@@ -60,7 +60,7 @@ def test_criterion_01_exact_small_systems(sectors, acceptance_log):
     h4 = four.h.at(1.0)
     gs4 = ed.lanczos_ground(h4)
     dense4 = dense_ground_oracle(h4)
-    g4 = entanglement.mean_bond_correlators(gs4, four.basis, four.lattice)
+    g4 = entanglement.mean_bond_correlators(gs4, four)
     c4 = entanglement.concurrence_corr(g4)
 
     errs = {
@@ -85,11 +85,12 @@ def test_criterion_01_exact_small_systems(sectors, acceptance_log):
 
 def test_criterion_02_route_equivalence(acceptance_log):
     cases = [LatticeSpec(1, n) for n in (4, 6, 8, 10, 12)] + [LatticeSpec(2, 4)]
-    deltas = (0.0, 0.5, 1.0, 1.5, 2.0)
+    assert verify.ROUTE_DELTAS == (0.0, 0.5, 1.0, 1.5, 2.0)
     worst = 0.0
     worst_at = None
     for spec in cases:
-        for delta, routes in verify.concurrence_routes(ed.build_sector(spec), deltas).items():
+        solves = verify.solve_lattice(ed.build_sector(spec), ["route-equivalence"])
+        for delta, routes in verify.concurrence_routes(solves).items():
             spread = max(routes.values()) - min(routes.values())
             if spread > worst:
                 worst, worst_at = spread, (spec.dimension, spec.linear_size, delta)
@@ -121,7 +122,9 @@ def test_criterion_03_argmax_at_isotropy(ed_curves, acceptance_log):
 
 def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_curves, acceptance_log):
     concavity = verify.check_concavity(ed_curves)
-    hf = verify.check_hellmann_feynman(sectors)
+    hf = verify.check_hellmann_feynman(
+        {spec: verify.solve_lattice(sector, ["hellmann-feynman"]) for spec, sector in sectors.items()}
+    )
     worst_d2 = max(r.measured for r in concavity)
     worst_hf = max(r.measured for r in hf)
     ok = all(r.passed for r in concavity + hf)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xxzent import analysis, ed
+from xxzent import analysis, ed, entanglement
 from xxzent.analysis import (
     ConcurrenceCurve,
     ScanSample,
@@ -179,8 +179,20 @@ def test_scan_ed_assembles_once(monkeypatch):
 
 
 def test_hellmann_feynman_residual_small():
-    r = analysis.hellmann_feynman_residual(ed.build_sector(LatticeSpec(1, 4)), 1.0)
+    sector = ed.build_sector(LatticeSpec(1, 4))
+
+    def energy(delta):
+        return ed.lanczos_ground(sector.h.at(delta)).energy
+
+    h = analysis.HF_STEP
+    g = entanglement.mean_bond_correlators(ed.lanczos_ground(sector.h.at(1.0)), sector)
+    r = analysis.hellmann_feynman_residual(energy(1.0 - h), energy(1.0 + h), g.gzz,
+                                           sector.lattice.n_bonds)
     assert r < 1e-9
+    # a Gzz off by 1e-6 per bond moves the residual by N_B * 1e-6
+    off = analysis.hellmann_feynman_residual(energy(1.0 - h), energy(1.0 + h), g.gzz + 1e-6,
+                                             sector.lattice.n_bonds)
+    assert off == pytest.approx(sector.lattice.n_bonds * 1e-6, abs=1e-9)
 
 
 def test_slope_identity_on_ed_window():

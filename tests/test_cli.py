@@ -72,13 +72,24 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     sector = ed.build_sector(LatticeSpec(1, 16))
     h = sector.h.at(1.0)
     gs = ed.lanczos_ground(h)
-    g = entanglement.mean_bond_correlators(gs, sector.basis, sector.lattice)
+    g = entanglement.mean_bond_correlators(gs, sector)
     assert float(report["energy"]) == pytest.approx(gs.energy, abs=verify.ROUTE_TOL)
     for key in ("gxx", "gyy", "gzz"):
         assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
     assert float(report["residual"]) <= 1e-11
     low = np.sort(sla.eigsh(sparse_matrix(parity_block(sector, None).at(1.0)), k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
+
+
+def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
+    # the bond tables of the RDM route are built only when an RDM is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair table built")
+
+    monkeypatch.setattr(ed.SectorBasis, "pair_table", refuse)
+    assert cli.main(["ed", "--dim", "2", "--size", "4"]) == cli.EXIT_OK
+    assert cli.main(["scan", "--dim", "1", "--size", "8", "--step", "0.5"]) == cli.EXIT_OK
+    capsys.readouterr()
 
 
 def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
@@ -317,6 +328,43 @@ def test_scan_json_round_trip(tmp_path):
     assert all(0.0 <= s["residual"] <= ed.DEFAULT_TOL for s in payload["samples"])
 
 
+def _strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 does not allow."""
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_scan_json_writes_null_for_missing_numbers(capsys, monkeypatch):
+    # a spin-wave sample has no finite total energy
+    rc = cli.main(["scan", "--engine", "spinwave", "--dim", "2", "--kgrid", "16", "--from", "0.5",
+                   "--to", "1", "--step", "0.5", "--format", "json"])
+    assert rc == cli.EXIT_OK
+    samples = _strict_json(capsys.readouterr().out)["samples"]
+    assert [s["energy_total"] for s in samples] == [None, None]
+    assert all(isinstance(s["concurrence"], float) for s in samples)
+    # every number of a failed ED point is missing
+    original = ed.lanczos_ground
+
+    def flaky(h, **kwargs):
+        if h.delta == 1.0:
+            raise ed.LanczosError("injected", best=None)
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(ed, "lanczos_ground", flaky)
+    rc = cli.main(["scan", "--dim", "1", "--size", "4", "--from", "0.5", "--to", "1.5",
+                   "--step", "0.5", "--format", "json"])
+    assert rc == cli.EXIT_SOLVER
+    samples = _strict_json(capsys.readouterr().out)["samples"]
+    failed = samples[1]
+    assert failed["ok"] is False and failed["delta"] == 1.0
+    for key in ("concurrence", "energy_per_bond", "gzz", "energy_total", "residual"):
+        assert failed[key] is None, key
+    assert isinstance(samples[0]["energy_total"], float)
+
+
 def test_scan_spinwave_engine(capsys):
     rc = cli.main(["scan", "--engine", "spinwave", "--dim", "2", "--kgrid", "64",
                    "--from", "0.9", "--to", "1.1", "--step", "0.1"])
@@ -542,31 +590,56 @@ def test_verify_spinwave_suite_passes(capsys):
     assert out.strip().splitlines()[-1].endswith("checks passed")
 
 
-def test_verify_scans_each_lattice_once_for_concavity_and_argmax(monkeypatch):
-    # scans are deterministic (acceptance criterion 10), so a repeated
-    # (lattice, grid) request is answered from the first run's curve
-    calls = {"n": 0}
-    done = {}
-    original = analysis.scan_ed
+def test_verify_solves_each_lattice_and_delta_once(monkeypatch):
+    # the ED suites share one solve per (lattice, delta) over the union of
+    # the deltas they read: the 41-point scan grid, which holds ROUTE_DELTAS
+    # and HF_DELTAS, and the 6 points HF_DELTAS -+ HF_STEP
+    solves = []  # (dimension, delta) of every solve
+    original = ed.lanczos_ground
 
-    def counted(sector, deltas):
-        calls["n"] += 1
-        key = (sector.lattice.spec, tuple(deltas))
-        if key not in done:
-            done[key] = original(sector, deltas)
-        return done[key]
+    def counted(h, **kwargs):
+        solves.append((h.dimension, h.delta))
+        return original(h, **kwargs)
 
-    monkeypatch.setattr(analysis, "scan_ed", counted)
+    # every module-level binding, so no caller can bypass the count
+    for module in (ed, analysis, entanglement, verify, cli):
+        if getattr(module, "lanczos_ground", None) is original:
+            monkeypatch.setattr(module, "lanczos_ground", counted)
     every = verify.run_suites("all")
-    assert calls["n"] == len(verify.DEFAULT_ED_CASES) == 3
-    both = [r for r in every if r.name.split()[0] in ("concavity", "argmax")]
+    assert len(solves) == 141 == len(verify.DEFAULT_ED_CASES) * (41 + 6)
+    assert len(set(solves)) == len(solves)
+    assert len({dim for dim, _ in solves}) == 3  # the dimension names the lattice
+    # alone, each suite solves only what it reads, and its rows are those of "all"
     alone = []
-    for suite in ("concavity", "argmax"):
-        calls["n"] = 0
+    for suite, count in {"route-equivalence": 15, "hellmann-feynman": 27, "concavity": 123,
+                         "argmax": 123, "spinwave": 0}.items():
+        solves.clear()
         alone += verify.run_suites(suite)
-        assert calls["n"] == 3
-    assert both == alone
-    assert len(both) == 6 and all(r.passed for r in both)
+        assert len(solves) == count, suite
+    assert alone == every
+    assert len(every) == 19 and all(r.passed for r in every)
+
+
+def test_verify_solver_failures_stay_explicit(monkeypatch):
+    # a failed grid point is a gap in the shared curve; route-equivalence and
+    # hellmann-feynman raise the failure of a point they read
+    original = ed.lanczos_ground
+    side = 0.5 + analysis.HF_STEP
+    failing = {0.05, 1.0, side}
+
+    def flaky(h, **kwargs):
+        if h.delta in failing:
+            raise ed.LanczosError(f"injected at {h.delta}", best=None)
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(ed, "lanczos_ground", flaky)
+    spec = LatticeSpec(1, 4)
+    solves = verify.solve_lattice(ed.build_sector(spec), list(verify.SUITES))
+    assert [s.delta for s in solves.curve.samples if not s.ok] == [0.05, 1.0]
+    with pytest.raises(ed.LanczosError, match="injected at 1.0"):
+        verify.check_route_equivalence({spec: solves})
+    with pytest.raises(ed.LanczosError, match=f"injected at {side}"):
+        verify.check_hellmann_feynman({spec: solves})
 
 
 def test_verify_builds_each_lattice_once(monkeypatch):
@@ -617,7 +690,8 @@ def test_fault_injection_breaks_derivative_identity(monkeypatch):
 
     monkeypatch.setattr(ed, "build_hamiltonian", flipped)
     spec = LatticeSpec(1, 6)
-    results = verify.check_hellmann_feynman({spec: ed.build_sector(spec)})
+    solves = verify.solve_lattice(ed.build_sector(spec), ["hellmann-feynman"])
+    results = verify.check_hellmann_feynman({spec: solves})
     assert len(results) == 1
     assert not results[0].passed
     assert results[0].measured > 1e-3

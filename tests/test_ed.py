@@ -140,6 +140,21 @@ def test_bit_extraction():
     assert basis.bit(3).tolist() == [0, 0, 0, 1, 1, 1]
 
 
+@pytest.mark.parametrize("n_sites, m, i, j", [(8, 0.0, 2, 5), (8, 0.0, 7, 0), (7, 0.5, 1, 2)])
+def test_pair_table_splits_the_basis_by_site_bits(n_sites, m, i, j):
+    basis = ed.enumerate_basis(n_sites, m)
+    t = basis.pair_table(i, j)
+    assert np.array_equal(np.sort(t.order), np.arange(len(basis)))
+    assert t.bounds[0] == 0 and t.bounds[-1] == len(basis)
+    bi, bj = basis.bit(i), basis.bit(j)
+    for k, (up_i, up_j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+        cls = t.order[t.bounds[k]:t.bounds[k + 1]]
+        assert np.array_equal(cls, np.flatnonzero((bi == up_i) & (bj == up_j)))
+    up_down = basis.states[t.order[t.bounds[2]:t.bounds[3]]]
+    mask = np.uint64((1 << i) | (1 << j))
+    assert np.array_equal(basis.states[t.partners], up_down ^ mask)
+
+
 # ---------------------------------------------------- Hamiltonian assembly
 
 
@@ -178,6 +193,19 @@ def test_hamiltonian_linear_in_delta():
     assert sector.h.delta == 0.0 and not sector.h.diagonal.any()
     np.testing.assert_allclose(h2.diagonal, 2.5 * h1.diagonal, atol=1e-13)
     assert (h2.offdiag != h1.offdiag).nnz == 0
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 10), LatticeSpec(2, 4)])
+def test_apply_is_bitwise_the_sum_of_its_parts(spec):
+    # apply adds the diagonal term into the matvec's own array, which gives
+    # the bits of the two-temporary sum in either flip parity
+    sector = ed.build_sector(spec)
+    v = np.random.default_rng(3).standard_normal(sector.h.dimension)
+    before = v.copy()
+    for h in (sector.h.at(1.3), sector.h.at(1.3).flipped()):
+        w = h.apply(v)
+        assert w.tobytes() == (h.offdiag @ v + h.diagonal * v).tobytes()
+        assert w is not v and v.tobytes() == before.tobytes()
 
 
 def test_offdiagonal_counts_antiparallel_bonds():
@@ -649,7 +677,7 @@ def test_xx_chain_correlators_match_free_fermions():
     sector = ed.build_sector(LatticeSpec(1, 16))
     assert len(sector.basis) > DENSE_DIM_LIMIT
     gs = ed.lanczos_ground(sector.h)
-    g = entanglement.mean_bond_correlators(gs, sector.basis, sector.lattice)
+    g = entanglement.mean_bond_correlators(gs, sector)
     assert g.gzz == pytest.approx(gzz, abs=1e-10)
     gxx = e0 / (2 * sector.lattice.n_bonds)  # E0 = N_B (Gxx + Gyy), Gxx = Gyy
     # the M = 0 two-site block: z = 2 Gxx, u+ = u- = 1/4 + Gzz

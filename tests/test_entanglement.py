@@ -83,17 +83,18 @@ def test_rdm_matches_dense_partial_trace(spec, pairs, delta):
 
 
 def test_rdm_rejects_equal_sites(ring4):
-    _, basis, gs = ring4
+    sector, gs = ring4
     with pytest.raises(ValueError):
-        ent.two_site_rdm(gs, basis, 2, 2)
+        ent.two_site_rdm(gs, sector.basis, 2, 2)
 
 
 # ------------------------------------------------------- frozen references
 
 
 def test_four_ring_isotropic_values(ring4):
-    lattice, basis, gs = ring4
-    g = ent.mean_bond_correlators(gs, basis, lattice)
+    sector, gs = ring4
+    lattice = sector.lattice
+    g = ent.mean_bond_correlators(gs, sector)
     # SU(2) point: all three correlators equal, -1/6 per bond
     assert g.gzz == pytest.approx(-1.0 / 6.0, abs=1e-12)
     assert g.gxx == pytest.approx(g.gzz, abs=1e-12)
@@ -115,14 +116,15 @@ def test_two_site_singlet_is_maximally_entangled():
 
 
 def test_square44_frozen_concurrence(square44_heisenberg):
-    lattice, basis, gs = square44_heisenberg
-    g = ent.mean_bond_correlators(gs, basis, lattice)
+    sector, gs = square44_heisenberg
+    g = ent.mean_bond_correlators(gs, sector)
     assert g.gzz == pytest.approx(-0.116963366754, abs=1e-9)
     assert ent.concurrence_corr(g) == pytest.approx(0.201780200527, abs=1e-9)
 
 
 def test_route_equivalence_square44(square44_heisenberg):
-    lattice, basis, gs = square44_heisenberg
+    sector, gs = square44_heisenberg
+    lattice, basis = sector.lattice, sector.basis
     bond = lattice.bonds[0]
     rdm = ent.two_site_rdm(gs, basis, bond.i, bond.j)
     g = rdm.correlators()
@@ -130,7 +132,7 @@ def test_route_equivalence_square44(square44_heisenberg):
     values = [
         ent.concurrence_block(rdm),
         ent.concurrence_corr(g),
-        ent.concurrence_from_energy(eps0, ent.mean_bond_correlators(gs, basis, lattice).gzz, 1.0),
+        ent.concurrence_from_energy(eps0, ent.mean_bond_correlators(gs, sector).gzz, 1.0),
         ent.wootters_oracle(rdm.as_matrix()),
     ]
     assert max(values) - min(values) <= 1e-10
@@ -221,19 +223,54 @@ def test_operator_bond_correlators_match_bond_loop(spec, m, delta):
     # delta = 0 pins Gzz to the delta-free H_zz
     lattice = build_lattice(spec)
     basis = ed.enumerate_basis(lattice.n_sites, m)
-    h = ed.build_hamiltonian(lattice, basis).at(delta)
+    sector = ed.Sector(lattice, basis, ed.build_hamiltonian(lattice, basis))
+    h = sector.h.at(delta)
     gs = ed.lanczos_ground(h, m=m)
     quad = ent.operator_bond_correlators(gs, h, lattice)
-    loop = ent.mean_bond_correlators(gs, basis, lattice)
+    loop = ent.mean_bond_correlators(gs, sector)
     assert quad.gxx == pytest.approx(loop.gxx, abs=1e-12)
     assert quad.gyy == pytest.approx(loop.gyy, abs=1e-12)
     assert quad.gzz == pytest.approx(loop.gzz, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, m",
+    [(LatticeSpec(1, 9, periodic=False), 0.5), (LatticeSpec(1, 8, periodic=False), 0.0),
+     (LatticeSpec(1, 10), 0.0), (LatticeSpec(2, 4), 0.0)],
+    ids=["open9-m0.5", "open8", "ring10", "square4x4"],
+)
+def test_bond_tables_match_the_dense_partial_trace(spec, m):
+    # M = 0.5 has no flip parity, so its vector is the full sector's
+    lattice = build_lattice(spec)
+    basis = ed.enumerate_basis(lattice.n_sites, m)
+    assert (basis.parity is None) == (m != 0)
+    sector = ed.Sector(lattice, basis, ed.build_hamiltonian(lattice, basis))
+    gs = ed.lanczos_ground(sector.h.at(0.7), m=m)
+    full = embed_full_space(basis.expand(gs.vector), basis)
+    per_bond = []
+    for bond in lattice.bonds:
+        rdm = ent.two_site_rdm(gs, basis, bond.i, bond.j)
+        rho = dense_two_site_rdm(full, lattice.n_sites, bond.i, bond.j)
+        np.testing.assert_allclose(rdm.as_matrix(), rho, atol=1e-12)
+        per_bond.append(rdm.correlators())
+    mean = ent.mean_bond_correlators(gs, sector)
+    dense = np.mean([dense_pair_correlators(full, lattice.n_sites, b.i, b.j)
+                     for b in lattice.bonds], axis=0)
+    np.testing.assert_allclose([mean.gxx, mean.gyy, mean.gzz], dense, atol=1e-12)
+    # the sector's tables give, bit for bit, the mean of the pair-by-pair RDMs
+    nb = lattice.n_bonds
+    assert mean == ent.BondCorrelators(
+        gxx=sum(g.gxx for g in per_bond) / nb,
+        gyy=sum(g.gyy for g in per_bond) / nb,
+        gzz=sum(g.gzz for g in per_bond) / nb,
+    )
+
+
 def test_mean_bond_correlators_translation_invariance(ring4):
-    lattice, basis, gs = ring4
-    per_bond = [ent.two_site_rdm(gs, basis, b.i, b.j).correlators() for b in lattice.bonds]
-    mean = ent.mean_bond_correlators(gs, basis, lattice)
+    sector, gs = ring4
+    per_bond = [ent.two_site_rdm(gs, sector.basis, b.i, b.j).correlators()
+                for b in sector.lattice.bonds]
+    mean = ent.mean_bond_correlators(gs, sector)
     for g in per_bond:
         assert g.gzz == pytest.approx(mean.gzz, abs=1e-12)
         assert g.gxx == pytest.approx(mean.gxx, abs=1e-12)
