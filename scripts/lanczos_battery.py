@@ -9,7 +9,9 @@ value lies within its residual of an eigenvalue. Every failed solve is
 printed, and the exit code is 1 if any failed.
 
 A lattice with an even number of sites is solved at M = 0 in the ground
-state's flip parity, as every ED caller does; an odd open chain at M = 1/2.
+state's flip parity, the block `xxzent ed` solves, and a periodic one also
+in the ground state's orbits of translations and the flip, the sector
+`scan` and `verify` solve; an odd open chain is solved at M = 1/2.
 Lattices are named as in the tests: d1L8 is the periodic 8-site ring,
 d1L9open the open 9-site chain, d2L2 the periodic 2x2 square.
 
@@ -51,12 +53,15 @@ def tolerance(text: str) -> float:
     return value
 
 
-def sector_operator(spec: LatticeSpec) -> tuple[ed.SparseHamiltonian, float]:
-    """The delta-free operator the battery solves, and its magnetization."""
-    if spec.n_sites % 2 == 0:
-        return ed.build_sector(spec).h, 0.0
-    lattice = build_lattice(spec)
-    return ed.build_hamiltonian(lattice, ed.enumerate_basis(spec.n_sites, 0.5)), 0.5
+def sector_operators(spec: LatticeSpec) -> list[tuple[str, ed.SparseHamiltonian, float]]:
+    """The delta-free operators the battery solves: (sector, operator, magnetization)."""
+    if spec.n_sites % 2:
+        lattice = build_lattice(spec)
+        return [("M=0.5", ed.build_hamiltonian(lattice, ed.enumerate_basis(spec.n_sites, 0.5)), 0.5)]
+    cases = [("parity", ed.build_sector(spec).h, 0.0)]
+    if spec.periodic:
+        cases.append(("ground", ed.build_ground_sector(spec).h, 0.0))
+    return cases
 
 
 def main() -> int:
@@ -71,26 +76,26 @@ def main() -> int:
     solves = failed = 0
     for spec in args.lattices:
         name = f"d{spec.dimension}L{spec.linear_size}{'' if spec.periodic else 'open'}"
-        h0, m = sector_operator(spec)
-        for delta in args.deltas:
-            h = h0.at(delta)
-            dense = h.offdiag.toarray()
-            dense[np.diag_indices(h.dimension)] += h.diagonal
-            e0 = float(np.linalg.eigvalsh(dense)[0])
-            for tol in args.tols:
-                solves += 1
-                try:
-                    gs = ed.lanczos_ground(h, tol=tol, m=m)
-                except ed.LanczosError as exc:
-                    failed += 1
-                    print(f"FAIL {name} M={m:g} delta={delta:g} tol={tol:g}: {exc}")
-                    continue
-                error = abs(gs.energy - e0)
-                if not error <= gs.tolerance:
-                    failed += 1
-                    print(f"FAIL {name} M={m:g} delta={delta:g} tol={tol:g}: "
-                          f"|E - E0| = {error:.3e} above {gs.tolerance:.3e} "
-                          f"after {gs.iterations} iterations")
+        for sector, h0, m in sector_operators(spec):
+            for delta in args.deltas:
+                h = h0.at(delta)
+                dense = h.offdiag.toarray()
+                dense[np.diag_indices(h.dimension)] += h.diagonal
+                e0 = float(np.linalg.eigvalsh(dense)[0])
+                for tol in args.tols:
+                    solves += 1
+                    case = f"{name} {sector} delta={delta:g} tol={tol:g}"
+                    try:
+                        gs = ed.lanczos_ground(h, tol=tol, m=m)
+                    except ed.LanczosError as exc:
+                        failed += 1
+                        print(f"FAIL {case}: {exc}")
+                        continue
+                    error = abs(gs.energy - e0)
+                    if not error <= gs.tolerance:
+                        failed += 1
+                        print(f"FAIL {case}: |E - E0| = {error:.3e} above {gs.tolerance:.3e} "
+                              f"after {gs.iterations} iterations")
     print(f"{solves} solves, {failed} failed")
     return 1 if failed else 0
 

@@ -42,7 +42,7 @@ def main() -> None:
     sw_grid = delta_grid(0.0, 2.0, args.sw_step)
 
     curves = {
-        "ed_2d_L4": (analysis.scan_ed(ed.build_sector(LatticeSpec(2, 4)), ed_grid),
+        "ed_2d_L4": (analysis.scan_ed(ed.build_ground_sector(LatticeSpec(2, 4)), ed_grid),
                      args.ed_step),
         "spinwave_d2": (analysis.scan_spinwave(spinwave.gamma_grid(2, args.kgrid_2d), sw_grid),
                         args.sw_step),

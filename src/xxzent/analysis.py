@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ed, entanglement, spinwave
-from .lattice import Lattice
 
 GRID_UNIFORMITY_RTOL = 1e-8
 DELTA_MATCH_TOL = 1e-9
@@ -101,8 +100,8 @@ class EdSamples:
     (tol_applied).
     """
 
-    def __init__(self, lattice: Lattice, seed: int) -> None:
-        self.lattice = lattice
+    def __init__(self, sector: ed.Sector, seed: int) -> None:
+        self.sector = sector
         self.seed = seed
         self.samples: list[ScanSample] = []
         self.applied = ed.DEFAULT_TOL  # the largest residual threshold a solve was judged at
@@ -121,8 +120,8 @@ class EdSamples:
             )
             return
         self.applied = max(self.applied, outcome.tolerance)
-        n_bonds = self.lattice.n_bonds
-        g = entanglement.operator_bond_correlators(outcome, h, self.lattice)
+        n_bonds = self.sector.lattice.n_bonds
+        g = entanglement.operator_bond_correlators(outcome, h, self.sector.lattice)
         c = entanglement.concurrence_corr(g)
         self.samples.append(
             ScanSample(h.delta, c, outcome.energy / n_bonds, g.gzz, outcome.energy,
@@ -130,11 +129,11 @@ class EdSamples:
         )
 
     def curve(self) -> ConcurrenceCurve:
-        spec = self.lattice.spec
+        spec = self.sector.lattice.spec
         bc = "periodic" if spec.periodic else "open"
         lifted = f" tol_applied={self.applied:.3g}" if self.applied > ed.DEFAULT_TOL else ""
         prov = (
-            f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 "
+            f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 dim={self.sector.h.dimension} "
             f"tol={ed.DEFAULT_TOL}{lifted} seed={self.seed}"
         )
         return ConcurrenceCurve("ed", prov, tuple(self.samples))
@@ -142,7 +141,7 @@ class EdSamples:
 
 def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
     """ED C(delta) curve: sector.h re-pointed and solved once per delta (see EdSamples)."""
-    scan = EdSamples(sector.lattice, seed)
+    scan = EdSamples(sector, seed)
     for delta in np.asarray(deltas, dtype=float):
         h = sector.h.at(float(delta))
         try:

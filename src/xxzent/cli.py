@@ -107,8 +107,8 @@ class Infeasible(Exception):
     """An M = 0 sector above DEFAULT_BASIS_CAP; main maps it to EXIT_INFEASIBLE."""
 
 
-def _ed_sector(args: argparse.Namespace) -> ed.Sector:
-    """The M = 0 sector of the lattice the flags describe, refused above the cap."""
+def _ed_sector(args: argparse.Namespace, build) -> ed.Sector:
+    """build(spec) for the lattice the flags describe, refused above the cap."""
     spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
     n = spec.n_sites
     if n % 2 == 0 and n // 2 > math.log2(DEFAULT_BASIS_CAP):
@@ -118,7 +118,7 @@ def _ed_sector(args: argparse.Namespace) -> ed.Sector:
         dim = ed.sector_dimension(n, 0.0)
         count = f"{dim} states (~{dim:.2e})"
         if dim <= DEFAULT_BASIS_CAP:
-            return ed.build_sector(spec)
+            return build(spec)
     raise Infeasible(f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
                      f"{count}, above the cap {DEFAULT_BASIS_CAP} "
                      f"(~{DEFAULT_BASIS_CAP:.0e}); not desk-feasible")
@@ -133,7 +133,7 @@ def _require_antiferromagnet(delta: float, flag: str) -> None:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
-    sector = _ed_sector(args)
+    sector = _ed_sector(args, ed.build_sector)
     h = sector.h.at(args.delta)
     try:
         gs = ed.lanczos_ground(h, seed=args.seed)
@@ -239,7 +239,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if getattr(args, key) is None:
                 setattr(args, key, default)
         _require_antiferromagnet(args.delta_from, "--from")
-        sector = _ed_sector(args)
+        sector = _ed_sector(args, ed.build_ground_sector)
         try:
             curve = analysis.scan_ed(sector, grid, seed=args.seed)
         except ed.ScaleError as exc:

@@ -10,12 +10,13 @@ not depend on delta, so `build_sector` builds a lattice's M = 0 basis and
 operator once and callers re-point it with `SparseHamiltonian.at`. Every
 solve is one `lanczos_ground` run for the lowest pair.
 
-Flipping every spin commutes with H(delta). By Marshall's sign rule and
-Perron-Frobenius (Lieb & Mattis 1962) the M = 0 ground state has flip
-parity (-1)^(N/2) for every real delta, so the M = 0 basis carries that
-parity and operators and vectors live on its dim/2 representatives. The
-parity blocks differ only in the sign of the hops onto a flip partner, so
-`SparseHamiltonian.flipped` gives the other block on the same pattern.
+Flipping every spin and translating a periodic lattice commute with
+H(delta). By Marshall's sign rule and Perron-Frobenius (Lieb & Mattis 1962)
+the M = 0 ground state's sign is (-1)^(up spins on sublattice A) for every
+real delta; both maps swap the sublattices, so its flip parity and its
+unit-translation eigenvalue are (-1)^(N/2). `build_ground_sector` solves in
+the orbits of both (441 at 4x4, not 6,435 flip pairs); `build_sector` keeps
+the flip alone, whose other parity (`flipped`) gives `xxzent ed` its gap.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,24 +68,33 @@ class LanczosError(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """All n_sites-bit configurations with a fixed number of up spins.
-
-    At M = 0 the spin flip maps state i to state dim-1-i of the increasing
-    order, so the states with the top bit clear, states[:dim // 2], stand
-    for the pairs (|s> + parity |flip s>)/sqrt(2). `parity` is +-1 there and
-    None at M != 0, where the representatives are all the states.
+    """All n_sites-bit configurations with a fixed number of up spins, and
+    their orbits under the group G of the spin flip (at M = 0, character
+    `parity`) and the translations of the periodic lattice `translations`
+    (a shift by k: parity^|k|). An orbit is the unit vector sum_g chi(g)
+    |g r> / norm, named by its smallest state r: `representatives` index
+    operator rows and state vectors, and `sizes` holds their orbit lengths.
+    On these lattices every g that fixes a state has chi(g) = 1.
     """
 
     n_sites: int
     n_up: int
     states: np.ndarray  # uint64, strictly increasing
     parity: int | None = None
+    translations: LatticeSpec | None = None
+    representatives: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.parity is not None and (
             self.parity not in (1, -1) or 2 * self.n_up != self.n_sites
         ):
             raise SectorError(f"no flip parity {self.parity} in sector M={self.m}")
+        reps = self.states[self.canonical(self.states)[0] == self.states]
+        stabilizer = sum(image == reps for image, _ in self._images(reps))
+        n_group = (1 if self.parity is None else 2) * (self.n_sites if self.translations else 1)
+        object.__setattr__(self, "representatives", reps)
+        object.__setattr__(self, "sizes", (n_group // stabilizer).astype(np.int16))
 
     @property
     def m(self) -> float:
@@ -92,18 +103,53 @@ class SectorBasis:
     def __len__(self) -> int:
         return len(self.states)
 
+    def _images(self, x: np.ndarray, axis: int = 0):
+        """g x and the code of g (2 for the flip, + 1 for an odd shift length
+        |k|) for every g in G, the identity first, one array per axis alive.
+        A unit shift moves bits up one axis stride, or down L - 1 from the end."""
+        spec = self.translations
+        if spec is None or axis == spec.dimension:
+            yield x, 0
+            if self.parity is not None:
+                yield x ^ np.uint64((1 << self.n_sites) - 1), 2
+            return
+        L, n = spec.linear_size, spec.n_sites
+        stride = L ** (spec.dimension - 1 - axis)
+        last = sum(1 << site for site in range(n) if site // stride % L == L - 1)
+        rest, last, up, down = map(np.uint64, ((1 << n) - 1 - last, last, stride, (L - 1) * stride))
+        for k in range(L):
+            for image, code in self._images(x, axis + 1):
+                yield image, code ^ (k & 1)
+            x = ((x & rest) << up) | ((x & last) >> down)
+
     @property
-    def representatives(self) -> np.ndarray:
-        """The configurations that index operator rows and state vectors."""
-        return self.states if self.parity is None else self.states[: len(self.states) // 2]
+    def characters(self) -> np.ndarray:
+        """chi(g) = parity^(flip + |k|), indexed by the code of g."""
+        return np.array([1, self.parity or 1, self.parity or 1, 1], dtype=np.int8)
+
+    def canonical(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each configuration's orbit representative, its smallest image g s,
+        and the code of that g."""
+        rep, code = configs.copy(), np.zeros(len(configs), dtype=np.int8)
+        for image, c in islice(self._images(configs), 1, None):
+            less = image < rep
+            np.copyto(rep, image, where=less)
+            np.copyto(code, c, where=less)
+        return rep, code
+
+    @cached_property
+    def _orbit_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per state: the row of its orbit and its amplitude in the orbit's unit vector."""
+        rep, code = self.canonical(self.states)
+        index = np.searchsorted(self.representatives, rep)
+        return index, self.characters[code] / np.sqrt(self.sizes[index], dtype=float)
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Full-sector amplitudes of a vector over the representatives."""
         if len(v) != len(self.representatives):
             raise ValueError("state length does not match the sector's representatives")
-        if self.parity is None:
-            return v
-        return np.concatenate((v, self.parity * v[::-1])) / math.sqrt(2.0)
+        index, weight = self._orbit_map
+        return weight * v[index]
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.states, configs)
@@ -172,14 +218,15 @@ class SparseHamiltonian:
     """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal).
 
     In a flip-parity block offdiag = A + pB. `mirror` holds the positions in
-    offdiag.data of the entries that carry a hop of B, and `mirror_sign` is p.
+    offdiag.data of the entries that carry a hop of B (None under
+    translations), and `mirror_sign` is p.
     """
 
     dimension: int
     zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
-    mirror: np.ndarray = field(repr=False, compare=False)
+    mirror: np.ndarray | None = field(repr=False, compare=False)
     mirror_sign: int = field(repr=False, compare=False)
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -194,6 +241,8 @@ class SparseHamiltonian:
     def flipped(self) -> "SparseHamiltonian":
         """The other flip parity's block, A - pB, on the same indices and indptr:
         p is subtracted at the mirror positions, which is exact (0.5 - 1.0 = -0.5)."""
+        if self.mirror is None:
+            raise ValueError("flipped() needs a flip-parity block, not one reduced by translations")
         data = self.offdiag.data.copy()
         data[self.mirror] -= self.mirror_sign
         offdiag = sp.csr_matrix((data, self.offdiag.indices, self.offdiag.indptr),
@@ -211,24 +260,22 @@ class SparseHamiltonian:
 
 
 def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian:
-    """Assemble the sector operator bond by bond, at delta = 0, in CSR order.
+    """Assemble P^T H P bond by bond, at delta = 0, in CSR order, P's
+    columns the orbits of the basis.
 
-    H_zz: sum_bonds sz_i sz_j with sz = +-1/2 on the diagonal. H_xy: 1/2
-    between configurations differing by one antiparallel bond flip. Only
-    the representative rows are built: with a flip parity p, a hop onto
-    state j >= dim/2 lands on column dim-1-j with weight p/2, so the
-    result P^T H P = A + pB holds the direct hops A and the hops B onto a
-    flip partner. Each hop's key, 4 * column + (1 for A, 2 for B), goes in
-    its bond's row of a table with one column per state; sorting each
-    state's keys gives its CSR entries in column order, with no COO -> CSR
-    sort. Up to N = 4 sites a row can reach one column both ways (flip(t)
-    differs in N bits): keys 4c+1 and 4c+2 then merge into the entry 4c+3.
+    H_zz: sum_bonds sz_i sz_j with sz = +-1/2, diagonal on the orbits. H_xy:
+    1/2 between configurations differing by one antiparallel bond flip; a
+    hop from representative a onto g r_b adds 0.5 chi(g) sqrt(sizes[a] /
+    sizes[b]) at (a, b). Each hop's key, 4 * b + code(g), goes in its bond's
+    row of a table with one column per row; sorting each row's keys gives
+    its CSR entries in column order, with no COO -> CSR sort. Keys of one
+    column sum into one entry: translations, and up to N = 4 sites the flip,
+    reach one orbit twice. The flipped hops (code 2) are B of A + pB.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
     states = basis.representatives
     n = len(states)
-    last = len(basis) - 1
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its hops; each is -1/4 in H_zz
     empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
     keys = np.full((lattice.n_bonds, n), empty, dtype=np.int32)
@@ -237,24 +284,28 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
         anti_bonds += anti
         src = np.flatnonzero(anti)
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        targets = basis.index_of_many(states[src] ^ mask)
-        flip = targets >= n
-        keys[slot, src] = 4 * np.where(flip, last - targets, targets) + 1 + flip
+        rep, code = basis.canonical(states[src] ^ mask)
+        keys[slot, src] = 4 * np.searchsorted(states, rep) + code
     keys = np.sort(keys.T, axis=1)
-    entries = anti_bonds
-    if lattice.n_sites <= 4:
-        both = keys[:, 1:] - keys[:, :-1] == 1
-        keys[:, :-1][both] += 2
-        keys[:, 1:][both] = empty
-        entries = anti_bonds - both.sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(entries))).astype(np.int32)
     keys = keys[keys != empty]
-    p = basis.parity or 1
-    data = np.take([0.0, 0.5, 0.5 * p, 0.5 + 0.5 * p], keys & 3)
-    mirror = np.flatnonzero(keys & 2).astype(np.int32)
-    offdiag = sp.csr_matrix((data, keys >> 2, indptr), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(anti_bonds)))
+    data = np.take(0.5 * basis.characters, keys & 3)
+    flips = (keys & 2).astype(bool)
+    cols = np.right_shift(keys, 2, out=keys)
+    start = np.append(True, cols[1:] != cols[:-1])  # the hops that open an entry
+    start[indptr[:-1][anti_bonds > 0]] = True
+    if not start.all():
+        entries = np.flatnonzero(start)
+        data = np.add.reduceat(data, entries)
+        flips = np.logical_or.reduceat(flips, entries)
+        cols = cols[entries]
+        indptr = np.searchsorted(entries, indptr)
+    if np.ptp(basis.sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
+        data *= np.sqrt(np.repeat(basis.sizes, np.diff(indptr)) / basis.sizes[cols])
+    mirror = None if basis.translations is not None else np.flatnonzero(flips).astype(np.int32)
+    offdiag = sp.csr_matrix((data, cols, indptr.astype(np.int32)), shape=(n, n))
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
-    return SparseHamiltonian(n, zz, offdiag, 0.0, mirror, p)
+    return SparseHamiltonian(n, zz, offdiag, 0.0, mirror, basis.parity or 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,9 +328,18 @@ class Sector:
 
 
 def build_sector(spec: LatticeSpec) -> Sector:
-    """Build the lattice, its M = 0 basis and H_xy + 0 H_zz, once per lattice."""
+    """The lattice, its M = 0 basis in the ground state's flip parity and
+    H_xy + 0 H_zz, once per lattice; `flipped` gives the other parity."""
     lattice = build_lattice(spec)
     basis = enumerate_basis(lattice.n_sites)
+    return Sector(lattice, basis, build_hamiltonian(lattice, basis))
+
+
+def build_ground_sector(spec: LatticeSpec) -> Sector:
+    """build_sector's block, reduced on a periodic lattice by its
+    translations: the states of the ground state's symmetry sector alone."""
+    lattice = build_lattice(spec)
+    basis = replace(enumerate_basis(lattice.n_sites), translations=spec if spec.periodic else None)
     return Sector(lattice, basis, build_hamiltonian(lattice, basis))
 
 

@@ -119,8 +119,8 @@ def operator_bond_correlators(
     mean Gxx = mean Gyy = <H_xy> / (2 N_B) and mean Gzz = <H_zz> / N_B, with
     H_zz the delta-free Ising diagonal. Exact for the bond average on any
     lattice; `mean_bond_correlators` is the independent bond-by-bond route.
-    Both forms commute with the spin flip, so a vector over the
-    representatives of a flip-parity basis needs no expansion.
+    Both forms commute with the flip and the translations, so a vector over
+    the representatives of a basis's orbits needs no expansion.
     """
     psi = state.vector
     nb = lattice.n_bonds

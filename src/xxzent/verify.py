@@ -10,12 +10,13 @@ print one line per check and exit nonzero if any fail. Suites:
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
 run_suites(name) runs one suite, or all, building only the inputs they read.
-The ED suites share one sector per lattice and one Lanczos solve per
-(lattice, delta): solve_lattice solves the union of the deltas they read
-(the step-ED_SCAN_STEP grid on [0, 2], which holds ROUTE_DELTAS and
-HF_DELTAS, plus HF_DELTAS -+ HF_STEP), 141 solves for all of them. It keeps
-vectors only at ROUTE_DELTAS and HF_DELTAS, and reads their bond-averaged
-correlators once, through the sector's bond tables, for both suites.
+The ED suites share one sector per lattice, the ground state's orbits under
+translations and the flip (ed.build_ground_sector, 441 at 4x4), and one
+solve per (lattice, delta): solve_lattice solves the union of the deltas
+they read (the step-ED_SCAN_STEP grid on [0, 2], which holds ROUTE_DELTAS
+and HF_DELTAS, plus HF_DELTAS -+ HF_STEP), 141 solves for all of them. It
+keeps vectors only at ROUTE_DELTAS and HF_DELTAS, and reads their
+bond-averaged correlators once, through the sector's bond tables.
 Suites have no settings: they run at fixed deltas and steps, and the
 spinwave checks share one default zone per dimension (512^2 and 96^3,
 spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and CUSP_STABILITY were
@@ -110,7 +111,7 @@ def solve_lattice(sector: ed.Sector, suites) -> LatticeSolves:
     if "hellmann-feynman" in suites:
         keep.update(HF_DELTAS)
         sides.update(d + s for d in HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP))
-    scan = analysis.EdSamples(sector.lattice, ed.DEFAULT_SEED)
+    scan = analysis.EdSamples(sector, ed.DEFAULT_SEED)
     energies, kept, failures = {}, {}, {}
     for delta in sorted(grid | keep | sides):
         h = sector.h.at(delta)
@@ -269,7 +270,7 @@ SUITES = {
 
 
 def _run_ed_suites(names: list[str]) -> list[CheckResult]:
-    solved = {spec: solve_lattice(ed.build_sector(spec), names) for spec in DEFAULT_ED_CASES}
+    solved = {spec: solve_lattice(ed.build_ground_sector(spec), names) for spec in DEFAULT_ED_CASES}
     curves = {spec: solves.curve for spec, solves in solved.items()}
     inputs = {"route-equivalence": solved, "hellmann-feynman": solved,
               "concavity": curves, "argmax": curves}

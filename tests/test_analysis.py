@@ -94,13 +94,15 @@ def test_curve_requires_increasing_deltas():
 
 
 def test_scan_ed_four_ring():
-    curve = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5))
+    # the model line names the solved sector's dimension: 2 orbits of the
+    # ring's translations and flip, 3 states of its flip parity
+    curve = scan_ed(ed.build_ground_sector(LatticeSpec(1, 4)), delta_grid(0.0, 2.0, 0.5))
     assert curve.engine == "ed"
-    assert curve.provenance == "ed d=1 L=4 periodic m=0.0 tol=1e-11 seed=1234"
+    assert curve.provenance == "ed d=1 L=4 periodic m=0.0 dim=2 tol=1e-11 seed=1234"
     # where the residual floor exceeds DEFAULT_TOL, the threshold applied is recorded
     floored = scan_ed(ed.build_sector(LatticeSpec(1, 4)), delta_grid(1e4, 1e4, 1.0))
-    assert floored.provenance == ("ed d=1 L=4 periodic m=0.0 tol=1e-11 tol_applied=1.47e-10 "
-                                  "seed=1234")
+    assert floored.provenance == ("ed d=1 L=4 periodic m=0.0 dim=3 tol=1e-11 "
+                                  "tol_applied=1.47e-10 seed=1234")
     assert floored.all_ok()
     assert curve.all_ok()
     assert len(curve.samples) == 5

@@ -313,6 +313,48 @@ def test_scan_csv_layout_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _scan_rows(path: Path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith(("#", "delta,"))]
+
+
+@pytest.mark.parametrize("dim, size, reduced", [(2, 4, 441), (1, 10, 15)])
+def test_scan_rows_match_the_parity_block(dim, size, reduced, tmp_path):
+    # scan solves the ground state's translation x flip sector (k = 0 on
+    # 4x4, k = pi on the 10-ring); its rows agree with the flip-parity block
+    # within the benchmark's gates: C and Gzz within ROUTE_TOL, energy per
+    # bond within the Lanczos tolerance, plus the rounding of 12 printed digits
+    spec, (start, stop, step) = LatticeSpec(dim, size), (0.0, 2.0, 0.05)
+    out, again = tmp_path / "scan.csv", tmp_path / "again.csv"
+    for path in (out, again):
+        argv = ["scan", "--dim", str(dim), "--size", str(size), "--step", str(step)]
+        assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
+    assert out.read_bytes() == again.read_bytes()
+    assert f"# model: ed d={dim} L={size} periodic m=0.0 dim={reduced} " in out.read_text()
+    parity = analysis.scan_ed(ed.build_sector(spec), analysis.delta_grid(start, stop, step))
+    rows = _scan_rows(out)
+    assert len(rows) == len(parity.samples) == 41
+    for row, s in zip(rows, parity.samples):
+        assert float(row[0]) == s.delta and row[4] == "ed"
+        for got, want, tol in ((row[1], s.concurrence, verify.ROUTE_TOL),
+                               (row[2], s.energy_per_bond, ed.DEFAULT_TOL),
+                               (row[3], s.gzz, verify.ROUTE_TOL)):
+            assert abs(float(got) - want) <= tol + 5e-12 * abs(want), (s.delta, got, want)
+
+
+def test_open_scan_is_the_parity_block_scan(tmp_path):
+    # an open lattice has no translations, so scan solves its flip-parity
+    # block on the parent's path: the file is byte for byte scan_ed's
+    spec, grid = LatticeSpec(1, 10, periodic=False), (0.0, 2.0, 0.1)
+    out, ref = tmp_path / "scan.csv", tmp_path / "ref.csv"
+    argv = ["scan", "--dim", "1", "--size", "10", "--boundary", "open", "--step", "0.1"]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+    cli.write_curve(analysis.scan_ed(ed.build_sector(spec), analysis.delta_grid(*grid)),
+                    grid, str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+    assert "# model: ed d=1 L=10 open m=0.0 dim=126 " in out.read_text()
+
+
 def test_scan_json_round_trip(tmp_path):
     out = tmp_path / "curve.json"
     rc = cli.main(["scan", "--dim", "1", "--size", "4", "--from", "0.5", "--to", "1.5",

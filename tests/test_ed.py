@@ -122,7 +122,7 @@ def test_expand_restores_the_flip_partner():
     assert np.linalg.norm(full) == pytest.approx(np.linalg.norm(v))
     polarized = ed.enumerate_basis(6, 1.0)
     w = np.ones(len(polarized))
-    assert polarized.expand(w) is w
+    np.testing.assert_array_equal(polarized.expand(w), w)  # a trivial group: every weight is 1
     with pytest.raises(ValueError, match="representatives"):
         basis.expand(np.ones(len(basis)))
 
@@ -724,3 +724,90 @@ def test_marshall_sign_and_flip_parity(spec):
             rdm = entanglement.two_site_rdm(gs, basis, bond.i, bond.j)
             assert rdm.u_plus == pytest.approx(rdm.u_minus, abs=1e-9), delta
             assert rdm.w1 == pytest.approx(rdm.w2, abs=1e-9), delta
+
+
+GROUND_SPECS = [LatticeSpec(1, n) for n in (2, 4, 6, 8, 10, 12, 14)] + [
+    LatticeSpec(2, 2), LatticeSpec(3, 2), LatticeSpec(2, 4),
+]
+
+
+def _spec_id(spec: LatticeSpec) -> str:
+    return f"d{spec.dimension}L{spec.linear_size}{'' if spec.periodic else 'open'}"
+
+
+def _unit_translation(states: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
+    """Each configuration moved one site along axis, bit by bit."""
+    shape = (spec.linear_size,) * spec.dimension
+    moved = np.zeros_like(states)
+    for site in range(spec.n_sites):
+        coords = list(np.unravel_index(site, shape))
+        coords[axis] = (coords[axis] + 1) % spec.linear_size
+        target = np.uint64(np.ravel_multi_index(coords, shape))
+        moved |= ((states >> np.uint64(site)) & np.uint64(1)) << target
+    return moved
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("delta", [-0.99, 0.0, 0.5, 1.0, 3.0, 1e4])
+@pytest.mark.parametrize("spec", GROUND_SPECS, ids=_spec_id)
+def test_ground_sector_holds_the_parity_ground_state(spec, delta):
+    # Marshall's sign rule: the ground state is (-1)^(up spins on A) times a
+    # positive vector, and a unit translation swaps the sublattices, so its
+    # eigenvalue is (-1)^(N/2) like the flip parity's. The orbits of both
+    # then hold the lowest level of the parity block, k = 0 or k = pi
+    from xxzent import entanglement, verify
+
+    parity, ground = ed.build_sector(spec), ed.build_ground_sector(spec)
+    basis = ground.basis
+    assert basis.sizes.sum() == len(basis)  # no orbit is lost to its characters
+    h = ground.h.at(delta)
+    assert abs(h.offdiag - h.offdiag.T).max() <= 1e-15
+    gs, ref = ed.lanczos_ground(h), ed.lanczos_ground(parity.h.at(delta))
+    assert abs(gs.energy - ref.energy) <= gs.tolerance + ref.tolerance
+    g = entanglement.mean_bond_correlators(gs, ground)
+    g_ref = entanglement.mean_bond_correlators(ref, parity)
+    assert abs(g.gxx - g_ref.gxx) <= verify.ROUTE_TOL
+    assert abs(g.gzz - g_ref.gzz) <= verify.ROUTE_TOL
+    psi = basis.expand(gs.vector)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+    sign = (-1) ** (spec.n_sites // 2)
+    for axis in range(spec.dimension):
+        # T psi = sign psi reads psi(s) = sign psi(T s)
+        moved = basis.index_of_many(_unit_translation(basis.states, spec, axis))
+        np.testing.assert_array_equal(psi[moved], sign * psi)
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", GROUND_SPECS[:-1], ids=_spec_id)
+def test_ground_sector_operator_is_the_projected_full_block(spec):
+    # the columns of P, expand of each unit vector, are orthonormal, and the
+    # assembled operator is P^T H P of the full M = 0 block, entry by entry
+    ground = ed.build_ground_sector(spec)
+    full = parity_block(ed.build_sector(spec), None)
+    n = ground.h.dimension
+    p = np.column_stack([ground.basis.expand(e) for e in np.eye(n)])
+    np.testing.assert_allclose(p.T @ p, np.eye(n), atol=1e-15)
+    for delta in (0.0, 1.3):
+        projected = p.T @ (sparse_matrix(full.at(delta)) @ p)
+        np.testing.assert_allclose(dense_matrix(ground.h.at(delta)), projected, atol=1e-14)
+
+
+def test_square44_ground_sector_has_441_representatives():
+    ground = ed.build_ground_sector(LatticeSpec(2, 4))
+    assert (ground.h.dimension, len(ground.basis), ground.h.offdiag.nnz) == (441, 12870, 6680)
+
+
+def test_flipped_refuses_a_translation_reduced_block():
+    # its entries merge the hops of several translates, so the parity
+    # block's mirror positions name nothing there
+    h = ed.build_ground_sector(LatticeSpec(2, 4)).h
+    assert h.mirror is None
+    for block in (h, h.at(1.0)):
+        with pytest.raises(ValueError, match="flip-parity block"):
+            block.flipped()
+    # an open lattice has no translations: its ground sector is the parity block
+    spec = LatticeSpec(1, 8, periodic=False)
+    sector = ed.build_sector(spec)
+    open_h = ed.build_ground_sector(spec).h
+    other = parity_block(sector, -sector.basis.parity)
+    np.testing.assert_array_equal(dense_matrix(open_h.flipped()), dense_matrix(other))

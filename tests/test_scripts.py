@@ -43,7 +43,8 @@ def test_lanczos_battery_script():
     proc = _run("lanczos_battery.py", "--lattices", "d1L8", "d1L9open", "d2L2",
                 "--deltas", "-1.5", "0", "1e6", "--tols", "1e-11", "1e-14")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "18 solves, 0 failed"
+    # d1L8 and d2L2 in their flip-parity block and their ground sector, d1L9open at M = 1/2
+    assert proc.stdout.splitlines()[-1] == "30 solves, 0 failed"
 
 
 def test_lanczos_battery_refuses_unusable_tols():
@@ -72,10 +73,12 @@ def test_stage_times_script():
 def test_readme_python_api_example():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Python API\n\n```python\n", 1)[1].split("\n```", 1)[0]
-    for stated in ("0.2017802...", "12870 states, 6435 representatives", "32,896 of 512^2"):
+    for stated in ("0.2017802...", "12870 states, 6435 representatives", "32,896 of 512^2",
+                   "441 representatives"):
         assert stated in block
     names = {}
     exec(block, names)
     assert 0.2017802 <= names["c"] < 0.2017803
     assert (len(names["sector"].basis), names["sector"].h.dimension) == (12870, 6435)
+    assert names["ground"].h.dimension == 441
     assert names["g"].gamma.size == 32_896 and names["g"].k_points == 512
