@@ -1,4 +1,4 @@
-"""Delta scans, derivative identities, extremum reports, and least-squares fits."""
+"""Delta scans, derivative identities, extremum reports, and the 1/L fit."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ed, entanglement, spinwave
+from .lattice import Lattice
 
 GRID_UNIFORMITY_RTOL = 1e-8
 DELTA_MATCH_TOL = 1e-9
@@ -58,9 +59,6 @@ class ConcurrenceCurve:
     def concurrences(self) -> np.ndarray:
         return self._column("concurrence")
 
-    def energies_per_bond(self) -> np.ndarray:
-        return self._column("energy_per_bond")
-
     def all_ok(self) -> bool:
         return all(s.ok for s in self.samples)
 
@@ -88,68 +86,95 @@ def delta_grid(start: float, stop: float, step: float) -> np.ndarray:
     return grid
 
 
-class EdSamples:
-    """An ED curve built one solved delta at a time.
+@dataclass(frozen=True)
+class EdSolves:
+    """One sector's ground states at a set of deltas, each solved once (solve_ed).
 
-    `scan_ed` and the verify suites both make their curves here, so a
-    delta's sample has one builder: the bond means from the operator's
-    quadratic forms, or, for a failed solve, an explicit gap that keeps its
-    best estimate's iterations and residual. Every solve runs at
-    ed.DEFAULT_TOL, which the provenance records with, where the Lanczos
-    residual floor replaced it at some delta, the largest threshold applied
-    (tol_applied).
+    `curve` holds the samples at the deltas asked for, in their order,
+    `energies` every solved delta's E0, and `kept` the ground states at the
+    kept deltas, the only vectors kept, each with its bond means read off
+    the two-site RDMs. A failed solve is a gap in the curve, and `energy`
+    and `ground` raise its LanczosError when a caller reads that delta.
     """
 
-    def __init__(self, sector: ed.Sector, seed: int) -> None:
-        self.sector = sector
-        self.seed = seed
-        self.samples: list[ScanSample] = []
-        self.applied = ed.DEFAULT_TOL  # the largest residual threshold a solve was judged at
+    sector: ed.Sector
+    curve: ConcurrenceCurve
+    energies: dict[float, float]
+    kept: dict[float, tuple[ed.GroundState, entanglement.BondCorrelators]]
+    failures: dict[float, ed.LanczosError]
 
-    def add(self, h: ed.SparseHamiltonian, outcome: ed.GroundState | ed.LanczosError) -> None:
-        """Append the sample of the solve of h: its ground state, or its LanczosError."""
-        if isinstance(outcome, ed.LanczosError):
-            best = outcome.best
-            if best:
-                self.applied = max(self.applied, best.tolerance)
-            self.samples.append(
-                ScanSample(h.delta, math.nan, math.nan, math.nan, math.nan,
-                           ok=False, error=str(outcome),
-                           iterations=best.iterations if best else 0,
-                           residual=best.residual if best else math.nan)
-            )
-            return
-        self.applied = max(self.applied, outcome.tolerance)
-        n_bonds = self.sector.lattice.n_bonds
-        g = entanglement.operator_bond_correlators(outcome, h, self.sector.lattice)
-        c = entanglement.concurrence_corr(g)
-        self.samples.append(
-            ScanSample(h.delta, c, outcome.energy / n_bonds, g.gzz, outcome.energy,
-                       iterations=outcome.iterations, residual=outcome.residual)
-        )
+    def energy(self, delta: float) -> float:
+        if delta in self.failures:
+            raise self.failures[delta]
+        return self.energies[delta]
 
-    def curve(self) -> ConcurrenceCurve:
-        spec = self.sector.lattice.spec
-        bc = "periodic" if spec.periodic else "open"
-        lifted = f" tol_applied={self.applied:.3g}" if self.applied > ed.DEFAULT_TOL else ""
-        prov = (
-            f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 dim={self.sector.h.dimension} "
-            f"tol={ed.DEFAULT_TOL}{lifted} seed={self.seed}"
-        )
-        return ConcurrenceCurve("ed", prov, tuple(self.samples))
+    def ground(self, delta: float) -> tuple[ed.GroundState, entanglement.BondCorrelators]:
+        """The kept ground state at delta and its bond means."""
+        if delta in self.failures:
+            raise self.failures[delta]
+        return self.kept[delta]
 
 
-def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
-    """ED C(delta) curve: sector.h re-pointed and solved once per delta (see EdSamples)."""
-    scan = EdSamples(sector, seed)
-    for delta in np.asarray(deltas, dtype=float):
-        h = sector.h.at(float(delta))
+def _sample(h: ed.SparseHamiltonian, outcome: ed.GroundState | ed.LanczosError,
+            lattice: Lattice) -> ScanSample:
+    """The sample of the solve of h: the bond means from the operator's
+    quadratic forms, or, for a LanczosError, an explicit gap that keeps its
+    best estimate's iterations and residual."""
+    if isinstance(outcome, ed.LanczosError):
+        best = outcome.best
+        return ScanSample(h.delta, math.nan, math.nan, math.nan, math.nan,
+                          ok=False, error=str(outcome),
+                          iterations=best.iterations if best else 0,
+                          residual=best.residual if best else math.nan)
+    g = entanglement.operator_bond_correlators(outcome, h, lattice)
+    return ScanSample(h.delta, entanglement.concurrence_corr(g), outcome.energy / lattice.n_bonds,
+                      g.gzz, outcome.energy, iterations=outcome.iterations,
+                      residual=outcome.residual)
+
+
+def solve_ed(sector: ed.Sector, deltas, *, keep=(), extra=(),
+             seed: int = ed.DEFAULT_SEED) -> EdSolves:
+    """Solve sector.h once at each delta of deltas, keep and extra, in increasing order.
+
+    The curve samples deltas in the order given, so a repeated or
+    decreasing delta is refused there. Every solve runs at ed.DEFAULT_TOL,
+    which the provenance records with, where the Lanczos residual floor
+    replaced it at some delta of the curve, the largest threshold applied
+    (tol_applied).
+    """
+    deltas = np.asarray(deltas, dtype=float).tolist()
+    wanted, keep = set(deltas), set(keep)
+    samples, energies, kept, failures = {}, {}, {}, {}
+    applied = ed.DEFAULT_TOL
+    for delta in sorted(wanted | keep | set(extra)):
+        h = sector.h.at(delta)
         try:
             outcome = ed.lanczos_ground(h, seed=seed)
         except ed.LanczosError as exc:
-            outcome = exc
-        scan.add(h, outcome)
-    return scan.curve()
+            outcome = failures[delta] = exc
+        else:
+            energies[delta] = outcome.energy
+            if delta in keep:
+                kept[delta] = (outcome, entanglement.mean_bond_correlators(outcome, sector))
+        if delta in wanted:
+            samples[delta] = _sample(h, outcome, sector.lattice)
+            solved = outcome.best if delta in failures else outcome
+            if solved:
+                applied = max(applied, solved.tolerance)
+    spec = sector.lattice.spec
+    bc = "periodic" if spec.periodic else "open"
+    lifted = f" tol_applied={applied:.3g}" if applied > ed.DEFAULT_TOL else ""
+    prov = (
+        f"ed d={spec.dimension} L={spec.linear_size} {bc} m=0.0 dim={sector.h.dimension} "
+        f"tol={ed.DEFAULT_TOL}{lifted} seed={seed}"
+    )
+    curve = ConcurrenceCurve("ed", prov, tuple(samples[d] for d in deltas))
+    return EdSolves(sector, curve, energies, kept, failures)
+
+
+def scan_ed(sector: ed.Sector, deltas, *, seed: int = ed.DEFAULT_SEED) -> ConcurrenceCurve:
+    """ED C(delta) curve: sector.h solved once per delta (see solve_ed)."""
+    return solve_ed(sector, deltas, seed=seed).curve
 
 
 def scan_spinwave(zone: spinwave.ZoneGrid, deltas) -> ConcurrenceCurve:
@@ -179,22 +204,12 @@ def hellmann_feynman_residual(e_minus: float, e_plus: float, gzz: float, n_bonds
     energies at delta -+ HF_STEP, by a central difference.
 
     The verify suite takes both energies and Gzz from the solves it shares
-    with the other ED suites, and Gzz is the bond-by-bond mean
+    with the other ED suites (solve_ed), and Gzz is the bond-by-bond mean
     (entanglement.mean_bond_correlators), not the operator's own H_zz, so a
     fault in H_zz cannot cancel out.
     """
     de = (e_plus - e_minus) / (2.0 * HF_STEP)
     return abs(de - n_bonds * gzz)
-
-
-def _uniform_step(deltas: np.ndarray) -> float:
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 samples")
-    steps = np.diff(deltas)
-    h = float(steps[0])
-    if np.any(np.abs(steps - h) > GRID_UNIFORMITY_RTOL * max(abs(h), 1.0)):
-        raise ValueError("grid is not uniform")
-    return h
 
 
 def second_differences(values: np.ndarray) -> np.ndarray:
@@ -211,8 +226,12 @@ def concavity_check(curve: ConcurrenceCurve) -> np.ndarray:
     the per-bond density (no finite total exists) and are only meaningful
     within a single branch.
     """
+    steps = np.diff(curve.deltas())
+    if len(steps) < 2:
+        raise ValueError("need at least 3 samples")
+    if np.any(np.abs(steps - steps[0]) > GRID_UNIFORMITY_RTOL * max(abs(steps[0]), 1.0)):
+        raise ValueError("grid is not uniform")
     quantity = "energy_total" if curve.engine == "ed" else "energy_per_bond"
-    _uniform_step(curve.deltas())  # validates uniformity, >= 3 points
     return second_differences(curve._column(quantity))
 
 
@@ -256,38 +275,11 @@ class FitResult:
     """Least-squares fit summary."""
 
     coefficients: tuple[float, ...]
-    residual_norm: float
-    data_norm: float
     dof: int
-
-    @property
-    def relative_residual(self) -> float:
-        return self.residual_norm / self.data_norm if self.data_norm else math.inf
 
     @property
     def low_confidence(self) -> bool:
         return self.dof <= 0
-
-
-def _least_squares(a: np.ndarray, y: np.ndarray) -> FitResult:
-    """Fit y by the columns of a; no norm or product here goes through BLAS."""
-    coef = np.linalg.lstsq(a, y, rcond=None)[0]
-    return FitResult(
-        coefficients=tuple(float(x) for x in coef),
-        residual_norm=math.hypot(*(np.einsum("ij,j->i", a, coef) - y)),
-        data_norm=math.hypot(*y),
-        dof=len(y) - len(coef),
-    )
-
-
-def quadratic_fit_near_iso(curve: ConcurrenceCurve) -> FitResult:
-    """Fit C ~ c0 - c1 (delta - 1)^2 to the curve as scanned (needs >= 5 points)."""
-    deltas = curve.deltas()
-    c = curve.concurrences()
-    if len(deltas) < 5:
-        raise ValueError(f"need >= 5 points, got {len(deltas)}")
-    a = np.column_stack([np.ones_like(deltas), -((deltas - 1.0) ** 2)])
-    return _least_squares(a, c)
 
 
 def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:
@@ -299,20 +291,5 @@ def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:
     if len(set(ls.tolist())) < degree + 1:
         raise ValueError(f"degree {degree} fit needs {degree + 1} distinct sizes")
     a = np.column_stack([(1.0 / ls) ** n for n in range(degree + 1)])
-    return _least_squares(a, ys)
-
-
-def slope_identity_residuals(curve: ConcurrenceCurve) -> np.ndarray:
-    """|dC/ddelta - 2 (delta - 1) d2(eps0)/ddelta2| at interior grid points.
-
-    Both derivatives are central differences on the curve's own grid, so
-    for an exact curve the residual shrinks as O(step^2). Meaningful while
-    the concurrence clamp is inactive (C > 0 with Gxx + Gyy < 0).
-    """
-    deltas = curve.deltas()
-    h = _uniform_step(deltas)
-    c = curve.concurrences()
-    eps = curve.energies_per_bond()
-    dc = (c[2:] - c[:-2]) / (2.0 * h)
-    d2e = second_differences(eps) / h**2
-    return np.abs(dc - 2.0 * (deltas[1:-1] - 1.0) * d2e)
+    coef = np.linalg.lstsq(a, ys, rcond=None)[0]
+    return FitResult(tuple(float(x) for x in coef), dof=len(ys) - len(coef))

@@ -12,11 +12,12 @@ print one line per check and exit nonzero if any fail. Suites:
 run_suites(name) runs one suite, or all, building only the inputs they read.
 The ED suites share one sector per lattice, the ground state's orbits under
 translations and the flip (ed.build_ground_sector, 441 at 4x4), and one
-solve per (lattice, delta): solve_lattice solves the union of the deltas
-they read (the step-ED_SCAN_STEP grid on [0, 2], which holds ROUTE_DELTAS
-and HF_DELTAS, plus HF_DELTAS -+ HF_STEP), 141 solves for all of them. It
-keeps vectors only at ROUTE_DELTAS and HF_DELTAS, and reads their
-bond-averaged correlators once, through the sector's bond tables.
+solve per (lattice, delta): analysis.solve_ed, the loop `scan` uses too,
+solves the union of the deltas they read (the step-ED_SCAN_STEP grid on
+[0, 2], which holds ROUTE_DELTAS and HF_DELTAS, plus HF_DELTAS -+
+HF_STEP), 141 solves for all of them, and solve_lattice names those
+deltas. It keeps vectors only at ROUTE_DELTAS and HF_DELTAS, and reads
+their bond-averaged correlators once, through the sector's bond tables.
 Suites have no settings: they run at fixed deltas and steps, and the
 spinwave checks share one default zone per dimension (512^2 and 96^3,
 spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and CUSP_STABILITY were
@@ -67,68 +68,20 @@ def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-@dataclass(frozen=True)
-class LatticeSolves:
-    """One lattice's ground states at the deltas its selected ED suites read.
-
-    `solve_lattice` solves each delta once. `curve` holds the scan grid's
-    samples (empty unless concavity or argmax runs), `energies` every
-    solved delta's E0, and `kept` the ground states at ROUTE_DELTAS and
-    HF_DELTAS, the only vectors kept, each with its bond means read off the
-    two-site RDMs. A failed solve is a gap in the curve, and `energy` and
-    `ground` raise its LanczosError when route-equivalence or
-    hellmann-feynman reads it.
-    """
-
-    sector: ed.Sector
-    curve: analysis.ConcurrenceCurve
-    energies: dict[float, float]
-    kept: dict[float, tuple[ed.GroundState, entanglement.BondCorrelators]]
-    failures: dict[float, ed.LanczosError]
-
-    def energy(self, delta: float) -> float:
-        if delta in self.failures:
-            raise self.failures[delta]
-        return self.energies[delta]
-
-    def ground(self, delta: float) -> tuple[ed.GroundState, entanglement.BondCorrelators]:
-        """The kept ground state at delta and its bond means."""
-        if delta in self.failures:
-            raise self.failures[delta]
-        return self.kept[delta]
+def solve_lattice(sector: ed.Sector, suites) -> analysis.EdSolves:
+    """The solves of sector.h that the ED suites named in suites read
+    (analysis.solve_ed): the scan grid's curve for concavity and argmax,
+    and kept states at ROUTE_DELTAS for route-equivalence and at HF_DELTAS,
+    with the energies at HF_DELTAS -+ HF_STEP, for hellmann-feynman."""
+    suites = set(suites)
+    grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP) if {"concavity", "argmax"} & suites else ()
+    routes = ROUTE_DELTAS if "route-equivalence" in suites else ()
+    hf = HF_DELTAS if "hellmann-feynman" in suites else ()
+    sides = [d + s for d in hf for s in (-analysis.HF_STEP, analysis.HF_STEP)]
+    return analysis.solve_ed(sector, grid, keep=routes + hf, extra=sides)
 
 
-def solve_lattice(sector: ed.Sector, suites) -> LatticeSolves:
-    """Solve sector.h once at each delta that one of the ED suites named in
-    suites reads: the scan grid for concavity and argmax, ROUTE_DELTAS for
-    route-equivalence, and HF_DELTAS and HF_DELTAS -+ HF_STEP for
-    hellmann-feynman."""
-    grid, keep, sides = set(), set(), set()
-    if {"concavity", "argmax"} & set(suites):
-        grid.update(map(float, analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)))
-    if "route-equivalence" in suites:
-        keep.update(ROUTE_DELTAS)
-    if "hellmann-feynman" in suites:
-        keep.update(HF_DELTAS)
-        sides.update(d + s for d in HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP))
-    scan = analysis.EdSamples(sector, ed.DEFAULT_SEED)
-    energies, kept, failures = {}, {}, {}
-    for delta in sorted(grid | keep | sides):
-        h = sector.h.at(delta)
-        try:
-            outcome = ed.lanczos_ground(h)
-        except ed.LanczosError as exc:
-            outcome = failures[delta] = exc
-        else:
-            energies[delta] = outcome.energy
-            if delta in keep:
-                kept[delta] = (outcome, entanglement.mean_bond_correlators(outcome, sector))
-        if delta in grid:
-            scan.add(h, outcome)
-    return LatticeSolves(sector, scan.curve(), energies, kept, failures)
-
-
-def concurrence_routes(solves: LatticeSolves) -> dict[float, dict[str, float]]:
+def concurrence_routes(solves: analysis.EdSolves) -> dict[float, dict[str, float]]:
     """The four concurrence routes at each of ROUTE_DELTAS, on the kept states.
 
     The correlator and energy routes read the correlators off every bond's
@@ -150,7 +103,7 @@ def concurrence_routes(solves: LatticeSolves) -> dict[float, dict[str, float]]:
     return routes
 
 
-def check_route_equivalence(solved: dict[LatticeSpec, LatticeSolves]) -> list[CheckResult]:
+def check_route_equivalence(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
     results = []
     for spec, solves in solved.items():
         worst = 0.0
@@ -162,7 +115,7 @@ def check_route_equivalence(solved: dict[LatticeSpec, LatticeSolves]) -> list[Ch
     return results
 
 
-def check_hellmann_feynman(solved: dict[LatticeSpec, LatticeSolves]) -> list[CheckResult]:
+def check_hellmann_feynman(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
     results = []
     step = analysis.HF_STEP
     for spec, solves in solved.items():
@@ -282,8 +235,9 @@ def run_suites(name: str = "all") -> list[CheckResult]:
 
     The ED suites share one sector per lattice in DEFAULT_ED_CASES and one
     solve per (lattice, delta) over the union of the deltas they read
-    (solve_lattice); that all goes before the spinwave suite builds its
-    default zones, which are built only when it runs.
+    (analysis.solve_ed, at the deltas solve_lattice names); that all goes
+    before the spinwave suite builds its default zones, which are built
+    only when it runs.
     """
     selected = list(SUITES) if name == "all" else [name]
     ed_names = [n for n in selected if n != "spinwave"]

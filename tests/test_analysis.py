@@ -1,4 +1,4 @@
-"""Scans, derivative identities, extremum reports, and least-squares fits."""
+"""Scans, derivative identities, extremum reports, and the 1/L fit."""
 
 import math
 
@@ -14,11 +14,9 @@ from xxzent.analysis import (
     delta_grid,
     extremum_and_derivative,
     polynomial_inverse_l_fit,
-    quadratic_fit_near_iso,
     scan_ed,
     scan_spinwave,
     second_differences,
-    slope_identity_residuals,
 )
 from xxzent.lattice import LatticeSpec
 
@@ -91,6 +89,11 @@ def test_curve_requires_increasing_deltas():
         _toy_curve([0.0, 0.5, 0.5], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         ConcurrenceCurve("magic", "toy", ())
+    # scan_ed solves the union of its deltas, but samples them as given
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    for deltas in ([0.5, 0.5, 1.0], [1.0, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            scan_ed(sector, deltas)
 
 
 def test_scan_ed_four_ring():
@@ -197,13 +200,6 @@ def test_hellmann_feynman_residual_small():
     assert off == pytest.approx(sector.lattice.n_bonds * 1e-6, abs=1e-9)
 
 
-def test_slope_identity_on_ed_window():
-    curve = scan_ed(ed.build_sector(LatticeSpec(1, 8)), delta_grid(0.9, 1.1, 0.01))
-    resid = slope_identity_residuals(curve)
-    assert resid.max() < 1e-4
-    assert len(resid) == len(curve.samples) - 2
-
-
 def test_concavity_of_ed_energy():
     curve = scan_ed(ed.build_sector(LatticeSpec(1, 8)), delta_grid(0.0, 2.0, 0.1))
     d2 = analysis.concavity_check(curve)
@@ -251,23 +247,6 @@ def test_extremum_rejects_failed_samples():
 
 
 # -------------------------------------------------------------------- fits
-
-
-def test_quadratic_fit_recovers_synthetic_coefficients():
-    deltas = delta_grid(0.9, 1.1, 0.02)
-    c = 0.4 - 0.05 * (deltas - 1.0) ** 2
-    curve = _toy_curve(deltas, c)
-    fit = quadratic_fit_near_iso(curve)
-    assert fit.coefficients[0] == pytest.approx(0.4, abs=1e-12)
-    assert fit.coefficients[1] == pytest.approx(0.05, abs=1e-12)
-    assert fit.relative_residual < 1e-12
-    assert not fit.low_confidence
-
-
-def test_quadratic_fit_needs_enough_points():
-    curve = _toy_curve([0.95, 1.0, 1.05], [0.39, 0.4, 0.39])
-    with pytest.raises(ValueError, match=">= 5 points"):
-        quadratic_fit_near_iso(curve)
 
 
 @settings(max_examples=40, deadline=None)

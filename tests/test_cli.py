@@ -90,6 +90,9 @@ def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
     assert cli.main(["ed", "--dim", "2", "--size", "4"]) == cli.EXIT_OK
     assert cli.main(["scan", "--dim", "1", "--size", "8", "--step", "0.5"]) == cli.EXIT_OK
     capsys.readouterr()
+    # vectors are kept only at the deltas a caller names
+    grid = analysis.delta_grid(0.0, 2.0, 0.5)
+    assert analysis.solve_ed(ed.build_sector(LatticeSpec(1, 8)), grid).kept == {}
 
 
 def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):

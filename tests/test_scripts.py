@@ -37,6 +37,11 @@ def test_chain_extrapolation_script():
     proc = _run("chain_extrapolation.py", "--sizes", "4", "6", "8", "10")
     assert proc.returncode == 0, proc.stderr
     assert "extrapolated E0/N" in proc.stdout
+    assert "warning" not in proc.stdout
+    # three sizes fix a quadratic in 1/L exactly, with no degrees of freedom left
+    proc = _run("chain_extrapolation.py", "--sizes", "4", "6", "8", "--degree", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "warning: no degrees of freedom left" in proc.stdout
 
 
 def test_lanczos_battery_script():
