@@ -8,10 +8,11 @@ by more than the threshold it applied (`GroundState.tolerance`): a Ritz
 value lies within its residual of an eigenvalue. Every failed solve is
 printed, and the exit code is 1 if any failed.
 
-A lattice with an even number of sites is solved at M = 0 in the ground
-state's flip parity, the block `xxzent ed` solves, and a periodic one also
-in the ground state's orbits of translations and the flip, the sector
-`scan` and `verify` solve; an odd open chain is solved at M = 1/2.
+A lattice with an even number of sites is solved at M = 0 in both flip
+parities, the other parity's block being the one `xxzent ed` takes its gap
+from, and a periodic one also in the ground state's orbits of translations
+and the flip, the sector `scan`, `verify` and the ground state of
+`xxzent ed` solve; an odd open chain is solved at M = 1/2.
 Lattices are named as in the tests: d1L8 is the periodic 8-site ring,
 d1L9open the open 9-site chain, d2L2 the periodic 2x2 square.
 
@@ -22,6 +23,7 @@ d1L9open the open 9-site chain, d2L2 the periodic 2x2 square.
 import argparse
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -58,7 +60,10 @@ def sector_operators(spec: LatticeSpec) -> list[tuple[str, ed.SparseHamiltonian,
     if spec.n_sites % 2:
         lattice = build_lattice(spec)
         return [("M=0.5", ed.build_hamiltonian(lattice, ed.enumerate_basis(spec.n_sites, 0.5)), 0.5)]
-    cases = [("parity", ed.build_sector(spec).h, 0.0)]
+    sector = ed.build_sector(spec)
+    other = replace(sector.basis, parity=-sector.basis.parity)
+    cases = [("parity", sector.h, 0.0),
+             ("other", ed.build_hamiltonian(sector.lattice, other), 0.0)]
     if spec.periodic:
         cases.append(("ground", ed.build_ground_sector(spec).h, 0.0))
     return cases

@@ -2,11 +2,12 @@
 """Wall and CPU time per stage of the `xxzent ed` flow.
 
 Runs the stages of `xxzent ed` in process and in its order: the lattice,
-the M = 0 basis, the assembly, the other flip parity's block by
-`SparseHamiltonian.flipped`, one Lanczos run per parity (with its
-iterations) and the bond correlators. The flow is run --repeat times and
-each stage's median is printed. CPU time is the process's, over all its
-threads, so a stage that wakes BLAS threads shows more CPU than wall time.
+the M = 0 basis, the ground state's orbits of translations and the flip
+with their assembly, the ground Lanczos run (with its iterations), the
+bond correlators, the other flip parity's block and its Lanczos run. The
+flow is run --repeat times and each stage's median is printed. CPU time is
+the process's, over all its threads, so a stage that wakes BLAS threads
+shows more CPU than wall time.
 The peak_rss_mb column is the process's peak resident set (ru_maxrss) at
 the end of each stage of the first run, so it includes the interpreter and
 the imports.
@@ -19,6 +20,7 @@ import resource
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 from xxzent import ed, entanglement
 from xxzent.lattice import LatticeSpec, build_lattice
@@ -47,13 +49,21 @@ def run_flow(spec: LatticeSpec, delta: float) -> list[tuple[str, float, float, f
 
     lattice = timed("lattice", build_lattice, spec)
     basis = timed("basis", ed.enumerate_basis, lattice.n_sites, note=lambda b: f"{len(b)} states")
-    h = timed("assembly", ed.build_hamiltonian, lattice, basis, note=lambda h: f"{h.nnz} nnz")
-    h = h.at(delta)
-    other = timed("flipped", h.flipped)
+
+    def assemble(translations, parity):
+        block = replace(basis, translations=translations, parity=parity)
+        return ed.build_hamiltonian(lattice, block).at(delta)
+
+    def rows_nnz(h):
+        return f"{h.dimension} rows, {h.nnz} nnz"
+
     p = basis.parity
-    gs = timed(f"lanczos parity {p:+d}", ed.lanczos_ground, h, note=_iterations)
-    timed(f"lanczos parity {-p:+d}", ed.lanczos_ground, other, note=_iterations)
+    h = timed("assembly ground", assemble, spec, p, note=rows_nnz)  # orbits included
+    gs = timed("lanczos ground", ed.lanczos_ground, h, note=_iterations)
     timed("correlators", entanglement.operator_bond_correlators, gs, h, lattice)
+    del h  # freed before the other block is built, as in `xxzent ed`
+    other = timed(f"assembly parity {-p:+d}", assemble, None, -p, note=rows_nnz)
+    timed(f"lanczos parity {-p:+d}", ed.lanczos_ground, other, note=_iterations)
     return stages
 
 

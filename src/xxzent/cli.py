@@ -133,12 +133,19 @@ def _require_antiferromagnet(delta: float, flag: str) -> None:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
-    sector = _ed_sector(args, ed.build_sector)
+    sector = _ed_sector(args, ed.build_ground_sector)
+    lattice, basis = sector.lattice, sector.basis
     h = sector.h.at(args.delta)
     try:
         gs = ed.lanczos_ground(h, seed=args.seed)
-        # the lowest M = 0 excitation is the other flip parity's ground state
-        other = ed.lanczos_ground(h.flipped(), seed=args.seed)
+        g = entanglement.operator_bond_correlators(gs, h, lattice)
+        del sector, h  # the ground block is freed before the gap's block is built
+        # the lowest M = 0 excitation is the other flip parity's lowest level,
+        # at any momentum, so its block is not reduced by translations
+        other_basis = dataclasses.replace(basis, translations=None, parity=-basis.parity)
+        other = ed.lanczos_ground(
+            ed.build_hamiltonian(lattice, other_basis).at(args.delta), seed=args.seed
+        )
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -146,7 +153,6 @@ def cmd_ed(args: argparse.Namespace) -> int:
         print(f"error: --delta: {exc}", file=sys.stderr)
         return EXIT_USAGE
     gap = other.energy - gs.energy
-    g = entanglement.operator_bond_correlators(gs, h, sector.lattice)
     c = entanglement.concurrence_corr(g)
     rows = [
         ("dimension", args.dim),
@@ -154,9 +160,9 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("boundary", args.boundary),
         ("delta", _fmt(args.delta)),
         ("sector_m", _fmt(gs.m)),
-        ("sector_dimension", len(sector.basis)),
+        ("sector_dimension", len(basis)),
         ("energy", _fmt(gs.energy)),
-        ("energy_per_bond", _fmt(gs.energy / sector.lattice.n_bonds)),
+        ("energy_per_bond", _fmt(gs.energy / lattice.n_bonds)),
         ("gxx", _fmt(g.gxx)),
         ("gyy", _fmt(g.gyy)),
         ("gzz", _fmt(g.gzz)),

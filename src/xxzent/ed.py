@@ -15,8 +15,11 @@ H(delta). By Marshall's sign rule and Perron-Frobenius (Lieb & Mattis 1962)
 the M = 0 ground state's sign is (-1)^(up spins on sublattice A) for every
 real delta; both maps swap the sublattices, so its flip parity and its
 unit-translation eigenvalue are (-1)^(N/2). `build_ground_sector` solves in
-the orbits of both (441 at 4x4, not 6,435 flip pairs); `build_sector` keeps
-the flip alone, whose other parity (`flipped`) gives `xxzent ed` its gap.
+the orbits of both (441 at 4x4, 16,080 at L = 22); `build_sector` keeps the
+flip alone. `xxzent ed` solves two blocks: the ground state in
+`build_ground_sector`'s, and its gap in the other flip parity's, which is
+not reduced by translations since the lowest level there may carry any
+momentum (352,716 rows at L = 22).
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -215,19 +218,12 @@ def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
 
 @dataclass(frozen=True)
 class SparseHamiltonian:
-    """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal).
-
-    In a flip-parity block offdiag = A + pB. `mirror` holds the positions in
-    offdiag.data of the entries that carry a hop of B (None under
-    translations), and `mirror_sign` is p.
-    """
+    """H_xy (offdiag, symmetric CSR) + delta * H_zz (zz, Ising diagonal)."""
 
     dimension: int
     zz: np.ndarray
     offdiag: sp.csr_matrix
     delta: float
-    mirror: np.ndarray | None = field(repr=False, compare=False)
-    mirror_sign: int = field(repr=False, compare=False)
     diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -237,17 +233,6 @@ class SparseHamiltonian:
     def at(self, delta: float) -> "SparseHamiltonian":
         """The same sector operator at another delta, without re-assembly."""
         return replace(self, delta=delta)
-
-    def flipped(self) -> "SparseHamiltonian":
-        """The other flip parity's block, A - pB, on the same indices and indptr:
-        p is subtracted at the mirror positions, which is exact (0.5 - 1.0 = -0.5)."""
-        if self.mirror is None:
-            raise ValueError("flipped() needs a flip-parity block, not one reduced by translations")
-        data = self.offdiag.data.copy()
-        data[self.mirror] -= self.mirror_sign
-        offdiag = sp.csr_matrix((data, self.offdiag.indices, self.offdiag.indptr),
-                                shape=self.offdiag.shape)
-        return replace(self, offdiag=offdiag, mirror_sign=-self.mirror_sign)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         w = self.offdiag @ v
@@ -270,7 +255,7 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     row of a table with one column per row; sorting each row's keys gives
     its CSR entries in column order, with no COO -> CSR sort. Keys of one
     column sum into one entry: translations, and up to N = 4 sites the flip,
-    reach one orbit twice. The flipped hops (code 2) are B of A + pB.
+    reach one orbit twice.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
@@ -290,22 +275,19 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     keys = keys[keys != empty]
     indptr = np.concatenate(([0], np.cumsum(anti_bonds)))
     data = np.take(0.5 * basis.characters, keys & 3)
-    flips = (keys & 2).astype(bool)
     cols = np.right_shift(keys, 2, out=keys)
     start = np.append(True, cols[1:] != cols[:-1])  # the hops that open an entry
     start[indptr[:-1][anti_bonds > 0]] = True
     if not start.all():
         entries = np.flatnonzero(start)
         data = np.add.reduceat(data, entries)
-        flips = np.logical_or.reduceat(flips, entries)
         cols = cols[entries]
         indptr = np.searchsorted(entries, indptr)
     if np.ptp(basis.sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
         data *= np.sqrt(np.repeat(basis.sizes, np.diff(indptr)) / basis.sizes[cols])
-    mirror = None if basis.translations is not None else np.flatnonzero(flips).astype(np.int32)
     offdiag = sp.csr_matrix((data, cols, indptr.astype(np.int32)), shape=(n, n))
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
-    return SparseHamiltonian(n, zz, offdiag, 0.0, mirror, basis.parity or 1)
+    return SparseHamiltonian(n, zz, offdiag, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +311,7 @@ class Sector:
 
 def build_sector(spec: LatticeSpec) -> Sector:
     """The lattice, its M = 0 basis in the ground state's flip parity and
-    H_xy + 0 H_zz, once per lattice; `flipped` gives the other parity."""
+    H_xy + 0 H_zz, once per lattice."""
     lattice = build_lattice(spec)
     basis = enumerate_basis(lattice.n_sites)
     return Sector(lattice, basis, build_hamiltonian(lattice, basis))

@@ -71,11 +71,10 @@ def parity_block(sector: ed.Sector, parity: int | None) -> ed.SparseHamiltonian:
     return ed.build_hamiltonian(sector.lattice, replace(sector.basis, parity=parity))
 
 
-def coo_hamiltonian(lattice, basis: ed.SectorBasis):
+def coo_hamiltonian(lattice, basis: ed.SectorBasis) -> sp.csr_matrix:
     """The spin-flip part collected hop by hop and bond by bond into COO form
     and summed by scipy's COO -> CSR conversion: the reference for the
-    row-ordered assembly. Returns (offdiag, mirror), both CSR, with mirror
-    the hops onto a flip partner alone."""
+    row-ordered assembly. A hop onto a flip partner carries the parity."""
     states = basis.representatives
     n, last = len(states), len(basis) - 1
     rows, cols, mirrored = [np.empty(0, np.int32)], [np.empty(0, np.int32)], [np.empty(0, bool)]
@@ -90,11 +89,7 @@ def coo_hamiltonian(lattice, basis: ed.SectorBasis):
         mirrored.append(flip)
     r, c, flip = map(np.concatenate, (rows, cols, mirrored))
     vals = np.where(flip, 0.5 * (basis.parity or 1), 0.5)
-
-    def csr(keep=slice(None)):
-        return sp.coo_matrix((vals[keep], (r[keep], c[keep])), shape=(n, n)).tocsr()
-
-    return csr(), csr(flip)
+    return sp.coo_matrix((vals, (r, c)), shape=(n, n)).tocsr()
 
 
 def full_gamma_grid(dimension: int, k_points: int) -> np.ndarray:

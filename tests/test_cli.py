@@ -51,25 +51,30 @@ def test_ed_report_four_ring(capsys):
 
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     # 16-site ring: 12,870 states, too many for the dense oracle; one
-    # Lanczos run in each flip parity gives the ground state and the gap,
-    # and one assembly serves both parities
+    # Lanczos run in the ground state's orbits of translations and the flip,
+    # and one in the other flip parity's block for the gap: one assembly each
     calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
+    dimensions = []
     for name in calls:
         original = getattr(ed, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
+            if _name == "lanczos_ground":
+                dimensions.append(args[0].dimension)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(ed, name, counted)
     rc = cli.main(["ed", "--dim", "1", "--size", "16"])
     assert rc == cli.EXIT_OK
-    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 1, "lanczos_ground": 2}
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 2, "lanczos_ground": 2}
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
     assert int(report["sector_dimension"]) == 12870 > DENSE_DIM_LIMIT
-
     sector = ed.build_sector(LatticeSpec(1, 16))
+    # the ground run's block is the orbits of translations and the flip
+    assert dimensions == [ed.build_ground_sector(LatticeSpec(1, 16)).h.dimension, 6435]
+
     h = sector.h.at(1.0)
     gs = ed.lanczos_ground(h)
     g = entanglement.mean_bond_correlators(gs, sector)
@@ -78,6 +83,29 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
         assert float(report[key]) == pytest.approx(getattr(g, key), abs=verify.ROUTE_TOL)
     assert float(report["residual"]) <= 1e-11
     low = np.sort(sla.eigsh(sparse_matrix(parity_block(sector, None).at(1.0)), k=2, which="SA")[0])
+    assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 12), LatticeSpec(1, 16), LatticeSpec(2, 4)],
+                         ids=lambda s: f"d{s.dimension}L{s.linear_size}")
+def test_ed_ground_sector_route_matches_the_parity_block(capsys, spec, delta):
+    # ed solves its ground state in the orbits of translations and the flip:
+    # a Lanczos run on the whole flip-parity block gives the same report, and
+    # the two lowest levels of the full M = 0 block give the same gap
+    argv = ["ed", "--dim", str(spec.dimension), "--size", str(spec.linear_size),
+            "--delta", str(delta)]
+    assert cli.main(argv) == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    sector = ed.build_sector(spec)
+    gs = ed.lanczos_ground(sector.h.at(delta))
+    g = entanglement.mean_bond_correlators(gs, sector)
+    want = {"energy": gs.energy, "gxx": g.gxx, "gzz": g.gzz,
+            "concurrence": entanglement.concurrence_corr(g)}
+    for key, value in want.items():
+        assert float(report[key]) == pytest.approx(value, abs=verify.ROUTE_TOL), key
+    full = sparse_matrix(parity_block(sector, None).at(delta))
+    low = np.sort(sla.eigsh(full, k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
 

@@ -202,7 +202,7 @@ def test_apply_is_bitwise_the_sum_of_its_parts(spec):
     sector = ed.build_sector(spec)
     v = np.random.default_rng(3).standard_normal(sector.h.dimension)
     before = v.copy()
-    for h in (sector.h.at(1.3), sector.h.at(1.3).flipped()):
+    for h in (sector.h.at(1.3), parity_block(sector, -sector.basis.parity).at(1.3)):
         w = h.apply(v)
         assert w.tobytes() == (h.offdiag @ v + h.diagonal * v).tobytes()
         assert w is not v and v.tobytes() == before.tobytes()
@@ -241,35 +241,6 @@ def test_parity_sectors_split_the_m0_spectrum(spec, delta):
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize(
     "spec",
-    [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
-    + [LatticeSpec(2, 2), LatticeSpec(3, 2)],
-    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
-)
-def test_flipped_is_the_other_parity_block(spec):
-    # one assembly serves both parities: A - pB must be the block assembled
-    # in parity -p, entry for entry. Up to N = 4 sites (chains L = 2 and 4,
-    # the 2x2 square) a direct and a mirrored hop share an entry
-    sector = ed.build_sector(spec)
-    h = sector.h
-    other = parity_block(sector, -sector.basis.parity)
-    # only data is new: the two blocks share one sparsity pattern
-    block = h.flipped().offdiag
-    assert np.shares_memory(block.indices, h.offdiag.indices)
-    assert np.shares_memory(block.indptr, h.offdiag.indptr)
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(block, name), getattr(other.offdiag, name))
-    for delta in (-0.5, 0.0, 1.0, 2.5):
-        flipped = dense_matrix(h.flipped().at(delta))
-        np.testing.assert_array_equal(flipped, dense_matrix(other.at(delta)))
-        np.testing.assert_array_equal(dense_matrix(h.at(delta).flipped()), flipped)
-        np.testing.assert_array_equal(
-            dense_matrix(h.flipped().flipped().at(delta)), dense_matrix(h.at(delta))
-        )
-
-
-@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
-@pytest.mark.parametrize(
-    "spec",
     [LatticeSpec(1, n, periodic=p) for n in range(2, 13) for p in (True, False)
      if n % 2 == 0 or not p]
     + [LatticeSpec(2, 2), LatticeSpec(2, 4), LatticeSpec(3, 2)],
@@ -277,23 +248,20 @@ def test_flipped_is_the_other_parity_block(spec):
 )
 def test_assembly_is_bit_identical_to_the_coo_reference(spec):
     # the row-ordered assembly needs no COO -> CSR sort but must give the same
-    # CSR arrays, including the N <= 4 entries that sum a direct and a
-    # mirrored hop; odd open chains have no M = 0, so they take M = 1/2
+    # CSR arrays in each flip parity and in the full M = 0 block. Up to N = 4
+    # sites (chains L = 2 and 4, the 2x2 square) a direct and a mirrored hop
+    # share an entry; odd open chains have no M = 0, so they take M = 1/2
     lattice = build_lattice(spec)
     basis = ed.enumerate_basis(lattice.n_sites, (lattice.n_sites % 2) / 2)
-    h = ed.build_hamiltonian(lattice, basis)
-    offdiag, mirror = coo_hamiltonian(lattice, basis)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(h.offdiag, name), getattr(offdiag, name)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    # the mirror positions hold exactly the reference mirror's entries
-    assert h.mirror.dtype == np.int32 and h.mirror_sign == (basis.parity or 1)
-    rows = np.searchsorted(h.offdiag.indptr, h.mirror, side="right") - 1
-    mirror = mirror.tocoo()
-    assert sorted(zip(rows.tolist(), h.offdiag.indices[h.mirror].tolist())) == sorted(
-        zip(mirror.row.tolist(), mirror.col.tolist())
-    )
+    parities = (None,) if basis.parity is None else (basis.parity, -basis.parity, None)
+    for parity in parities:
+        block = replace(basis, parity=parity)
+        h = ed.build_hamiltonian(lattice, block)
+        offdiag = coo_hamiltonian(lattice, block)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(h.offdiag, name), getattr(offdiag, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 # ------------------------------------------------------------- solvers
@@ -427,7 +395,7 @@ def test_one_state_blocks_go_through_the_recurrence():
     sector = ed.build_sector(LatticeSpec(1, 2))
     lat = build_lattice(LatticeSpec(1, 6))
     polarized = ed.build_hamiltonian(lat, ed.enumerate_basis(6, 3.0))
-    for h0 in (sector.h, sector.h.flipped(), polarized):
+    for h0 in (sector.h, parity_block(sector, -sector.basis.parity), polarized):
         for delta in (-0.5, 0.0, 0.7, 1.0, 2.5):
             h = h0.at(delta)
             assert h.dimension == 1
@@ -797,17 +765,11 @@ def test_square44_ground_sector_has_441_representatives():
     assert (ground.h.dimension, len(ground.basis), ground.h.offdiag.nnz) == (441, 12870, 6680)
 
 
-def test_flipped_refuses_a_translation_reduced_block():
-    # its entries merge the hops of several translates, so the parity
-    # block's mirror positions name nothing there
-    h = ed.build_ground_sector(LatticeSpec(2, 4)).h
-    assert h.mirror is None
-    for block in (h, h.at(1.0)):
-        with pytest.raises(ValueError, match="flip-parity block"):
-            block.flipped()
-    # an open lattice has no translations: its ground sector is the parity block
+def test_open_ground_sector_is_the_parity_block():
+    # an open lattice has no translations: `xxzent ed` solves its ground
+    # state in the flip-parity block itself
     spec = LatticeSpec(1, 8, periodic=False)
-    sector = ed.build_sector(spec)
-    open_h = ed.build_ground_sector(spec).h
-    other = parity_block(sector, -sector.basis.parity)
-    np.testing.assert_array_equal(dense_matrix(open_h.flipped()), dense_matrix(other))
+    ground, parity = ed.build_ground_sector(spec).h, ed.build_sector(spec).h
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(ground.offdiag, name), getattr(parity.offdiag, name))
+    np.testing.assert_array_equal(ground.zz, parity.zz)

@@ -48,8 +48,8 @@ def test_lanczos_battery_script():
     proc = _run("lanczos_battery.py", "--lattices", "d1L8", "d1L9open", "d2L2",
                 "--deltas", "-1.5", "0", "1e6", "--tols", "1e-11", "1e-14")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # d1L8 and d2L2 in their flip-parity block and their ground sector, d1L9open at M = 1/2
-    assert proc.stdout.splitlines()[-1] == "30 solves, 0 failed"
+    # d1L8 and d2L2 in both flip-parity blocks and their ground sector, d1L9open at M = 1/2
+    assert proc.stdout.splitlines()[-1] == "42 solves, 0 failed"
 
 
 def test_lanczos_battery_refuses_unusable_tols():
@@ -66,12 +66,14 @@ def test_stage_times_script():
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["stage", "wall_s", "cpu_s", "peak_rss_mb", "note"]
     stages = [line.split()[0] for line in lines[2:]]
-    assert stages == ["lattice", "basis", "assembly", "flipped", "lanczos", "lanczos",
-                      "correlators", "total"]
+    assert stages == ["lattice", "basis", "assembly", "lanczos", "correlators", "assembly",
+                      "lanczos", "total"]
     # the peak resident set after each stage of the first run never falls
     rss = [float(line[20:].split()[2]) for line in lines[2:-1]]
     assert rss == sorted(rss) and rss[0] > 0
     assert "924 states" in proc.stdout
+    # the ground state's orbits of translations and the flip, then the other parity's block
+    assert "44 rows, 272 nnz" in proc.stdout and "462 rows, 3486 nnz" in proc.stdout
     assert proc.stdout.count(" iterations") == 2
 
 
