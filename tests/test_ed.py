@@ -241,6 +241,38 @@ def test_parity_sectors_split_the_m0_spectrum(spec, delta):
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize(
     "spec",
+    [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
+    + [LatticeSpec(2, 2), LatticeSpec(3, 2)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_flipped_is_the_other_parity_block(spec):
+    # the gap's block, assembled directly on the basis with the parity
+    # reversed, is the full M = 0 operator restricted to parity -p: V^T H V,
+    # with V the isometry that expands that parity's orbits. It keeps the
+    # ground block's sparsity pattern and diagonal; only off-diagonal data
+    # differs. Up to N = 4 sites a direct and a mirrored hop share an entry
+    sector = ed.build_sector(spec)
+    h = sector.h
+    flipped = replace(sector.basis, parity=-sector.basis.parity)
+    other = ed.build_hamiltonian(sector.lattice, flipped)
+    for name in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(other.offdiag, name), getattr(h.offdiag, name))
+    isometry = np.column_stack([flipped.expand(e) for e in np.eye(other.dimension)])
+    np.testing.assert_allclose(isometry.T @ isometry, np.eye(other.dimension), rtol=0, atol=1e-14)
+    full = parity_block(sector, None)
+    for delta in (-0.5, 0.0, 1.0, 2.5):
+        np.testing.assert_array_equal(other.at(delta).diagonal, h.at(delta).diagonal)
+        np.testing.assert_allclose(
+            isometry.T @ dense_matrix(full.at(delta)) @ isometry,
+            dense_matrix(other.at(delta)),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize(
+    "spec",
     [LatticeSpec(1, n, periodic=p) for n in range(2, 13) for p in (True, False)
      if n % 2 == 0 or not p]
     + [LatticeSpec(2, 2), LatticeSpec(2, 4), LatticeSpec(3, 2)],
