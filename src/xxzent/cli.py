@@ -19,9 +19,10 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 
 from . import __version__, analysis, ed, entanglement, spinwave, verify
-from .lattice import LatticeSpec
+from .lattice import DegenerateLatticeWarning, LatticeSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,8 +108,8 @@ class Infeasible(Exception):
     """An M = 0 sector above DEFAULT_BASIS_CAP; main maps it to EXIT_INFEASIBLE."""
 
 
-def _ed_sector(args: argparse.Namespace, build) -> ed.Sector:
-    """build(spec) for the lattice the flags describe, refused above the cap."""
+def _ed_sector(args: argparse.Namespace) -> ed.Sector:
+    """The flags' ground sector, refused above the cap; its build's warnings print plainly."""
     spec = LatticeSpec(args.dim, args.size, periodic=args.boundary == "periodic")
     n = spec.n_sites
     if n % 2 == 0 and n // 2 > math.log2(DEFAULT_BASIS_CAP):
@@ -118,7 +119,12 @@ def _ed_sector(args: argparse.Namespace, build) -> ed.Sector:
         dim = ed.sector_dimension(n, 0.0)
         count = f"{dim} states (~{dim:.2e})"
         if dim <= DEFAULT_BASIS_CAP:
-            return build(spec)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DegenerateLatticeWarning)
+                sector = ed.build_ground_sector(spec)
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+            return sector
     raise Infeasible(f"refusing {spec.dimension}D L={spec.linear_size}: M=0 sector has "
                      f"{count}, above the cap {DEFAULT_BASIS_CAP} "
                      f"(~{DEFAULT_BASIS_CAP:.0e}); not desk-feasible")
@@ -133,7 +139,7 @@ def _require_antiferromagnet(delta: float, flag: str) -> None:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
-    sector = _ed_sector(args, ed.build_ground_sector)
+    sector = _ed_sector(args)
     lattice, basis = sector.lattice, sector.basis
     h = sector.h.at(args.delta)
     try:
@@ -245,7 +251,7 @@ def cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             if getattr(args, key) is None:
                 setattr(args, key, default)
         _require_antiferromagnet(args.delta_from, "--from")
-        sector = _ed_sector(args, ed.build_ground_sector)
+        sector = _ed_sector(args)
         try:
             curve = analysis.scan_ed(sector, grid, seed=args.seed)
         except ed.ScaleError as exc:

@@ -85,19 +85,12 @@ class SectorBasis:
     states: np.ndarray  # uint64, strictly increasing
     parity: int | None = None
     translations: LatticeSpec | None = None
-    representatives: np.ndarray = field(init=False, repr=False, compare=False)
-    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.parity is not None and (
             self.parity not in (1, -1) or 2 * self.n_up != self.n_sites
         ):
             raise SectorError(f"no flip parity {self.parity} in sector M={self.m}")
-        reps = self.states[self.canonical(self.states)[0] == self.states]
-        stabilizer = sum(image == reps for image, _ in self._images(reps))
-        n_group = (1 if self.parity is None else 2) * (self.n_sites if self.translations else 1)
-        object.__setattr__(self, "representatives", reps)
-        object.__setattr__(self, "sizes", (n_group // stabilizer).astype(np.int16))
 
     @property
     def m(self) -> float:
@@ -106,46 +99,52 @@ class SectorBasis:
     def __len__(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def representatives(self) -> np.ndarray:
+        return self.states[self.canonical(self.states)[0] == self.states]
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        reps = self.representatives
+        stabilizer = sum(image == reps for image, _ in self._images(reps))
+        n_group = (1 if self.parity is None else 2) * (self.n_sites if self.translations else 1)
+        return (n_group // stabilizer).astype(np.int16)
+
     def _images(self, x: np.ndarray, axis: int = 0):
-        """g x and the code of g (2 for the flip, + 1 for an odd shift length
-        |k|) for every g in G, the identity first, one array per axis alive.
-        A unit shift moves bits up one axis stride, or down L - 1 from the end."""
+        """g x and chi(g) = +-1 for every g in G, the identity first, one
+        array per axis alive. A unit shift moves bits up one axis stride, or
+        down L - 1 from the end."""
         spec = self.translations
         if spec is None or axis == spec.dimension:
-            yield x, 0
+            yield x, 1
             if self.parity is not None:
-                yield x ^ np.uint64((1 << self.n_sites) - 1), 2
+                yield x ^ np.uint64((1 << self.n_sites) - 1), self.parity
             return
-        L, n = spec.linear_size, spec.n_sites
+        L, n, sign = spec.linear_size, spec.n_sites, self.parity or 1
         stride = L ** (spec.dimension - 1 - axis)
         last = sum(1 << site for site in range(n) if site // stride % L == L - 1)
         rest, last, up, down = map(np.uint64, ((1 << n) - 1 - last, last, stride, (L - 1) * stride))
         for k in range(L):
-            for image, code in self._images(x, axis + 1):
-                yield image, code ^ (k & 1)
+            for image, chi in self._images(x, axis + 1):
+                yield image, chi * sign if k & 1 else chi
             x = ((x & rest) << up) | ((x & last) >> down)
-
-    @property
-    def characters(self) -> np.ndarray:
-        """chi(g) = parity^(flip + |k|), indexed by the code of g."""
-        return np.array([1, self.parity or 1, self.parity or 1, 1], dtype=np.int8)
 
     def canonical(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each configuration's orbit representative, its smallest image g s,
-        and the code of that g."""
-        rep, code = configs.copy(), np.zeros(len(configs), dtype=np.int8)
+        and chi(g) of that g (int8)."""
+        rep, chi = configs.copy(), np.ones(len(configs), dtype=np.int8)
         for image, c in islice(self._images(configs), 1, None):
             less = image < rep
             np.copyto(rep, image, where=less)
-            np.copyto(code, c, where=less)
-        return rep, code
+            np.copyto(chi, c, where=less)
+        return rep, chi
 
     @cached_property
     def _orbit_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Per state: the row of its orbit and its amplitude in the orbit's unit vector."""
-        rep, code = self.canonical(self.states)
+        rep, chi = self.canonical(self.states)
         index = np.searchsorted(self.representatives, rep)
-        return index, self.characters[code] / np.sqrt(self.sizes[index], dtype=float)
+        return index, chi / np.sqrt(self.sizes[index], dtype=float)
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Full-sector amplitudes of a vector over the representatives."""
@@ -251,15 +250,15 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     H_zz: sum_bonds sz_i sz_j with sz = +-1/2, diagonal on the orbits. H_xy:
     1/2 between configurations differing by one antiparallel bond flip; a
     hop from representative a onto g r_b adds 0.5 chi(g) sqrt(sizes[a] /
-    sizes[b]) at (a, b). Each hop's key, 4 * b + code(g), goes in its bond's
-    row of a table with one column per row; sorting each row's keys gives
-    its CSR entries in column order, with no COO -> CSR sort. Keys of one
-    column sum into one entry: translations, and up to N = 4 sites the flip,
-    reach one orbit twice.
+    sizes[b]) at (a, b). Each hop's key, 2 * b + (chi(g) < 0), goes in its
+    bond's row of a table with one column per row; sorting each row's keys
+    gives its CSR entries in column order, with no COO -> CSR sort.
+    sum_duplicates merges the hops of one row onto one orbit: translations,
+    and up to N = 4 sites the flip, reach one orbit twice.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
-    states = basis.representatives
+    states, sizes = basis.representatives, basis.sizes
     n = len(states)
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its hops; each is -1/4 in H_zz
     empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
@@ -269,23 +268,16 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
         anti_bonds += anti
         src = np.flatnonzero(anti)
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        rep, code = basis.canonical(states[src] ^ mask)
-        keys[slot, src] = 4 * np.searchsorted(states, rep) + code
+        rep, chi = basis.canonical(states[src] ^ mask)
+        keys[slot, src] = 2 * np.searchsorted(states, rep) + (chi < 0)
     keys = np.sort(keys.T, axis=1)
     keys = keys[keys != empty]
-    indptr = np.concatenate(([0], np.cumsum(anti_bonds)))
-    data = np.take(0.5 * basis.characters, keys & 3)
-    cols = np.right_shift(keys, 2, out=keys)
-    start = np.append(True, cols[1:] != cols[:-1])  # the hops that open an entry
-    start[indptr[:-1][anti_bonds > 0]] = True
-    if not start.all():
-        entries = np.flatnonzero(start)
-        data = np.add.reduceat(data, entries)
-        cols = cols[entries]
-        indptr = np.searchsorted(entries, indptr)
-    if np.ptp(basis.sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
-        data *= np.sqrt(np.repeat(basis.sizes, np.diff(indptr)) / basis.sizes[cols])
-    offdiag = sp.csr_matrix((data, cols, indptr.astype(np.int32)), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(anti_bonds))).astype(np.int32)
+    offdiag = sp.csr_matrix((np.where(keys & 1, -0.5, 0.5), keys >> 1, indptr), shape=(n, n))
+    offdiag.sum_duplicates()
+    if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
+        rows = np.repeat(sizes, np.diff(offdiag.indptr))
+        offdiag.data *= np.sqrt(rows / sizes[offdiag.indices])
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
     return SparseHamiltonian(n, zz, offdiag, 0.0)
 

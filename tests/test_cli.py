@@ -143,6 +143,19 @@ def test_ed_gap_never_takes_a_dense_solve(capsys, monkeypatch):
         assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-10), delta
 
 
+@pytest.mark.parametrize("argv", [["ed", "--dim", "1"], ["ed", "--dim", "2"], ["ed", "--dim", "3"],
+                                  ["scan", "--dim", "1", "--step", "0.5"]])
+def test_l2_lattice_warns_in_one_plain_line(argv, capsys):
+    # the duplicate wrap bond of L = 2 is reported like a failed point,
+    # with no Python source line, and the report itself is unchanged
+    assert cli.main(argv + ["--size", "2"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line.startswith("warning: ") for line in lines] == [True]
+    assert "duplicate bond" in lines[0] and ".py:" not in captured.err
+    assert "warning" not in captured.out
+
+
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize("delta", [-1.5, 0.0, 1.0, 5.0])
 def test_ed_two_site_report_matches_the_full_block(delta, capsys):

@@ -797,6 +797,33 @@ def test_square44_ground_sector_has_441_representatives():
     assert (ground.h.dimension, len(ground.basis), ground.h.offdiag.nnz) == (441, 12870, 6680)
 
 
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", GROUND_SPECS, ids=_spec_id)
+def test_ground_sector_merges_duplicate_hops(spec):
+    # translations reach one orbit from one row more than once; each row's
+    # columns must be strictly increasing, read from the arrays themselves
+    offdiag = ed.build_ground_sector(spec).h.offdiag
+    rows = np.repeat(np.arange(offdiag.shape[0]), np.diff(offdiag.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(np.diff(offdiag.indices)[same_row] > 0)
+
+
+def test_ground_sector_finds_its_orbits_once(monkeypatch):
+    # the ground sector's orbits come from one pass over the 12,870 M = 0
+    # states, not from a flip-only pass that the translations then redo
+    calls = []
+    canonical = ed.SectorBasis.canonical
+
+    def counting(self, configs):
+        calls.append(len(configs))
+        return canonical(self, configs)
+
+    monkeypatch.setattr(ed.SectorBasis, "canonical", counting)
+    ground = ed.build_ground_sector(LatticeSpec(2, 4))
+    assert len(ground.basis) == 12870
+    assert calls.count(12870) == 1
+
+
 def test_open_ground_sector_is_the_parity_block():
     # an open lattice has no translations: `xxzent ed` solves its ground
     # state in the flip-parity block itself
