@@ -4,7 +4,9 @@
 Runs the stages of `xxzent ed` in process and in its order: the lattice,
 the M = 0 basis, the ground state's orbits of translations and the flip
 with their assembly, the ground Lanczos run (with its iterations), the
-bond correlators, the other flip parity's block and its Lanczos run. The
+bond correlators, the start of the gap run (S^z_pi of the ground state,
+expanded and projected on the other flip parity), that parity's block and
+its Lanczos run from that start. The
 flow is run --repeat times and each stage's median is printed. CPU time is
 the process's, over all its threads, so a stage that wakes BLAS threads
 shows more CPU than wall time.
@@ -21,6 +23,7 @@ import statistics
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 
 from xxzent import ed, entanglement
 from xxzent.lattice import LatticeSpec, build_lattice
@@ -50,20 +53,22 @@ def run_flow(spec: LatticeSpec, delta: float) -> list[tuple[str, float, float, f
     lattice = timed("lattice", build_lattice, spec)
     basis = timed("basis", ed.enumerate_basis, lattice.n_sites, note=lambda b: f"{len(b)} states")
 
-    def assemble(translations, parity):
-        block = replace(basis, translations=translations, parity=parity)
+    def assemble(block):
         return ed.build_hamiltonian(lattice, block).at(delta)
 
     def rows_nnz(h):
         return f"{h.dimension} rows, {h.nnz} nnz"
 
     p = basis.parity
-    h = timed("assembly ground", assemble, spec, p, note=rows_nnz)  # orbits included
+    ground = replace(basis, translations=spec)
+    h = timed("assembly ground", assemble, ground, note=rows_nnz)  # orbits included
     gs = timed("lanczos ground", ed.lanczos_ground, h, note=_iterations)
     timed("correlators", entanglement.operator_bond_correlators, gs, h, lattice)
-    del h  # freed before the other block is built, as in `xxzent ed`
-    other = timed(f"assembly parity {-p:+d}", assemble, None, -p, note=rows_nnz)
-    timed(f"lanczos parity {-p:+d}", ed.lanczos_ground, other, note=_iterations)
+    guess = timed("start", ed.staggered_guess, lattice, ground, gs.vector)
+    del h, ground  # freed before the other block is built, as in `xxzent ed`
+    other = timed(f"assembly parity {-p:+d}", assemble, replace(basis, parity=-p), note=rows_nnz)
+    timed(f"lanczos parity {-p:+d}", partial(ed.lanczos_ground, guess=guess), other,
+          note=_iterations)
     return stages
 
 

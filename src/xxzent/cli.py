@@ -140,18 +140,19 @@ def _require_antiferromagnet(delta: float, flag: str) -> None:
 def cmd_ed(args: argparse.Namespace) -> int:
     _require_antiferromagnet(args.delta, "--delta")
     sector = _ed_sector(args)
-    lattice, basis = sector.lattice, sector.basis
+    lattice, basis, n_states = sector.lattice, sector.basis, len(sector.basis)
     h = sector.h.at(args.delta)
     try:
         gs = ed.lanczos_ground(h, seed=args.seed)
         g = entanglement.operator_bond_correlators(gs, h, lattice)
-        del sector, h  # the ground block is freed before the gap's block is built
+        guess = ed.staggered_guess(lattice, basis, gs.vector)
         # the lowest M = 0 excitation is the other flip parity's lowest level,
         # at any momentum, so its block is not reduced by translations
         other_basis = dataclasses.replace(basis, translations=None, parity=-basis.parity)
-        other = ed.lanczos_ground(
-            ed.build_hamiltonian(lattice, other_basis).at(args.delta), seed=args.seed
-        )
+        del sector, h, basis  # the ground block is freed before the gap's block is built
+        h = ed.build_hamiltonian(lattice, other_basis).at(args.delta)
+        del other_basis  # with its orbit map, before the gap's run
+        other = ed.lanczos_ground(h, seed=args.seed, guess=guess)
     except ed.LanczosError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -166,7 +167,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         ("boundary", args.boundary),
         ("delta", _fmt(args.delta)),
         ("sector_m", _fmt(gs.m)),
-        ("sector_dimension", len(basis)),
+        ("sector_dimension", n_states),
         ("energy", _fmt(gs.energy)),
         ("energy_per_bond", _fmt(gs.energy / lattice.n_bonds)),
         ("gxx", _fmt(g.gxx)),

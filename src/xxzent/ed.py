@@ -16,10 +16,11 @@ the M = 0 ground state's sign is (-1)^(up spins on sublattice A) for every
 real delta; both maps swap the sublattices, so its flip parity and its
 unit-translation eigenvalue are (-1)^(N/2). `build_ground_sector` solves in
 the orbits of both (441 at 4x4, 16,080 at L = 22); `build_sector` keeps the
-flip alone. `xxzent ed` solves two blocks: the ground state in
-`build_ground_sector`'s, and its gap in the other flip parity's, which is
-not reduced by translations since the lowest level there may carry any
-momentum (352,716 rows at L = 22).
+flip alone. Each group element maps only the states still in the running
+for a representative, and H. Q. Lin's table indexes the states. `xxzent ed`
+solves the ground state in `build_ground_sector`'s block and its gap in the
+other flip parity's, not reduced by translations since its lowest level may
+carry any momentum (352,716 rows at L = 22), from near S^z_pi |GS>.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -36,8 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from itertools import islice
+from functools import cached_property, partial
+from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,50 +102,50 @@ class SectorBasis:
 
     @cached_property
     def representatives(self) -> np.ndarray:
-        return self.states[self.canonical(self.states)[0] == self.states]
+        """The states no g lowers; each g is applied only to those still in the running."""
+        reps = self.states
+        for g, _ in self._group[1:]:
+            reps = reps[self._act(g, reps) >= reps]
+        return reps
 
     @cached_property
     def sizes(self) -> np.ndarray:
         reps = self.representatives
-        stabilizer = sum(image == reps for image, _ in self._images(reps))
-        n_group = (1 if self.parity is None else 2) * (self.n_sites if self.translations else 1)
-        return (n_group // stabilizer).astype(np.int16)
+        stabilizer = sum(self._act(g, reps) == reps for g, _ in self._group)
+        return (len(self._group) // stabilizer).astype(np.int16)
 
-    def _images(self, x: np.ndarray, axis: int = 0):
-        """g x and chi(g) = +-1 for every g in G, the identity first, one
-        array per axis alive. A unit shift moves bits up one axis stride, or
-        down L - 1 from the end."""
-        spec = self.translations
-        if spec is None or axis == spec.dimension:
-            yield x, 1
-            if self.parity is not None:
-                yield x ^ np.uint64((1 << self.n_sites) - 1), self.parity
-            return
-        L, n, sign = spec.linear_size, spec.n_sites, self.parity or 1
-        stride = L ** (spec.dimension - 1 - axis)
-        last = sum(1 << site for site in range(n) if site // stride % L == L - 1)
-        rest, last, up, down = map(np.uint64, ((1 << n) - 1 - last, last, stride, (L - 1) * stride))
-        for k in range(L):
-            for image, chi in self._images(x, axis + 1):
-                yield image, chi * sign if k & 1 else chi
-            x = ((x & rest) << up) | ((x & last) >> down)
+    @cached_property
+    def _group(self) -> list:
+        """((rotations, flip), chi(g)) for every g in G, the identity first. A
+        rotation (keep, wrap, up, down) cycles one axis by k sites: bits move
+        up k strides, or down L - k strides from the last k layers."""
+        spec, flips = self.translations, (False,) if self.parity is None else (False, True)
+        L, d, n = (spec.linear_size, spec.dimension, spec.n_sites) if spec else (1, 0, 0)
 
-    def canonical(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each configuration's orbit representative, its smallest image g s,
-        and chi(g) of that g (int8)."""
-        rep, chi = configs.copy(), np.ones(len(configs), dtype=np.int8)
-        for image, c in islice(self._images(configs), 1, None):
-            less = image < rep
-            np.copyto(rep, image, where=less)
-            np.copyto(chi, c, where=less)
-        return rep, chi
+        def rotation(axis: int, k: int) -> tuple:
+            stride = L ** (d - 1 - axis)
+            wrap = sum(1 << site for site in range(n) if site // stride % L >= L - k)
+            return tuple(map(np.uint64, ((1 << n) - 1 - wrap, wrap, k * stride, (L - k) * stride)))
+
+        return [((tuple(rotation(a, k) for a, k in enumerate(ks) if k), f),
+                 (self.parity or 1) ** (sum(ks) + f))
+                for ks in product(range(L), repeat=d) for f in flips]
+
+    def _act(self, g: tuple, x: np.ndarray) -> np.ndarray:
+        rotations, flip = g
+        for keep, wrap, up, down in rotations:
+            x = ((x & keep) << up) | ((x & wrap) >> down)
+        return x ^ np.uint64((1 << self.n_sites) - 1) if flip else x
 
     @cached_property
     def _orbit_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per state: the row of its orbit and its amplitude in the orbit's unit vector."""
-        rep, chi = self.canonical(self.states)
-        index = np.searchsorted(self.representatives, rep)
-        return index, chi / np.sqrt(self.sizes[index], dtype=float)
+        """Per state: the row of its orbit and its amplitude in the orbit's
+        unit vector, scattered from the images g r of the representatives."""
+        index, weight = np.empty(len(self), np.intp), np.empty(len(self))
+        for g, chi in self._group:
+            at = self.index_of_many(self._act(g, self.representatives))
+            index[at], weight[at] = np.arange(len(at)), chi / np.sqrt(self.sizes, dtype=float)
+        return index, weight
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Full-sector amplitudes of a vector over the representatives."""
@@ -154,7 +155,25 @@ class SectorBasis:
         return weight * v[index]
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.states, configs)
+        return self._state_index(configs)
+
+    @cached_property
+    def _state_index(self):
+        """H. Q. Lin's index (PRB 42, 6561 (1990)), first[high half] + rank[low
+        half]: first counts the states below a high half, rank the smaller low
+        halves of one popcount. A binary search where the tables would be larger."""
+        n, low = self.n_sites, self.n_sites // 2
+        if 1 << (n - low) > len(self):
+            return partial(np.searchsorted, self.states)
+        pop = sum((np.arange(1 << (n - low)) >> b) & 1 for b in range(n - low))
+        order = np.argsort(pop[: 1 << low], kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(1 << low) - np.searchsorted(pop[order], pop[order])
+        below = np.array([math.comb(low, self.n_up - p) if p <= self.n_up else 0
+                          for p in range(n - low + 1)])[pop]
+        first = np.cumsum(below) - below
+        shift, mask = np.uint64(low), np.uint64((1 << low) - 1)
+        return lambda x: first[(x >> shift).view(np.intp)] + rank[(x & mask).view(np.intp)]
 
     def bit(self, site: int) -> np.ndarray:
         """Whether one site is up, across the whole basis."""
@@ -250,9 +269,9 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     H_zz: sum_bonds sz_i sz_j with sz = +-1/2, diagonal on the orbits. H_xy:
     1/2 between configurations differing by one antiparallel bond flip; a
     hop from representative a onto g r_b adds 0.5 chi(g) sqrt(sizes[a] /
-    sizes[b]) at (a, b). Each hop's key, 2 * b + (chi(g) < 0), goes in its
-    bond's row of a table with one column per row; sorting each row's keys
-    gives its CSR entries in column order, with no COO -> CSR sort.
+    sizes[b]) at (a, b). Each hop's key from the orbit map, 2 * b + (chi(g) <
+    0), goes in its bond's row of a table with one column per row; sorting
+    each row's keys gives its CSR entries in column order, with no COO -> CSR sort.
     sum_duplicates merges the hops of one row onto one orbit: translations,
     and up to N = 4 sites the flip, reach one orbit twice.
     """
@@ -260,6 +279,8 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
         raise ValueError("basis and lattice disagree on the number of sites")
     states, sizes = basis.representatives, basis.sizes
     n = len(states)
+    orbit, weight = basis._orbit_map
+    state_keys = (2 * orbit + (weight < 0)).astype(np.int32)  # a hop's key by its target state
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its hops; each is -1/4 in H_zz
     empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
     keys = np.full((lattice.n_bonds, n), empty, dtype=np.int32)
@@ -268,8 +289,7 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
         anti_bonds += anti
         src = np.flatnonzero(anti)
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        rep, chi = basis.canonical(states[src] ^ mask)
-        keys[slot, src] = 2 * np.searchsorted(states, rep) + (chi < 0)
+        keys[slot, src] = state_keys[basis.index_of_many(states[src] ^ mask)]
     keys = np.sort(keys.T, axis=1)
     keys = keys[keys != empty]
     indptr = np.concatenate(([0], np.cumsum(anti_bonds))).astype(np.int32)
@@ -315,6 +335,20 @@ def build_ground_sector(spec: LatticeSpec) -> Sector:
     lattice = build_lattice(spec)
     basis = replace(enumerate_basis(lattice.n_sites), translations=spec if spec.periodic else None)
     return Sector(lattice, basis, build_hamiltonian(lattice, basis))
+
+
+def staggered_guess(lattice: Lattice, basis: SectorBasis, vector: np.ndarray) -> np.ndarray:
+    """S^z_pi |v> = sum_i eps_i S^z_i |v>, eps_i = +-1 by sublattice, for v over
+    one flip parity's orbits, as amplitudes over the other parity's. S^z_pi is
+    odd under the flip, which maps the first half of the M = 0 states onto the
+    second, so that projection is its first half (times sqrt 2). From the ground
+    state: the single-mode state of Arovas, Auerbach & Haldane, PRL 60, 531 (1988)."""
+    half = len(basis) // 2
+    eps, chunk, stag = 1 - 2 * np.array(lattice.sublattice), np.arange(1 << 12), np.zeros(half)
+    for c in range(0, len(eps), 12):  # sum_i eps_i = 0, so S^z_pi = sum_i eps_i n_i
+        table = sum(e * ((chunk >> b) & 1) for b, e in enumerate(eps[c:c + 12]))  # 12 sites
+        stag += table[((basis.states[:half] >> np.uint64(c)) & np.uint64(0xFFF)).view(np.intp)]
+    return basis.expand(vector)[:half] * stag
 
 
 @dataclass(frozen=True)
@@ -376,18 +410,20 @@ def lanczos_ground(
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
     m: float = 0.0,
+    guess: np.ndarray | None = None,
 ) -> GroundState:
     """Lowest eigenpair by plain Lanczos, without reorthogonalization.
 
     The start vector is drawn from a fixed-seed generator so repeated runs
-    are bit-identical. The run stops when the Ritz estimate
-    beta_k |y_k| of the lowest pair drops below max(tol, RESIDUAL_FLOOR *
-    eps * ||T||), on breakdown (a vanishing beta), or after MAX_ITER
-    steps, which may exceed the dimension: without reorthogonalization the
-    recurrence is not bounded by it. The true residual ||H x - E x||
-    (absolute, energy units of the planar coupling) then decides
-    convergence against the same threshold, which is stored in
-    `tolerance`. The floor replaces any smaller tol: the default 1e-11
+    are bit-identical; with a nonzero guess it is 0.1 (that vector) + sqrt(0.99)
+    guess / |guess|, normalized, whose random part still reaches a lowest level
+    the guess misses. The run stops when the Ritz estimate beta_k |y_k| of the
+    lowest pair drops below max(tol, RESIDUAL_FLOOR * eps * ||T||), on
+    breakdown (a vanishing beta), or after MAX_ITER steps, which may exceed the
+    dimension: without reorthogonalization the recurrence is not bounded by
+    it. The true residual ||H x - E x|| (absolute, energy units of the planar
+    coupling) then decides convergence against the same threshold, which is
+    stored in `tolerance`. The floor replaces any smaller tol: the default 1e-11
     once ||T|| is above ~700, a tol of 1e-14 already at ||T|| ~ 1.
 
     Orthogonality is lost only along Ritz vectors that have converged
@@ -413,6 +449,9 @@ def lanczos_ground(
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(h.dimension)
     q /= math.sqrt(_dot(q, q))
+    if guess is not None and (norm := math.sqrt(_dot(guess, guess))) > 0:
+        q = 0.1 * q + math.sqrt(0.99) / norm * guess
+        q /= math.sqrt(_dot(q, q))
     scratch = np.empty_like(q)
     # h.apply returns a new array that the step turns into the next q, so
     # the recurrence's own vectors are the Krylov basis, with no copy

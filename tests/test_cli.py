@@ -86,9 +86,21 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
 
 
-@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("spec", [LatticeSpec(1, 12), LatticeSpec(1, 16), LatticeSpec(2, 4)],
-                         ids=lambda s: f"d{s.dimension}L{s.linear_size}")
+ROUTE_CASES = [
+    (spec, delta)
+    for delta in (0.5, 1.0, 2.0)
+    for spec in (LatticeSpec(1, 12), LatticeSpec(1, 16), LatticeSpec(2, 4))
+] + [
+    # where S^z_pi |GS>, the gap run's start, misses the other parity's lowest
+    # level: on the 4x4 square at delta <= 0.3 and on rings at delta < 0
+    (LatticeSpec(2, 4), 0.0), (LatticeSpec(2, 4), 0.3),
+    (LatticeSpec(1, 12), -0.5), (LatticeSpec(1, 16), -0.5),
+]
+
+
+@pytest.mark.parametrize("spec, delta", ROUTE_CASES,
+                         ids=lambda v: f"d{v.dimension}L{v.linear_size}" if hasattr(v, "dimension")
+                         else None)
 def test_ed_ground_sector_route_matches_the_parity_block(capsys, spec, delta):
     # ed solves its ground state in the orbits of translations and the flip:
     # a Lanczos run on the whole flip-parity block gives the same report, and
@@ -107,6 +119,35 @@ def test_ed_ground_sector_route_matches_the_parity_block(capsys, spec, delta):
     full = sparse_matrix(parity_block(sector, None).at(delta))
     low = np.sort(sla.eigsh(full, k=2, which="SA")[0])
     assert float(report["gap"]) == pytest.approx(low[1] - low[0], abs=1e-8)
+
+
+def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
+    # at delta = 1 the other parity's lowest level is S^z_pi |GS> (Arovas,
+    # Auerbach & Haldane): started there, the gap run of the 16-site ring
+    # takes fewer iterations than from the random vector alone
+    spec = LatticeSpec(1, 16)
+    ground = ed.build_ground_sector(spec)
+    gs = ed.lanczos_ground(ground.h.at(1.0))
+    other_basis = dataclasses.replace(ground.basis, translations=None,
+                                      parity=-ground.basis.parity)
+    other = ed.build_hamiltonian(ground.lattice, other_basis).at(1.0)
+    guess = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
+    started, plain = ed.lanczos_ground(other, guess=guess), ed.lanczos_ground(other)
+    assert started.iterations < plain.iterations
+    assert abs(started.energy - plain.energy) <= started.tolerance + plain.tolerance
+    # xxzent ed passes that start to the gap run, and only to it
+    guesses = []
+    original = ed.lanczos_ground
+
+    def recorded(h, **kwargs):
+        guesses.append(kwargs.get("guess"))
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(ed, "lanczos_ground", recorded)
+    assert cli.main(["ed", "--dim", "1", "--size", "16"]) == cli.EXIT_OK
+    report = _parse_report(capsys.readouterr().out)
+    assert guesses[0] is None and np.array_equal(guesses[1], guess)
+    assert int(report["iterations"]) == gs.iterations + started.iterations
 
 
 def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
@@ -267,7 +308,7 @@ def test_report_names_the_tolerance_the_floor_put_in_place(capsys):
     assert "tolerance" not in _parse_report(capsys.readouterr().out)
     assert cli.main(["ed", "--dim", "1", "--size", "8", "--delta", "1e6"]) == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
-    assert report["tolerance"] == "3.79276397078e-08"
+    assert report["tolerance"] == "3.84938854713e-08"
     assert ed.DEFAULT_TOL < float(report["residual"]) < float(report["tolerance"])
 
 

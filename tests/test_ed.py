@@ -8,6 +8,7 @@ sector too large to diagonalize densely.
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -809,19 +810,144 @@ def test_ground_sector_merges_duplicate_hops(spec):
 
 
 def test_ground_sector_finds_its_orbits_once(monkeypatch):
-    # the ground sector's orbits come from one pass over the 12,870 M = 0
-    # states, not from a flip-only pass that the translations then redo
-    calls = []
-    canonical = ed.SectorBasis.canonical
+    # the ground sector's orbits come from one pass that applies each group
+    # element only to the states still in the running: only the first of the
+    # 31 other elements sees all 12,870 M = 0 states, and the orbits, their
+    # sizes and the orbit map together take under a quarter of the images
+    # that one canonical pass over the basis (31 x 12,870) would
+    mapped = []
+    act = ed.SectorBasis._act
 
-    def counting(self, configs):
-        calls.append(len(configs))
-        return canonical(self, configs)
+    def counting(self, g, configs):
+        mapped.append(len(configs))
+        return act(self, g, configs)
 
-    monkeypatch.setattr(ed.SectorBasis, "canonical", counting)
+    monkeypatch.setattr(ed.SectorBasis, "_act", counting)
     ground = ed.build_ground_sector(LatticeSpec(2, 4))
     assert len(ground.basis) == 12870
-    assert calls.count(12870) == 1
+    assert mapped.count(12870) == 1
+    assert sum(mapped) < 31 * 12870 / 4
+
+
+def _site_images(spec: LatticeSpec | None, n_sites: int, parity: int | None):
+    """(site map, chi) of every element of the basis's group, with chi of a
+    shift by k = parity^|k| and of the flip = parity: the reference group,
+    made site by site from coordinates."""
+    shifts = [()] if spec is None else list(np.ndindex(*(spec.linear_size,) * spec.dimension))
+    shape = (spec.linear_size,) * spec.dimension if spec else None
+    for k in shifts:
+        if spec is None:
+            sites = list(range(n_sites))
+        else:
+            sites = [int(np.ravel_multi_index(
+                tuple((c + dk) % spec.linear_size for c, dk in zip(np.unravel_index(s, shape), k)),
+                shape)) for s in range(n_sites)]
+        for flip in (False, True) if parity is not None else (False,):
+            yield sites, flip, (parity or 1) ** (sum(k) + flip)
+
+
+def _reference_orbits(basis: ed.SectorBasis):
+    """The orbit bookkeeping by brute force: every state's smallest image
+    under every group element, moved bit by bit."""
+    states, n = basis.states, basis.n_sites
+    rep, chi, images = states.copy(), np.ones(len(states), dtype=np.int8), []
+    for sites, flip, c in _site_images(basis.translations, n, basis.parity):
+        image = np.zeros_like(states)
+        for site, target in enumerate(sites):
+            image |= ((states >> np.uint64(site)) & np.uint64(1)) << np.uint64(target)
+        if flip:
+            image ^= np.uint64((1 << n) - 1)
+        images.append(image)
+        less = image < rep
+        rep[less], chi[less] = image[less], c
+    reps = states[rep == states]
+    stabilizer = sum(image == states for image in images)[rep == states]
+    sizes = (len(images) // stabilizer).astype(np.int16)
+    index = np.searchsorted(reps, rep)
+    return reps, sizes, index, chi / np.sqrt(sizes[index], dtype=float)
+
+
+ORBIT_SPECS = [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
+ORBIT_SPECS += [LatticeSpec(2, 2), LatticeSpec(3, 2), LatticeSpec(2, 4), LatticeSpec(1, 16)]
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=_spec_id)
+def test_orbit_bookkeeping_matches_brute_force(spec):
+    # representatives, sizes and expand, bit for bit, in each flip parity and
+    # with no flip, with and without the translations of a periodic lattice;
+    # with the translations only where no orbit vanishes (the ground parity,
+    # or no flip)
+    basis = ed.enumerate_basis(spec.n_sites)
+    blocks = [replace(basis, parity=p) for p in (basis.parity, -basis.parity, None)]
+    if spec.periodic:
+        blocks += [replace(basis, parity=p, translations=spec) for p in (basis.parity, None)]
+    for block in blocks:
+        reps, sizes, index, weight = _reference_orbits(block)
+        assert np.array_equal(block.representatives, reps)
+        assert np.array_equal(block.sizes, sizes) and block.sizes.dtype == sizes.dtype
+        v = np.random.default_rng(5).standard_normal(len(reps))
+        assert np.array_equal(block.expand(v), weight * v[index])
+
+
+def test_orbit_bookkeeping_of_a_trivial_group():
+    # M = 1 on the 4x4 square has no flip: without translations every state
+    # is its own orbit
+    basis = ed.enumerate_basis(16, 1.0)
+    reps, sizes, index, weight = _reference_orbits(basis)
+    assert np.array_equal(basis.representatives, basis.states)
+    assert np.array_equal(reps, basis.states)
+    assert np.array_equal(basis.sizes, sizes) and set(sizes.tolist()) == {1}
+    v = np.random.default_rng(6).standard_normal(len(basis))
+    assert np.array_equal(basis.expand(v), weight * v[index]) and np.array_equal(basis.expand(v), v)
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("n", range(2, 23))
+def test_lin_index_matches_binary_search(n):
+    # Lin's two-table index of a fixed-popcount set against np.searchsorted,
+    # on every state and on every hop target that build_hamiltonian looks up
+    # on a chain of n sites (in the flip-parity block at M = 0)
+    for n_up in sorted({0, 1, n // 2, n // 2 + 1, n - 1, n} & set(range(n + 1))):
+        basis = ed.enumerate_basis(n, n_up - n / 2)
+        states = basis.states
+        assert np.array_equal(basis.index_of_many(states), np.searchsorted(states, states))
+        if 1 << (n - n // 2) <= len(basis):  # the tables are no larger than the set
+            assert not isinstance(basis._state_index, partial)
+        if n > 16 and 2 * n_up != n:
+            continue  # the hop targets of the large sectors are checked at M = 0 only
+        lattice = build_lattice(LatticeSpec(1, n, periodic=n % 2 == 0))
+        reps = basis.representatives
+        for bond in lattice.bonds:
+            anti = ((reps >> np.uint64(bond.i)) ^ (reps >> np.uint64(bond.j))) & np.uint64(1) == 1
+            targets = reps[anti] ^ np.uint64((1 << bond.i) | (1 << bond.j))
+            assert np.array_equal(basis.index_of_many(targets), np.searchsorted(states, targets))
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 8), LatticeSpec(1, 6, periodic=False),
+                                  LatticeSpec(2, 2)], ids=_spec_id)
+def test_staggered_guess_is_the_projected_single_mode_state(spec):
+    # S^z_pi |GS>, built site by site on the full M = 0 block and projected on
+    # the other flip parity's orbits with the isometry of their expansions
+    ground = ed.build_ground_sector(spec)
+    basis, lattice = ground.basis, ground.lattice
+    gs = ed.lanczos_ground(ground.h.at(0.8))
+    stag = sum((1 - 2 * a) * (basis.bit(site) - 0.5) for site, a in enumerate(lattice.sublattice))
+    other = replace(basis, translations=None, parity=-basis.parity)
+    isometry = np.column_stack([other.expand(e) for e in np.eye(len(other.representatives))])
+    want = isometry.T @ (stag * basis.expand(gs.vector))
+    got = ed.staggered_guess(lattice, basis, gs.vector)
+    assert np.linalg.norm(want) > 0.1
+    np.testing.assert_allclose(got / np.linalg.norm(got), want / np.linalg.norm(want),
+                               rtol=0, atol=1e-14)
+
+
+def test_a_guess_of_zero_norm_leaves_the_random_start():
+    h = ed.build_sector(LatticeSpec(1, 10)).h.at(0.7)
+    plain, zero = ed.lanczos_ground(h), ed.lanczos_ground(h, guess=np.zeros(h.dimension))
+    assert (zero.energy, zero.iterations) == (plain.energy, plain.iterations)
+    assert np.array_equal(zero.vector, plain.vector)
 
 
 def test_open_ground_sector_is_the_parity_block():

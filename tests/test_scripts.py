@@ -66,8 +66,8 @@ def test_stage_times_script():
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["stage", "wall_s", "cpu_s", "peak_rss_mb", "note"]
     stages = [line.split()[0] for line in lines[2:]]
-    assert stages == ["lattice", "basis", "assembly", "lanczos", "correlators", "assembly",
-                      "lanczos", "total"]
+    assert stages == ["lattice", "basis", "assembly", "lanczos", "correlators", "start",
+                      "assembly", "lanczos", "total"]
     # the peak resident set after each stage of the first run never falls
     rss = [float(line[20:].split()[2]) for line in lines[2:-1]]
     assert rss == sorted(rss) and rss[0] > 0
