@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -155,25 +155,24 @@ class SectorBasis:
         return weight * v[index]
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
-        return self._state_index(configs)
+        """H. Q. Lin's index (PRB 42, 6561 (1990)), first[high half] + rank[low half]."""
+        first, rank = self._lin_tables
+        low = self.n_sites // 2
+        return (first[(configs >> np.uint64(low)).view(np.intp)]
+                + rank[(configs & np.uint64((1 << low) - 1)).view(np.intp)])
 
     @cached_property
-    def _state_index(self):
-        """H. Q. Lin's index (PRB 42, 6561 (1990)), first[high half] + rank[low
-        half]: first counts the states below a high half, rank the smaller low
-        halves of one popcount. A binary search where the tables would be larger."""
+    def _lin_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """first counts the states below a high half, rank the smaller low
+        halves of one popcount."""
         n, low = self.n_sites, self.n_sites // 2
-        if 1 << (n - low) > len(self):
-            return partial(np.searchsorted, self.states)
         pop = sum((np.arange(1 << (n - low)) >> b) & 1 for b in range(n - low))
         order = np.argsort(pop[: 1 << low], kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(1 << low) - np.searchsorted(pop[order], pop[order])
         below = np.array([math.comb(low, self.n_up - p) if p <= self.n_up else 0
                           for p in range(n - low + 1)])[pop]
-        first = np.cumsum(below) - below
-        shift, mask = np.uint64(low), np.uint64((1 << low) - 1)
-        return lambda x: first[(x >> shift).view(np.intp)] + rank[(x & mask).view(np.intp)]
+        return np.cumsum(below) - below, rank
 
     def bit(self, site: int) -> np.ndarray:
         """Whether one site is up, across the whole basis."""
@@ -344,10 +343,10 @@ def staggered_guess(lattice: Lattice, basis: SectorBasis, vector: np.ndarray) ->
     second, so that projection is its first half (times sqrt 2). From the ground
     state: the single-mode state of Arovas, Auerbach & Haldane, PRL 60, 531 (1988)."""
     half = len(basis) // 2
-    eps, chunk, stag = 1 - 2 * np.array(lattice.sublattice), np.arange(1 << 12), np.zeros(half)
-    for c in range(0, len(eps), 12):  # sum_i eps_i = 0, so S^z_pi = sum_i eps_i n_i
-        table = sum(e * ((chunk >> b) & 1) for b, e in enumerate(eps[c:c + 12]))  # 12 sites
-        stag += table[((basis.states[:half] >> np.uint64(c)) & np.uint64(0xFFF)).view(np.intp)]
+    states = basis.states[:half]
+    # sum_i eps_i = 0, so S^z_pi = sum_i eps_i n_i
+    stag = sum(e * ((states >> np.uint64(i)) & np.uint64(1)).astype(np.int8)
+               for i, e in enumerate(1 - 2 * np.array(lattice.sublattice)))
     return basis.expand(vector)[:half] * stag
 
 
