@@ -10,6 +10,13 @@ included, and an unphysical spin-wave result), 3 an M = 0 sector above
 DEFAULT_BASIS_CAP states at any lattice size, refused before it is built,
 4 a failed point (a solver failure, or a scan's `:failed` rows), 5
 verification failure.
+
+The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is already
+set. No kernel on its paths is a threaded BLAS call (the sparse matvec is
+scipy's own loop, stebz/stein are serial, every reduction is numpy's loop,
+the RDMs are 4x4), but the worker that scipy's OpenBLAS starts spins through
+a short run and doubles its CPU time. Code that imports the library modules
+directly keeps its own BLAS settings.
 """
 
 from __future__ import annotations
@@ -18,11 +25,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import warnings
 
-from . import __version__, analysis, ed, entanglement, spinwave, verify
-from .lattice import DegenerateLatticeWarning, LatticeSpec
+# before numpy and scipy load OpenBLAS: its idle workers only burn CPU here
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__, analysis, ed, entanglement, spinwave, verify  # noqa: E402
+from .lattice import DegenerateLatticeWarning, LatticeSpec  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,13 +59,18 @@ class ZoneGrid:
     dimension: int
     k_points: int
 
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The multiplicities as floats, cast once per zone; every one is exact."""
+        return self.multiplicity.astype(float)
+
     def mean(self, f: np.ndarray) -> float:
         """Full-grid average of f, given f on the wedge points.
 
         numpy's pairwise sum, not a BLAS dot: within a few ulp of the exact
         sum, and the same on any number of BLAS threads.
         """
-        return float(np.add.reduce(self.multiplicity * f)) / self.k_points**self.dimension
+        return float(np.add.reduce(self._weights * f)) / self.k_points**self.dimension
 
 
 def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
@@ -91,20 +97,25 @@ def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
     cosk = np.cos(bz_axis(k_points)[:half])
     weight = np.full(half, 2, dtype=np.int64)
     weight[-1] -= k_points % 2  # k = 0 is its own mirror
-    idx = np.arange(half)[:, None]
+    # each tuple is carried as its last index, the sum of its cosines added
+    # column by column (the order of a row sum) and the product of its weights
+    last = np.arange(half)
+    cos_sum = cosk
+    weights = weight
     perms = np.ones(half, dtype=np.int64)
     run = np.ones(half, dtype=np.int64)
     for length in range(2, dimension + 1):
-        reps = half - idx[:, -1]  # a tuple ending in i extends by i, ..., half - 1
-        last = np.repeat(idx[:, -1], reps)
-        new = last + np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        run = np.where(new == last, np.repeat(run, reps) + 1, 1)
+        reps = half - last  # a tuple ending in i extends by i, ..., half - 1
+        prev = np.repeat(last, reps)
+        last = prev + np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        run = np.where(last == prev, np.repeat(run, reps) + 1, 1)
         # length!/prod(run!) grows by length/run when one index is appended
         perms = np.repeat(perms, reps) * length // run
-        idx = np.column_stack([np.repeat(idx, reps, axis=0), new])
+        cos_sum = np.repeat(cos_sum, reps) + cosk[last]
+        weights = np.repeat(weights, reps) * weight[last]
     return ZoneGrid(
-        gamma=cosk[idx].sum(axis=1) / dimension,
-        multiplicity=perms * weight[idx].prod(axis=1),
+        gamma=cos_sum / dimension,
+        multiplicity=perms * weights,
         dimension=dimension,
         k_points=k_points,
     )
@@ -132,7 +143,13 @@ def energy_per_site_ising(delta: float, g: ZoneGrid) -> float:
         raise ValueError(f"Ising branch needs delta >= 1, got {delta}")
     x = 1.0 / delta
     z = 2 * g.dimension
-    fluct = np.sqrt(np.clip(1.0 - (x * g.gamma) ** 2, 0.0, None)) - 1.0
+    # sqrt(max(1 - (x g)^2, 0)) - 1, in one buffer
+    fluct = np.multiply(g.gamma, x)
+    np.square(fluct, out=fluct)
+    np.subtract(1.0, fluct, out=fluct)
+    np.maximum(fluct, 0.0, out=fluct)
+    np.sqrt(fluct, out=fluct)
+    fluct -= 1.0
     return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(fluct))
 
 
@@ -146,8 +163,16 @@ def energy_per_site_planar(delta: float, g: ZoneGrid) -> float:
         raise ValueError(f"planar branch needs 0 <= delta <= 1, got {delta}")
     x = (1.0 + delta) / 2.0
     y = (1.0 - delta) / 2.0
-    a = 1.0 + y * g.gamma
-    term = np.sqrt(np.clip(a**2 - (x * g.gamma) ** 2, 0.0, None)) - a
+    # sqrt(max(a^2 - (x g)^2, 0)) - a with a = 1 + y g, in three buffers
+    a = np.multiply(g.gamma, y)
+    a += 1.0
+    term = np.square(a)
+    xg = np.multiply(g.gamma, x)
+    np.square(xg, out=xg)
+    term -= xg
+    np.maximum(term, 0.0, out=term)
+    np.sqrt(term, out=term)
+    term -= a
     z = 2 * g.dimension
     return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(term)
 

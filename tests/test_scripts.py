@@ -1,6 +1,7 @@
 """Smoke tests for scripts/ and the README: each study runs on small inputs
 and exits 0, and the README's Python API example gives the numbers it states."""
 
+import json
 import os
 import subprocess
 import sys
@@ -89,3 +90,24 @@ def test_readme_python_api_example():
     assert (len(names["sector"].basis), names["sector"].h.dimension) == (12870, 6435)
     assert names["ground"].h.dimension == 441
     assert names["g"].gamma.size == 32_896 and names["g"].k_points == 512
+
+
+def test_bench_ab_script(tmp_path):
+    # one A/A pair: the checkout against itself, parent first
+    out = tmp_path / "bench.json"
+    proc = _run("bench_ab.py", "--parent", str(ROOT), "--out", str(out),
+                "--workloads", "sw-cubic-scan", "--pairs", "1", "--seconds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text())
+    runs = report["runs"]
+    assert [(r["side"], r["first"]) for r in runs] == [("parent", True), ("change", False)]
+    for r in runs:
+        # one operation per delta point of the 201-point scan, per invocation
+        assert r["correct"] and r["failed"] == 0 and r["attempted"] % 201 == 0
+    stats = report["workloads"]["sw-cubic-scan"]["metrics"]
+    assert set(stats) == {"wall_s", "setup_s", "cpu_s", "peak_rss_mb", "setup_plus_wall_s"}
+    assert stats["cpu_s"]["pairs"] == 1 and stats["cpu_s"]["bound"] == 0.25
+    assert stats["setup_plus_wall_s"]["bound"] is None
+    prov = report["provenance"]
+    assert prov["parent"]["commit"] == prov["change"]["commit"]
+    assert prov["nproc"] >= 1 and prov["change"]["blas_threads"]
