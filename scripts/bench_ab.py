@@ -18,12 +18,10 @@ holds:
               provenance line from run.py (Python, numpy, scipy, BLAS and
               its thread count)
 
-    python scripts/bench_ab.py --parent ../parent --out BENCH_27.json \\
-        --workloads sw-cubic-scan:10 ed-square44-scan ed-chain22-gap verify-all \\
-        --pairs 3 --seconds 12
+    python scripts/bench_ab.py --parent ../parent --out BENCH_<n>.json
 
-A workload written NAME:N runs N pairs instead of --pairs. The exit code is
-1 when any run fails a correctness gate or does not finish, else 0.
+The exit code is 1 when any run fails a correctness gate or does not
+finish, else 0.
 """
 
 from __future__ import annotations
@@ -41,15 +39,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED_BASE = 1234  # pair i runs both sides with seed SEED_BASE + i
 EXTRA = {"name": "setup_plus_wall_s", "unit": "s", "better": "lower", "bound": None}
 RUN_TIMEOUT_S = 240.0  # run.py ends itself within 180 s
-
-
-def _workload(text: str) -> tuple[str, int | None]:
-    name, _, pairs = text.partition(":")
-    if not pairs:
-        return name, None
-    if not pairs.isdecimal() or int(pairs) < 1:
-        raise argparse.ArgumentTypeError(f"pairs must be an integer >= 1, got {text!r}")
-    return name, int(pairs)
 
 
 def _positive(text: str) -> int:
@@ -133,31 +122,26 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the parent checkout")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--workloads", nargs="+", type=_workload, default=None,
-                        help="workloads to run, NAME or NAME:PAIRS (default: all)")
-    parser.add_argument("--pairs", type=_positive, default=5)
+    parser.add_argument("--workloads", nargs="+", choices=known, default=known)
+    # a claimed gain needs nine wins in at least ten pairs
+    parser.add_argument("--pairs", type=_positive, default=10, help="pairs per workload")
     parser.add_argument("--seconds", type=_positive, default=12,
                         help="run.py --seconds of every run")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     if not (trees["parent"] / "perfbench" / "run.py").is_file():
         parser.error(f"--parent: no perfbench/run.py under {trees['parent']}")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    known = [w["name"] for w in benchmark["workloads"]]
-    plan = [(name, args.pairs) for name in known] if args.workloads is None else [
-        (name, pairs or args.pairs) for name, pairs in args.workloads]
-    unknown = [name for name, _ in plan if name not in known]
-    if unknown:
-        parser.error(f"--workloads: unknown {unknown}; choose from {known}")
     declared = benchmark["end_to_end"] + [EXTRA]
 
     runs: list[dict] = []
-    for workload, n_pairs in plan:
-        for pair in range(n_pairs):
+    for workload in args.workloads:
+        for pair in range(args.pairs):
             seed = SEED_BASE + pair
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
@@ -166,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                               first=position == 0)
                 runs.append(record)
                 m = record["metrics"]
-                print(f"{workload} pair {pair + 1}/{n_pairs} {side:6s} "
+                print(f"{workload} pair {pair + 1}/{args.pairs} {side:6s} "
                       f"{'first ' if position == 0 else 'second'}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in m.items())
                       + f"; correct {record['correct']}, "
@@ -185,10 +169,10 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "provenance": provenance,
         "workloads": {
-            name: {"pairs": n_pairs,
+            name: {"pairs": args.pairs,
                    "all_correct": all(r["correct"] for r in runs if r["workload"] == name),
                    "metrics": summarize([r for r in runs if r["workload"] == name], declared)}
-            for name, n_pairs in plan
+            for name in args.workloads
         },
         "runs": runs,
     }

@@ -106,6 +106,47 @@ def test_wedge_matches_full_grid(d, n):
         assert abs(sw.gzz_per_bond(delta, zone) - sw.gzz_per_bond(delta, full)) <= 1e-11
 
 
+def _wedge_by_index_table(d, n):
+    """The wedge from its (points, d) table of sorted index tuples, the
+    row-wise reference for gamma_grid's running sums."""
+    half = (n + 1) // 2
+    idx = np.array([t for t in np.ndindex(*(half,) * d) if list(t) == sorted(t)])
+    weight = np.full(half, 2, dtype=np.int64)
+    weight[-1] -= n % 2
+    runs = [np.unique(t, return_counts=True)[1] for t in idx]
+    perms = [math.factorial(d) // math.prod(map(math.factorial, r)) for r in runs]
+    cosk = np.cos(sw.bz_axis(n)[:half])
+    return cosk[idx].sum(axis=1) / d, np.array(perms) * weight[idx].prod(axis=1)
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 7), (2, 16), (2, 33), (2, 64),
+                                  (3, 3), (3, 8), (3, 9), (3, 24)])
+def test_gamma_grid_is_bit_identical_to_the_index_table(d, n):
+    gamma, multiplicity = _wedge_by_index_table(d, n)
+    zone = sw.gamma_grid(d, n)
+    assert np.array_equal(zone.gamma, gamma) and np.array_equal(zone.multiplicity, multiplicity)
+
+
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 24)])
+def test_branch_integrands_are_bit_identical_to_their_clipped_expressions(d, n, monkeypatch):
+    # the energies build their integrands in place and the zone average
+    # weights them by a float copy of the multiplicities; the plain
+    # expressions, with np.clip and the int64 weights, give the same bits
+    zone = sw.gamma_grid(d, n)
+    g = zone.gamma
+    f = _planar_term(0.5, g)
+    assert zone.mean(f) == float(np.add.reduce(zone.multiplicity * f)) / n**d
+    seen = []
+    monkeypatch.setattr(sw.ZoneGrid, "mean", lambda self, f: seen.append(f.copy()) or 0.0)
+    for delta in (0.0, 0.3, 0.75, 1.0):
+        sw.energy_per_site_planar(delta, zone)
+        assert np.array_equal(seen.pop(), _planar_term(delta, g))
+    for delta in (1.0, 1.5, 4.0, 1e6):
+        sw.energy_per_site_ising(delta, zone)
+        want = np.sqrt(np.clip(1.0 - (1.0 / delta * g) ** 2, 0.0, None)) - 1.0
+        assert np.array_equal(seen.pop(), want)
+
+
 @pytest.mark.parametrize("d, n", [(3, 96), (2, 512), (3, 192), (2, 1024)])
 def test_zone_mean_is_within_three_ulp_of_the_exact_sum(d, n, monkeypatch):
     # the wedge sum is a pairwise sum; a straight loop or a BLAS dot, whose
