@@ -23,7 +23,6 @@ d1L9open the open 9-site chain, d2L2 the periodic 2x2 square.
 import argparse
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -61,9 +60,8 @@ def sector_operators(spec: LatticeSpec) -> list[tuple[str, ed.SparseHamiltonian,
         lattice = build_lattice(spec)
         return [("M=0.5", ed.build_hamiltonian(lattice, ed.enumerate_basis(spec.n_sites, 0.5)), 0.5)]
     sector = ed.build_sector(spec)
-    other = replace(sector.basis, parity=-sector.basis.parity)
     cases = [("parity", sector.h, 0.0),
-             ("other", ed.build_hamiltonian(sector.lattice, other), 0.0)]
+             ("other", ed.build_hamiltonian(sector.lattice, ed.gap_basis(sector.basis)), 0.0)]
     if spec.periodic:
         cases.append(("ground", ed.build_ground_sector(spec).h, 0.0))
     return cases

@@ -1,36 +1,44 @@
 #!/usr/bin/env python3
-"""Wall and CPU time per stage of the `xxzent ed` flow.
+"""Wall and CPU time per stage of `xxzent ed`.
 
-Runs the stages of `xxzent ed` in process and in its order: the lattice,
-the M = 0 basis, the ground state's orbits of translations and the flip
-with their assembly, the ground Lanczos run (with its iterations), the
-bond correlators, the start of the gap run (S^z_pi of the ground state,
-expanded and projected on the other flip parity), that parity's block and
-its Lanczos run from that start. The
-flow is run --repeat times and each stage's median is printed. CPU time is
-the process's, over all its threads, so a stage that wakes BLAS threads
-shows more CPU than wall time.
+Runs `xxzent ed` in process, with the flags that follow --repeat, and times
+the calls it makes: the lattice, the M = 0 basis, the ground sector's
+assembly (its orbits of translations and the flip included), the ground
+Lanczos run, the bond correlators, the gap run's start (S^z_pi of the ground
+state on the other flip parity), the gap block's assembly and its Lanczos
+run from that start. xxzent.cli is imported before numpy, so the command
+runs under its own BLAS thread setting. Its report is not printed.
+
+The command is run --repeat times and each stage's median is printed; the
+total is the whole command's. CPU time is the process's, over all its
+threads, so a stage that wakes BLAS threads shows more CPU than wall time.
 The peak_rss_mb column is the process's peak resident set (ru_maxrss) at
 the end of each stage of the first run, so it includes the interpreter and
 the imports.
 
-    PYTHONPATH=src python scripts/stage_times.py --dim 1 --size 22 --repeat 3
+    PYTHONPATH=src python scripts/stage_times.py --repeat 3 --dim 1 --size 22
 """
 
 import argparse
+import contextlib
+import io
 import resource
 import statistics
 import sys
 import time
-from dataclasses import replace
-from functools import partial
 
-from xxzent import ed, entanglement
-from xxzent.lattice import LatticeSpec, build_lattice
+from xxzent import cli, ed, entanglement  # cli first: it sets the BLAS threads
 
-
-def _iterations(gs: ed.GroundState) -> str:
-    return f"{gs.iterations} iterations"
+STAGES = [  # (module, function, the stage of each call, note on its result)
+    (ed, "build_lattice", ["lattice"], None),
+    (ed, "enumerate_basis", ["basis"], lambda b: f"{len(b)} states"),
+    (ed, "build_hamiltonian", ["assembly ground", "assembly gap"],
+     lambda h: f"{h.dimension} rows, {h.nnz} nnz"),
+    (ed, "lanczos_ground", ["lanczos ground", "lanczos gap"],
+     lambda gs: f"{gs.iterations} iterations"),
+    (entanglement, "operator_bond_correlators", ["correlators"], None),
+    (ed, "staggered_guess", ["start"], None),
+]
 
 
 def _peak_rss_mb() -> float:
@@ -39,64 +47,48 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
-def run_flow(spec: LatticeSpec, delta: float) -> list[tuple[str, float, float, float, str]]:
-    """One pass of the ed flow: (stage, wall s, CPU s, peak RSS MB, note) per stage."""
-    stages = []
-
-    def timed(name, fn, *args, note=lambda out: ""):
+def _timed(stages: list, fn, names: list[str], note):
+    """fn, appending (stage, wall s, CPU s, peak RSS MB, note) to stages at each call."""
+    def wrapper(*args, **kwargs):
+        name = names[sum(s[0] in names for s in stages)]
         wall, cpu = time.perf_counter(), time.process_time()
-        out = fn(*args)
+        out = fn(*args, **kwargs)
         stages.append((name, time.perf_counter() - wall, time.process_time() - cpu,
-                       _peak_rss_mb(), note(out)))
+                       _peak_rss_mb(), note(out) if note else ""))
         return out
-
-    lattice = timed("lattice", build_lattice, spec)
-    basis = timed("basis", ed.enumerate_basis, lattice.n_sites, note=lambda b: f"{len(b)} states")
-
-    def assemble(block):
-        return ed.build_hamiltonian(lattice, block).at(delta)
-
-    def rows_nnz(h):
-        return f"{h.dimension} rows, {h.nnz} nnz"
-
-    p = basis.parity
-    ground = replace(basis, translations=spec)
-    h = timed("assembly ground", assemble, ground, note=rows_nnz)  # orbits included
-    gs = timed("lanczos ground", ed.lanczos_ground, h, note=_iterations)
-    timed("correlators", entanglement.operator_bond_correlators, gs, h, lattice)
-    guess = timed("start", ed.staggered_guess, lattice, ground, gs.vector)
-    del h, ground  # freed before the other block is built, as in `xxzent ed`
-    other = timed(f"assembly parity {-p:+d}", assemble, replace(basis, parity=-p), note=rows_nnz)
-    timed(f"lanczos parity {-p:+d}", partial(ed.lanczos_ground, guess=guess), other,
-          note=_iterations)
-    return stages
+    return wrapper
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
-    ap.add_argument("--size", type=int, default=22)
-    ap.add_argument("--delta", type=float, default=1.0)
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0],
+                                 usage="%(prog)s [--repeat N] [xxzent ed flags]")
     ap.add_argument("--repeat", type=int, default=3)
-    args = ap.parse_args()
+    args, ed_flags = ap.parse_known_args()
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
-    try:
-        spec = LatticeSpec(args.dim, args.size)
-    except ValueError as exc:  # an odd periodic size
-        ap.error(str(exc))
-    runs = [run_flow(spec, args.delta) for _ in range(args.repeat)]
-    print(f"d={args.dim} L={args.size} periodic delta={args.delta:g}: "
-          f"median of {args.repeat} run(s)")
+    stages: list = []
+    for module, attr, names, note in STAGES:
+        setattr(module, attr, _timed(stages, getattr(module, attr), names, note))
+    runs, totals = [], []
+    for _ in range(args.repeat):
+        stages.clear()
+        wall, cpu = time.perf_counter(), time.process_time()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["ed", *ed_flags])
+        if rc != cli.EXIT_OK:
+            return rc
+        totals.append((time.perf_counter() - wall, time.process_time() - cpu))
+        runs.append(list(stages))
+    print(f"xxzent ed {' '.join(ed_flags)}: median of {args.repeat} run(s)")
     print(f"{'stage':<20} {'wall_s':>8} {'cpu_s':>8} {'peak_rss_mb':>12}  note")
     for i, (name, _, _, rss, note) in enumerate(runs[0]):
         wall = statistics.median(run[i][1] for run in runs)
         cpu = statistics.median(run[i][2] for run in runs)
-        print(f"{name:<20} {wall:>8.3f} {cpu:>8.3f} {rss:>12.1f}  {note}")
-    wall = statistics.median(sum(s[1] for s in run) for run in runs)
-    cpu = statistics.median(sum(s[2] for s in run) for run in runs)
+        print(f"{name:<20} {wall:>8.3f} {cpu:>8.3f} {rss:>12.1f}  {note}".rstrip())
+    wall, cpu = (statistics.median(t) for t in zip(*totals))
     print(f"{'total':<20} {wall:>8.3f} {cpu:>8.3f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

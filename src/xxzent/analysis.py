@@ -1,4 +1,4 @@
-"""Delta scans, derivative identities, extremum reports, and the 1/L fit."""
+"""Delta scans, derivative identities and extremum reports."""
 
 from __future__ import annotations
 
@@ -268,28 +268,3 @@ def extremum_and_derivative(curve: ConcurrenceCurve) -> ExtremumReport:
     left = float((c[i1] - c[i1 - 1]) / (deltas[i1] - deltas[i1 - 1]))
     right = float((c[i1 + 1] - c[i1]) / (deltas[i1 + 1] - deltas[i1]))
     return ExtremumReport(delta_star=delta_star, left_slope=left, right_slope=right)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares fit summary."""
-
-    coefficients: tuple[float, ...]
-    dof: int
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.dof <= 0
-
-
-def polynomial_inverse_l_fit(pairs, degree: int) -> FitResult:
-    """Fit value(L) = sum_n a_n (1/L)^n; a_0 is the extrapolated limit."""
-    ls = np.array([float(l) for l, _ in pairs])
-    ys = np.array([float(v) for _, v in pairs])
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if len(set(ls.tolist())) < degree + 1:
-        raise ValueError(f"degree {degree} fit needs {degree + 1} distinct sizes")
-    a = np.column_stack([(1.0 / ls) ** n for n in range(degree + 1)])
-    coef = np.linalg.lstsq(a, ys, rcond=None)[0]
-    return FitResult(tuple(float(x) for x in coef), dof=len(ys) - len(coef))

@@ -157,9 +157,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
         gs = ed.lanczos_ground(h, seed=args.seed)
         g = entanglement.operator_bond_correlators(gs, h, lattice)
         guess = ed.staggered_guess(lattice, basis, gs.vector)
-        # the lowest M = 0 excitation is the other flip parity's lowest level,
-        # at any momentum, so its block is not reduced by translations
-        other_basis = dataclasses.replace(basis, translations=None, parity=-basis.parity)
+        other_basis = ed.gap_basis(basis)
         del sector, h, basis  # the ground block is freed before the gap's block is built
         h = ed.build_hamiltonian(lattice, other_basis).at(args.delta)
         del other_basis  # with its orbit map, before the gap's run

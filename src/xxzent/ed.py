@@ -18,9 +18,8 @@ unit-translation eigenvalue are (-1)^(N/2). `build_ground_sector` solves in
 the orbits of both (441 at 4x4, 16,080 at L = 22); `build_sector` keeps the
 flip alone. Each group element maps only the states still in the running
 for a representative, and H. Q. Lin's table indexes the states. `xxzent ed`
-solves the ground state in `build_ground_sector`'s block and its gap in the
-other flip parity's, not reduced by translations since its lowest level may
-carry any momentum (352,716 rows at L = 22), from near S^z_pi |GS>.
+solves the ground state in `build_ground_sector`'s block and its gap in
+`gap_basis`'s (352,716 rows at L = 22), from near S^z_pi |GS>.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -334,6 +333,13 @@ def build_ground_sector(spec: LatticeSpec) -> Sector:
     lattice = build_lattice(spec)
     basis = replace(enumerate_basis(lattice.n_sites), translations=spec if spec.periodic else None)
     return Sector(lattice, basis, build_hamiltonian(lattice, basis))
+
+
+def gap_basis(basis: SectorBasis) -> SectorBasis:
+    """The block of the gap: the lowest M = 0 excitation is the lowest level
+    of the other flip parity than basis's, at any momentum, so its block is
+    not reduced by translations."""
+    return replace(basis, translations=None, parity=-basis.parity)
 
 
 def staggered_guess(lattice: Lattice, basis: SectorBasis, vector: np.ndarray) -> np.ndarray:

@@ -1,11 +1,9 @@
-"""Scans, derivative identities, extremum reports, and the 1/L fit."""
+"""Scans, derivative identities and extremum reports."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from xxzent import analysis, ed, entanglement
 from xxzent.analysis import (
@@ -13,7 +11,6 @@ from xxzent.analysis import (
     ScanSample,
     delta_grid,
     extremum_and_derivative,
-    polynomial_inverse_l_fit,
     scan_ed,
     scan_spinwave,
     second_differences,
@@ -244,26 +241,3 @@ def test_extremum_rejects_failed_samples():
     )
     with pytest.raises(ValueError, match="failed"):
         extremum_and_derivative(ConcurrenceCurve("ed", "toy", samples))
-
-
-# -------------------------------------------------------------------- fits
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    a0=st.floats(-1.0, 1.0),
-    a1=st.floats(-2.0, 2.0),
-    a2=st.floats(-3.0, 3.0),
-)
-def test_inverse_l_fit_exact_recovery(a0, a1, a2):
-    sizes = [6, 8, 10, 12, 14]
-    pairs = [(L, a0 + a1 / L + a2 / L**2) for L in sizes]
-    fit = polynomial_inverse_l_fit(pairs, degree=2)
-    assert fit.coefficients[0] == pytest.approx(a0, abs=1e-9)
-    assert fit.coefficients[1] == pytest.approx(a1, abs=1e-7)
-    assert fit.dof == 2
-
-
-def test_inverse_l_fit_needs_distinct_sizes():
-    with pytest.raises(ValueError, match="distinct sizes"):
-        polynomial_inverse_l_fit([(8, -0.4), (8, -0.41)], degree=2)

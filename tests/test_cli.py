@@ -128,9 +128,7 @@ def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     spec = LatticeSpec(1, 16)
     ground = ed.build_ground_sector(spec)
     gs = ed.lanczos_ground(ground.h.at(1.0))
-    other_basis = dataclasses.replace(ground.basis, translations=None,
-                                      parity=-ground.basis.parity)
-    other = ed.build_hamiltonian(ground.lattice, other_basis).at(1.0)
+    other = ed.build_hamiltonian(ground.lattice, ed.gap_basis(ground.basis)).at(1.0)
     guess = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
     started, plain = ed.lanczos_ground(other, guess=guess), ed.lanczos_ground(other)
     assert started.iterations < plain.iterations
@@ -312,9 +310,8 @@ def test_report_names_the_tolerance_the_floor_put_in_place(capsys):
     # same two blocks, seed and start rather than pinned
     ground = ed.build_ground_sector(LatticeSpec(1, 8))
     gs = ed.lanczos_ground(ground.h.at(1e6))
-    other_basis = dataclasses.replace(ground.basis, translations=None,
-                                      parity=-ground.basis.parity)
-    other = ed.lanczos_ground(ed.build_hamiltonian(ground.lattice, other_basis).at(1e6),
+    other = ed.lanczos_ground(ed.build_hamiltonian(ground.lattice,
+                                                   ed.gap_basis(ground.basis)).at(1e6),
                               guess=ed.staggered_guess(ground.lattice, ground.basis, gs.vector))
     assert report["tolerance"] == cli._fmt(max(gs.tolerance, other.tolerance))
     assert ed.DEFAULT_TOL < float(report["residual"]) < float(report["tolerance"])

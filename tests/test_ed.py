@@ -253,7 +253,7 @@ def test_flipped_is_the_other_parity_block(spec):
     # differs. Up to N = 4 sites a direct and a mirrored hop share an entry
     sector = ed.build_sector(spec)
     h = sector.h
-    flipped = replace(sector.basis, parity=-sector.basis.parity)
+    flipped = ed.gap_basis(sector.basis)
     other = ed.build_hamiltonian(sector.lattice, flipped)
     for name in ("indptr", "indices"):
         np.testing.assert_array_equal(getattr(other.offdiag, name), getattr(h.offdiag, name))
@@ -731,10 +731,6 @@ GROUND_SPECS = [LatticeSpec(1, n) for n in (2, 4, 6, 8, 10, 12, 14)] + [
 ]
 
 
-def _spec_id(spec: LatticeSpec) -> str:
-    return f"d{spec.dimension}L{spec.linear_size}{'' if spec.periodic else 'open'}"
-
-
 def _unit_translation(states: np.ndarray, spec: LatticeSpec, axis: int) -> np.ndarray:
     """Each configuration moved one site along axis, bit by bit."""
     shape = (spec.linear_size,) * spec.dimension
@@ -931,7 +927,7 @@ def test_staggered_guess_is_the_projected_single_mode_state(spec):
     basis, lattice = ground.basis, ground.lattice
     gs = ed.lanczos_ground(ground.h.at(0.8))
     stag = sum((1 - 2 * a) * (basis.bit(site) - 0.5) for site, a in enumerate(lattice.sublattice))
-    other = replace(basis, translations=None, parity=-basis.parity)
+    other = ed.gap_basis(basis)
     isometry = np.column_stack([other.expand(e) for e in np.eye(len(other.representatives))])
     want = isometry.T @ (stag * basis.expand(gs.vector))
     got = ed.staggered_guess(lattice, basis, gs.vector)

@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from xxzent import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+def _run(script: str, *args: str, unset: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, timeout=300, env=env, cwd=ROOT,
@@ -43,6 +46,11 @@ def test_chain_extrapolation_script():
     proc = _run("chain_extrapolation.py", "--sizes", "4", "6", "8", "--degree", "2")
     assert proc.returncode == 0, proc.stderr
     assert "warning: no degrees of freedom left" in proc.stdout
+    # one distinct size cannot fix a quadratic, nor can any set a negative degree
+    for args in (["--sizes", "8", "8"], ["--degree", "-1"]):
+        proc = _run("chain_extrapolation.py", *args)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
 
 
 def test_lanczos_battery_script():
@@ -61,8 +69,11 @@ def test_lanczos_battery_refuses_unusable_tols():
         assert "argument --tols: must be finite and > 0" in proc.stderr
 
 
-def test_stage_times_script():
-    proc = _run("stage_times.py", "--dim", "1", "--size", "12", "--repeat", "2")
+def test_stage_times_script(capsys):
+    # unpinned, as from a shell: the script imports xxzent.cli, which sets
+    # the one BLAS thread, before numpy loads
+    proc = _run("stage_times.py", "--repeat", "2", "--dim", "1", "--size", "12",
+                unset=("OPENBLAS_NUM_THREADS",))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["stage", "wall_s", "cpu_s", "peak_rss_mb", "note"]
@@ -73,9 +84,13 @@ def test_stage_times_script():
     rss = [float(line[20:].split()[2]) for line in lines[2:-1]]
     assert rss == sorted(rss) and rss[0] > 0
     assert "924 states" in proc.stdout
-    # the ground state's orbits of translations and the flip, then the other parity's block
+    # the ground state's orbits of translations and the flip, then the gap block
     assert "44 rows, 272 nnz" in proc.stdout and "462 rows, 3486 nnz" in proc.stdout
-    assert proc.stdout.count(" iterations") == 2
+    # the two timed runs are the ones `xxzent ed` reports
+    runs = [int(line.split()[-2]) for line in lines if line.endswith(" iterations")]
+    assert len(runs) == 2
+    assert cli.main(["ed", "--dim", "1", "--size", "12"]) == cli.EXIT_OK
+    assert f"iterations: {sum(runs)}\n" in capsys.readouterr().out
 
 
 def test_readme_python_api_example():
