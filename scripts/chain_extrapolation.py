@@ -23,6 +23,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.degree < 0:
         ap.error("--degree must be >= 0")
+    if any(size < 2 or size % 2 for size in args.sizes):
+        ap.error("--sizes must be even and >= 2: an odd ring is not bipartite")
     if len(set(args.sizes)) < args.degree + 1:
         ap.error(f"a degree-{args.degree} fit needs {args.degree + 1} distinct --sizes")
 

@@ -8,11 +8,12 @@ by more than the threshold it applied (`GroundState.tolerance`): a Ritz
 value lies within its residual of an eigenvalue. Every failed solve is
 printed, and the exit code is 1 if any failed.
 
-A lattice with an even number of sites is solved at M = 0 in both flip
-parities, the other parity's block being the one `xxzent ed` takes its gap
-from, and a periodic one also in the ground state's orbits of translations
-and the flip, the sector `scan`, `verify` and the ground state of
-`xxzent ed` solve; an odd open chain is solved at M = 1/2.
+A lattice with an even number of sites is solved at M = 0 in the ground
+state's flip parity and in each block `xxzent ed` takes its gap from
+(`ed.gap_basis`: the other parity, split on a periodic lattice into the
+half-shift sectors sigma = +-1), and a periodic one also in the ground
+state's orbits of translations and the flip, the sector `scan`, `verify` and
+the ground state of `xxzent ed` solve; an odd open chain is solved at M = 1/2.
 Lattices are named as in the tests: d1L8 is the periodic 8-site ring,
 d1L9open the open 9-site chain, d2L2 the periodic 2x2 square.
 
@@ -59,11 +60,13 @@ def sector_operators(spec: LatticeSpec) -> list[tuple[str, ed.SparseHamiltonian,
     if spec.n_sites % 2:
         lattice = build_lattice(spec)
         return [("M=0.5", ed.build_hamiltonian(lattice, ed.enumerate_basis(spec.n_sites, 0.5)), 0.5)]
-    sector = ed.build_sector(spec)
-    cases = [("parity", sector.h, 0.0),
-             ("other", ed.build_hamiltonian(sector.lattice, ed.gap_basis(sector.basis)), 0.0)]
+    ground = ed.build_ground_sector(spec)
+    cases = [("parity", ed.build_sector(spec).h, 0.0)]
     if spec.periodic:
-        cases.append(("ground", ed.build_ground_sector(spec).h, 0.0))
+        cases.append(("ground", ground.h, 0.0))
+    for block in ed.gap_basis(ground.basis):
+        name = "gap" if block.half_shift is None else f"gap sigma={block.half_shift:+d}"
+        cases.append((name, ed.build_hamiltonian(ground.lattice, block), 0.0))
     return cases
 
 

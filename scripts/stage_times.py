@@ -4,9 +4,11 @@
 Runs `xxzent ed` in process, with the flags that follow --repeat, and times
 the calls it makes: the lattice, the M = 0 basis, the ground sector's
 assembly (its orbits of translations and the flip included), the ground
-Lanczos run, the bond correlators, the gap run's start (S^z_pi of the ground
-state on the other flip parity), the gap block's assembly and its Lanczos
-run from that start. xxzent.cli is imported before numpy, so the command
+Lanczos run, the bond correlators, the gap runs' start (w |GS> on the M = 0
+states, see ed.staggered_guess), then each gap block's assembly and its
+Lanczos run from the block's projection of that start: gap 1 and gap 2 are
+the half-shift sectors sigma = +1 and -1 of a periodic lattice, an open
+lattice has gap 1 alone. xxzent.cli is imported before numpy, so the command
 runs under its own BLAS thread setting. Its report is not printed.
 
 The command is run --repeat times and each stage's median is printed; the
@@ -32,9 +34,9 @@ from xxzent import cli, ed, entanglement  # cli first: it sets the BLAS threads
 STAGES = [  # (module, function, the stage of each call, note on its result)
     (ed, "build_lattice", ["lattice"], None),
     (ed, "enumerate_basis", ["basis"], lambda b: f"{len(b)} states"),
-    (ed, "build_hamiltonian", ["assembly ground", "assembly gap"],
+    (ed, "build_hamiltonian", ["assembly ground", "assembly gap 1", "assembly gap 2"],
      lambda h: f"{h.dimension} rows, {h.nnz} nnz"),
-    (ed, "lanczos_ground", ["lanczos ground", "lanczos gap"],
+    (ed, "lanczos_ground", ["lanczos ground", "lanczos gap 1", "lanczos gap 2"],
      lambda gs: f"{gs.iterations} iterations"),
     (entanglement, "operator_bond_correlators", ["correlators"], None),
     (ed, "staggered_guess", ["start"], None),

@@ -19,7 +19,9 @@ the orbits of both (441 at 4x4, 16,080 at L = 22); `build_sector` keeps the
 flip alone. Each group element maps only the states still in the running
 for a representative, and H. Q. Lin's table indexes the states. `xxzent ed`
 solves the ground state in `build_ground_sector`'s block and its gap in
-`gap_basis`'s (352,716 rows at L = 22), from near S^z_pi |GS>.
+`gap_basis`'s: the other parity's 352,716 orbits at L = 22, split by the
+half shift into sectors of 176,870 and 175,846 rows, each started from its
+part of `staggered_guess`'s w |GS>.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -74,10 +76,12 @@ class SectorBasis:
     """All n_sites-bit configurations with a fixed number of up spins, and
     their orbits under the group G of the spin flip (at M = 0, character
     `parity`) and the translations of the periodic lattice `translations`
-    (a shift by k: parity^|k|). An orbit is the unit vector sum_g chi(g)
-    |g r> / norm, named by its smallest state r: `representatives` index
-    operator rows and state vectors, and `sizes` holds their orbit lengths.
-    On these lattices every g that fixes a state has chi(g) = 1.
+    (a shift by k: parity^|k|). With `half_shift` = sigma, the translations
+    are only 1 and S, the shift by L/2 along every axis, with chi(S) = sigma.
+    An orbit is the unit vector sum_g chi(g) |g r> / norm, named by its
+    smallest state r: `representatives` index operator rows and state
+    vectors, and `sizes` holds their orbit lengths. A null orbit, fixed by
+    a g with chi(g) = -1, has no row, and its states weigh 0 in `expand`.
     """
 
     n_sites: int
@@ -85,6 +89,7 @@ class SectorBasis:
     states: np.ndarray  # uint64, strictly increasing
     parity: int | None = None
     translations: LatticeSpec | None = None
+    half_shift: int | None = None
 
     def __post_init__(self) -> None:
         if self.parity is not None and (
@@ -101,11 +106,12 @@ class SectorBasis:
 
     @cached_property
     def representatives(self) -> np.ndarray:
-        """The states no g lowers; each g is applied only to those still in the running."""
+        """The states no g lowers, each g applied only to those still in the
+        running, less the null orbits': sum_{g r = r} chi(g) is |Stab(r)| or 0."""
         reps = self.states
         for g, _ in self._group[1:]:
             reps = reps[self._act(g, reps) >= reps]
-        return reps
+        return reps[sum(chi * (self._act(g, reps) == reps) for g, chi in self._group) > 0]
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -120,6 +126,8 @@ class SectorBasis:
         up k strides, or down L - k strides from the last k layers."""
         spec, flips = self.translations, (False,) if self.parity is None else (False, True)
         L, d, n = (spec.linear_size, spec.dimension, spec.n_sites) if spec else (1, 0, 0)
+        shifts = [(0,) * d, (L // 2,) * d] if self.half_shift else product(range(L), repeat=d)
+        p, sigma = self.parity or 1, self.half_shift  # chi(flip), chi(S)
 
         def rotation(axis: int, k: int) -> tuple:
             stride = L ** (d - 1 - axis)
@@ -127,8 +135,8 @@ class SectorBasis:
             return tuple(map(np.uint64, ((1 << n) - 1 - wrap, wrap, k * stride, (L - k) * stride)))
 
         return [((tuple(rotation(a, k) for a, k in enumerate(ks) if k), f),
-                 (self.parity or 1) ** (sum(ks) + f))
-                for ks in product(range(L), repeat=d) for f in flips]
+                 p ** f * (sigma ** any(ks) if sigma else p ** sum(ks)))
+                for ks in shifts for f in flips]
 
     def _act(self, g: tuple, x: np.ndarray) -> np.ndarray:
         rotations, flip = g
@@ -139,8 +147,9 @@ class SectorBasis:
     @cached_property
     def _orbit_map(self) -> tuple[np.ndarray, np.ndarray]:
         """Per state: the row of its orbit and its amplitude in the orbit's
-        unit vector, scattered from the images g r of the representatives."""
-        index, weight = np.empty(len(self), np.intp), np.empty(len(self))
+        unit vector, scattered from the images g r of the representatives;
+        0 and 0 on a dropped orbit."""
+        index, weight = np.zeros(len(self), np.intp), np.zeros(len(self))
         for g, chi in self._group:
             at = self.index_of_many(self._act(g, self.representatives))
             index[at], weight[at] = np.arange(len(at)), chi / np.sqrt(self.sizes, dtype=float)
@@ -152,6 +161,11 @@ class SectorBasis:
             raise ValueError("state length does not match the sector's representatives")
         index, weight = self._orbit_map
         return weight * v[index]
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The adjoint of expand: full-sector amplitudes onto the representatives."""
+        index, weight = self._orbit_map
+        return np.bincount(index, weight * x, len(self.representatives))
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
         """H. Q. Lin's index (PRB 42, 6561 (1990)), first[high half] + rank[low half]."""
@@ -271,16 +285,18 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     0), goes in its bond's row of a table with one column per row; sorting
     each row's keys gives its CSR entries in column order, with no COO -> CSR sort.
     sum_duplicates merges the hops of one row onto one orbit: translations,
-    and up to N = 4 sites the flip, reach one orbit twice.
+    and up to N = 4 sites the flip, reach one orbit twice. A hop onto a
+    dropped orbit's state (weight 0) makes no entry.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
     states, sizes = basis.representatives, basis.sizes
     n = len(states)
     orbit, weight = basis._orbit_map
-    state_keys = (2 * orbit + (weight < 0)).astype(np.int32)  # a hop's key by its target state
-    anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its hops; each is -1/4 in H_zz
     empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
+    # a hop's key by its target state
+    state_keys = np.where(weight == 0, empty, 2 * orbit + (weight < 0)).astype(np.int32)
+    anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its antiparallel bonds, each -1/4 in H_zz
     keys = np.full((lattice.n_bonds, n), empty, dtype=np.int32)
     for slot, bond in enumerate(lattice.bonds):
         anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
@@ -289,8 +305,9 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
         keys[slot, src] = state_keys[basis.index_of_many(states[src] ^ mask)]
     keys = np.sort(keys.T, axis=1)
-    keys = keys[keys != empty]
-    indptr = np.concatenate(([0], np.cumsum(anti_bonds))).astype(np.int32)
+    hops = keys != empty
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(hops, axis=1)))).astype(np.int32)
+    keys = keys[hops]
     offdiag = sp.csr_matrix((np.where(keys & 1, -0.5, 0.5), keys >> 1, indptr), shape=(n, n))
     offdiag.sum_duplicates()
     if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
@@ -335,25 +352,35 @@ def build_ground_sector(spec: LatticeSpec) -> Sector:
     return Sector(lattice, basis, build_hamiltonian(lattice, basis))
 
 
-def gap_basis(basis: SectorBasis) -> SectorBasis:
-    """The block of the gap: the lowest M = 0 excitation is the lowest level
-    of the other flip parity than basis's, at any momentum, so its block is
-    not reduced by translations."""
-    return replace(basis, translations=None, parity=-basis.parity)
+def gap_basis(basis: SectorBasis) -> list[SectorBasis]:
+    """The blocks of the gap: the lowest M = 0 excitation is the lowest level
+    of the other flip parity than basis's, at any momentum, so translations
+    do not reduce it. The half shift S commutes with H(delta) and the flip,
+    and S^2 = 1: where basis has the translations, that parity's block splits
+    into the sectors sigma = +1 and -1 of S, less any that is empty."""
+    flipped = replace(basis, parity=-basis.parity)
+    if basis.translations is None:
+        return [flipped]
+    sectors = [replace(flipped, half_shift=sigma) for sigma in (1, -1)]
+    return [b for b in sectors if len(b.representatives)]
 
 
 def staggered_guess(lattice: Lattice, basis: SectorBasis, vector: np.ndarray) -> np.ndarray:
-    """S^z_pi |v> = sum_i eps_i S^z_i |v>, eps_i = +-1 by sublattice, for v over
-    one flip parity's orbits, as amplitudes over the other parity's. S^z_pi is
-    odd under the flip, which maps the first half of the M = 0 states onto the
-    second, so that projection is its first half (times sqrt 2). From the ground
-    state: the single-mode state of Arovas, Auerbach & Haldane, PRL 60, 531 (1988)."""
-    half = len(basis) // 2
-    states = basis.states[:half]
-    # sum_i eps_i = 0, so S^z_pi = sum_i eps_i n_i
-    stag = sum(e * ((states >> np.uint64(i)) & np.uint64(1)).astype(np.int8)
-               for i, e in enumerate(1 - 2 * np.array(lattice.sublattice)))
-    return basis.expand(vector)[:half] * stag
+    """w |v> on every state of basis, for v over its orbits: the gap blocks'
+    `project` of it is their start. w = sum_i eps_i (1 + cos(2 pi x_i / L)) n_i,
+    with eps_i = +-1 by sublattice and x_i a site's coordinate along axis 0.
+    Its first part is S^z_pi (sum_i eps_i = 0): from the ground state, the
+    single-mode state of Arovas, Auerbach & Haldane, PRL 60, 531 (1988). S
+    reverses the cos part against it, so each sigma gets one of the two."""
+    spec, low = lattice.spec, lattice.n_sites // 2
+    x = np.arange(spec.n_sites) // spec.linear_size ** (spec.dimension - 1)
+    c = (1 - 2 * np.array(lattice.sublattice)) * (1 + np.cos(2 * np.pi * x / spec.linear_size))
+    # w of every low and every high half of a state, as in Lin's index
+    low_w, high_w = (sum(ci * ((np.arange(1 << len(part)) >> b) & 1) for b, ci in enumerate(part))
+                     for part in (c[:low], c[low:]))
+    w = (low_w[(basis.states & np.uint64((1 << low) - 1)).view(np.intp)]
+         + high_w[(basis.states >> np.uint64(low)).view(np.intp)])
+    return w * basis.expand(vector)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ def test_ed_report_four_ring(capsys):
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     # 16-site ring: 12,870 states, too many for the dense oracle; one
     # Lanczos run in the ground state's orbits of translations and the flip,
-    # and one in the other flip parity's block for the gap: one assembly each
+    # and one in each half-shift sector of the other flip parity for the
+    # gap: one assembly each
     calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
     dimensions = []
     for name in calls:
@@ -67,13 +68,17 @@ def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
         monkeypatch.setattr(ed, name, counted)
     rc = cli.main(["ed", "--dim", "1", "--size", "16"])
     assert rc == cli.EXIT_OK
-    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 2, "lanczos_ground": 2}
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 3, "lanczos_ground": 3}
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
     assert int(report["sector_dimension"]) == 12870 > DENSE_DIM_LIMIT
     sector = ed.build_sector(LatticeSpec(1, 16))
-    # the ground run's block is the orbits of translations and the flip
-    assert dimensions == [ed.build_ground_sector(LatticeSpec(1, 16)).h.dimension, 6435]
+    # the ground run's block is the orbits of translations and the flip, the
+    # gap runs' the two halves of the other parity's 6,435 orbits
+    ground = ed.build_ground_sector(LatticeSpec(1, 16))
+    assert dimensions == [ground.h.dimension,
+                          *(len(b.representatives) for b in ed.gap_basis(ground.basis))]
+    assert sum(dimensions[1:]) == 6435 and max(dimensions[1:]) < 3300
 
     h = sector.h.at(1.0)
     gs = ed.lanczos_ground(h)
@@ -123,17 +128,27 @@ def test_ed_ground_sector_route_matches_the_parity_block(capsys, spec, delta):
 
 def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     # at delta = 1 the other parity's lowest level is S^z_pi |GS> (Arovas,
-    # Auerbach & Haldane): started there, the gap run of the 16-site ring
-    # takes fewer iterations than from the random vector alone
+    # Auerbach & Haldane), which lies in one half-shift sector; the cos part
+    # of the start lies in the other. Started from its projection of that
+    # start, the gap run of the 16-site ring that finds the gap's level takes
+    # fewer iterations than from the random vector alone, and the other no more
     spec = LatticeSpec(1, 16)
     ground = ed.build_ground_sector(spec)
     gs = ed.lanczos_ground(ground.h.at(1.0))
-    other = ed.build_hamiltonian(ground.lattice, ed.gap_basis(ground.basis)).at(1.0)
-    guess = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
-    started, plain = ed.lanczos_ground(other, guess=guess), ed.lanczos_ground(other)
-    assert started.iterations < plain.iterations
-    assert abs(started.energy - plain.energy) <= started.tolerance + plain.tolerance
-    # xxzent ed passes that start to the gap run, and only to it
+    start = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
+    want, runs, plain_runs = [], [], []
+    for block in ed.gap_basis(ground.basis):
+        other = ed.build_hamiltonian(ground.lattice, block).at(1.0)
+        want.append(block.project(start))
+        started, plain = ed.lanczos_ground(other, guess=want[-1]), ed.lanczos_ground(other)
+        assert started.iterations <= plain.iterations
+        assert abs(started.energy - plain.energy) <= started.tolerance + plain.tolerance
+        runs.append(started)
+        plain_runs.append(plain)
+    assert len(runs) == 2
+    lowest = min(range(2), key=lambda k: runs[k].energy)
+    assert runs[lowest].iterations < plain_runs[lowest].iterations
+    # xxzent ed passes those starts to the gap runs, and only to them
     guesses = []
     original = ed.lanczos_ground
 
@@ -144,8 +159,10 @@ def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     monkeypatch.setattr(ed, "lanczos_ground", recorded)
     assert cli.main(["ed", "--dim", "1", "--size", "16"]) == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
-    assert guesses[0] is None and np.array_equal(guesses[1], guess)
-    assert int(report["iterations"]) == gs.iterations + started.iterations
+    assert guesses[0] is None and len(guesses) == 3
+    assert all(np.array_equal(got, w) for got, w in zip(guesses[1:], want))
+    assert int(report["iterations"]) == gs.iterations + sum(run.iterations for run in runs)
+
 
 
 def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
@@ -307,13 +324,15 @@ def test_report_names_the_tolerance_the_floor_put_in_place(capsys):
     assert cli.main(["ed", "--dim", "1", "--size", "8", "--delta", "1e6"]) == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
     # the floor follows each run's Krylov path, so it is recomputed from the
-    # same two blocks, seed and start rather than pinned
+    # same three blocks, seed and starts rather than pinned
     ground = ed.build_ground_sector(LatticeSpec(1, 8))
     gs = ed.lanczos_ground(ground.h.at(1e6))
-    other = ed.lanczos_ground(ed.build_hamiltonian(ground.lattice,
-                                                   ed.gap_basis(ground.basis)).at(1e6),
-                              guess=ed.staggered_guess(ground.lattice, ground.basis, gs.vector))
-    assert report["tolerance"] == cli._fmt(max(gs.tolerance, other.tolerance))
+    start = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
+    runs = [ed.lanczos_ground(ed.build_hamiltonian(ground.lattice, block).at(1e6),
+                              guess=block.project(start))
+            for block in ed.gap_basis(ground.basis)]
+    assert len(runs) == 2
+    assert report["tolerance"] == cli._fmt(max(run.tolerance for run in [gs, *runs]))
     assert ed.DEFAULT_TOL < float(report["residual"]) < float(report["tolerance"])
 
 

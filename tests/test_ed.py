@@ -253,7 +253,7 @@ def test_flipped_is_the_other_parity_block(spec):
     # differs. Up to N = 4 sites a direct and a mirrored hop share an entry
     sector = ed.build_sector(spec)
     h = sector.h
-    flipped = ed.gap_basis(sector.basis)
+    [flipped] = ed.gap_basis(sector.basis)  # no translations: the flip block whole
     other = ed.build_hamiltonian(sector.lattice, flipped)
     for name in ("indptr", "indices"):
         np.testing.assert_array_equal(getattr(other.offdiag, name), getattr(h.offdiag, name))
@@ -268,6 +268,46 @@ def test_flipped_is_the_other_parity_block(spec):
             rtol=0,
             atol=1e-12,
         )
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize(
+    "spec",
+    [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
+    + [LatticeSpec(2, 2), LatticeSpec(3, 2)],
+    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
+)
+def test_gap_sectors_split_the_flipped_block(spec):
+    # gap_basis of the ground block: on a periodic lattice the half-shift
+    # sectors, each V^T H V with V the isometry of its expansions, V's
+    # together orthonormal and as many as the flip block's orbits, so their
+    # levels together are the flip block's and the lowest sector minimum is
+    # its lowest level; on an open lattice the flip block itself
+    ground = ed.build_ground_sector(spec)
+    blocks = ed.gap_basis(ground.basis)
+    assert [b.half_shift for b in blocks] == ([None] if not spec.periodic
+                                              else [1] if spec.n_sites == 2 else [1, -1])
+    ops = [ed.build_hamiltonian(ground.lattice, b) for b in blocks]
+    isometry = np.column_stack([b.expand(e) for b in blocks
+                                for e in np.eye(len(b.representatives))])
+    flipped = ed.build_hamiltonian(ground.lattice, replace(ground.basis, translations=None,
+                                                            parity=-ground.basis.parity))
+    assert isometry.shape[1] == flipped.dimension
+    np.testing.assert_allclose(isometry.T @ isometry, np.eye(flipped.dimension), rtol=0, atol=1e-14)
+    full = ed.build_hamiltonian(ground.lattice, replace(ground.basis, translations=None, parity=None))
+    for delta in (-0.5, 0.0, 1.0, 2.5):
+        want = np.linalg.eigvalsh(dense_matrix(flipped.at(delta)))
+        reduced = isometry.T @ dense_matrix(full.at(delta)) @ isometry
+        # H couples no two sectors: V^T H V is the block diagonal of their operators
+        split, offset = np.zeros_like(reduced), 0
+        for h in ops:
+            block = slice(offset, offset + h.dimension)
+            split[block, block] = dense_matrix(h.at(delta))
+            offset += h.dimension
+        np.testing.assert_allclose(reduced, split, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(split), want, rtol=0, atol=1e-12)
+        lowest = min(np.linalg.eigvalsh(dense_matrix(h.at(delta)))[0] for h in ops)
+        assert abs(lowest - want[0]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
@@ -824,11 +864,15 @@ def test_ground_sector_finds_its_orbits_once(monkeypatch):
     assert sum(mapped) < 31 * 12870 / 4
 
 
-def _site_images(spec: LatticeSpec | None, n_sites: int, parity: int | None):
+def _site_images(spec: LatticeSpec | None, n_sites: int, parity: int | None,
+                 half_shift: int | None = None):
     """(site map, chi) of every element of the basis's group, with chi of a
     shift by k = parity^|k| and of the flip = parity: the reference group,
-    made site by site from coordinates."""
+    made site by site from coordinates. With half_shift = sigma the shifts
+    are 0 and L/2 along every axis, with chi = 1 and sigma."""
     shifts = [()] if spec is None else list(np.ndindex(*(spec.linear_size,) * spec.dimension))
+    if half_shift is not None:
+        shifts = [(0,) * spec.dimension, (spec.linear_size // 2,) * spec.dimension]
     shape = (spec.linear_size,) * spec.dimension if spec else None
     for k in shifts:
         if spec is None:
@@ -837,52 +881,86 @@ def _site_images(spec: LatticeSpec | None, n_sites: int, parity: int | None):
             sites = [int(np.ravel_multi_index(
                 tuple((c + dk) % spec.linear_size for c, dk in zip(np.unravel_index(s, shape), k)),
                 shape)) for s in range(n_sites)]
+        shift_chi = (parity or 1) ** sum(k) if half_shift is None else half_shift ** any(k)
         for flip in (False, True) if parity is not None else (False,):
-            yield sites, flip, (parity or 1) ** (sum(k) + flip)
+            yield sites, flip, (parity or 1) ** flip * shift_chi
 
 
 def _reference_orbits(basis: ed.SectorBasis):
     """The orbit bookkeeping by brute force: every state's smallest image
-    under every group element, moved bit by bit."""
+    under every group element, moved bit by bit. A state whose stabilizer's
+    characters sum to 0 has a null orbit: no row, index 0 and weight 0."""
     states, n = basis.states, basis.n_sites
     rep, chi, images = states.copy(), np.ones(len(states), dtype=np.int8), []
-    for sites, flip, c in _site_images(basis.translations, n, basis.parity):
+    for sites, flip, c in _site_images(basis.translations, n, basis.parity, basis.half_shift):
         image = np.zeros_like(states)
         for site, target in enumerate(sites):
             image |= ((states >> np.uint64(site)) & np.uint64(1)) << np.uint64(target)
         if flip:
             image ^= np.uint64((1 << n) - 1)
-        images.append(image)
+        images.append((image, c))
         less = image < rep
         rep[less], chi[less] = image[less], c
-    reps = states[rep == states]
-    stabilizer = sum(image == states for image in images)[rep == states]
+    live = sum(c * (image == states) for image, c in images) != 0
+    own = (rep == states) & live
+    reps = states[own]
+    stabilizer = sum(image == states for image, _ in images)[own]
     sizes = (len(images) // stabilizer).astype(np.int16)
-    index = np.searchsorted(reps, rep)
-    return reps, sizes, index, chi / np.sqrt(sizes[index], dtype=float)
+    index = np.where(live, np.searchsorted(reps, rep), 0)
+    weight = np.zeros(len(states))
+    weight[live] = chi[live] / np.sqrt(sizes[index[live]], dtype=float)
+    return reps, sizes, index, weight
 
 
 ORBIT_SPECS = [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
 ORBIT_SPECS += [LatticeSpec(2, 2), LatticeSpec(3, 2), LatticeSpec(2, 4), LatticeSpec(1, 16)]
 
 
-@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
-@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=_spec_id)
-def test_orbit_bookkeeping_matches_brute_force(spec):
-    # representatives, sizes and expand, bit for bit, in each flip parity and
-    # with no flip, with and without the translations of a periodic lattice;
-    # with the translations only where no orbit vanishes (the ground parity,
-    # or no flip)
+def _orbit_blocks(spec: LatticeSpec) -> list[ed.SectorBasis]:
+    """The M = 0 basis in each flip parity and with no flip, with and
+    without the translations of a periodic lattice, and its half-shift
+    sectors sigma = +-1 in the other parity (gap_basis's, empty ones
+    included); the translations only where no orbit vanishes (the ground
+    parity, or no flip)."""
     basis = ed.enumerate_basis(spec.n_sites)
     blocks = [replace(basis, parity=p) for p in (basis.parity, -basis.parity, None)]
     if spec.periodic:
         blocks += [replace(basis, parity=p, translations=spec) for p in (basis.parity, None)]
-    for block in blocks:
+        blocks += [replace(basis, parity=-basis.parity, translations=spec, half_shift=sigma)
+                   for sigma in (1, -1)]
+    return blocks
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=_spec_id)
+def test_orbit_bookkeeping_matches_brute_force(spec):
+    # representatives, sizes and expand, bit for bit, null orbits dropped.
+    # On the 4- and 8-site rings each half-shift sector has null orbits; on
+    # the 2-site ring S times the flip fixes both states, so sigma = -1 is empty
+    for block in _orbit_blocks(spec):
         reps, sizes, index, weight = _reference_orbits(block)
         assert np.array_equal(block.representatives, reps)
         assert np.array_equal(block.sizes, sizes) and block.sizes.dtype == sizes.dtype
-        v = np.random.default_rng(5).standard_normal(len(reps))
-        assert np.array_equal(block.expand(v), weight * v[index])
+        assert np.array_equal(block._orbit_map[1], weight)
+        if block.half_shift and spec in (LatticeSpec(1, 4), LatticeSpec(1, 8)):
+            assert np.count_nonzero(weight == 0) > 0
+        if len(reps):
+            v = np.random.default_rng(5).standard_normal(len(reps))
+            assert np.array_equal(block.expand(v), weight * v[index])
+        else:
+            assert spec.n_sites == 2 and block.half_shift == -1
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=_spec_id)
+def test_project_is_the_adjoint_of_expand(spec):
+    # <expand v, x> = <v, project x> for any v over the orbits and x over the states
+    rng = np.random.default_rng(8)
+    for block in _orbit_blocks(spec):
+        if len(block.representatives):
+            v, x = rng.standard_normal(len(block.representatives)), rng.standard_normal(len(block))
+            assert block.project(x).shape == v.shape
+            assert abs(block.expand(v) @ x - v @ block.project(x)) <= 1e-12 * math.sqrt(len(x))
 
 
 def test_orbit_bookkeeping_of_a_trivial_group():
@@ -919,21 +997,32 @@ def test_lin_index_matches_binary_search(n):
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize("spec", [LatticeSpec(1, 8), LatticeSpec(1, 6, periodic=False),
-                                  LatticeSpec(2, 2)], ids=_spec_id)
+                                  LatticeSpec(2, 2), LatticeSpec(2, 4)], ids=_spec_id)
 def test_staggered_guess_is_the_projected_single_mode_state(spec):
-    # S^z_pi |GS>, built site by site on the full M = 0 block and projected on
-    # the other flip parity's orbits with the isometry of their expansions
+    # w |GS>, w = S^z_pi + sum_i eps_i cos(2 pi x_i / L) n_i built site by site
+    # on the full M = 0 block, and each gap block's start its projection by
+    # the isometry of the block's expansions. On a periodic lattice S^z_pi |GS>
+    # lies in one half-shift sector and the cos part in the other
     ground = ed.build_ground_sector(spec)
     basis, lattice = ground.basis, ground.lattice
     gs = ed.lanczos_ground(ground.h.at(0.8))
-    stag = sum((1 - 2 * a) * (basis.bit(site) - 0.5) for site, a in enumerate(lattice.sublattice))
-    other = ed.gap_basis(basis)
-    isometry = np.column_stack([other.expand(e) for e in np.eye(len(other.representatives))])
-    want = isometry.T @ (stag * basis.expand(gs.vector))
-    got = ed.staggered_guess(lattice, basis, gs.vector)
-    assert np.linalg.norm(want) > 0.1
-    np.testing.assert_allclose(got / np.linalg.norm(got), want / np.linalg.norm(want),
-                               rtol=0, atol=1e-14)
+    psi, L = basis.expand(gs.vector), spec.linear_size
+    coords = list(np.ndindex(*(L,) * spec.dimension))
+    eps = [1 - 2 * a for a in lattice.sublattice]
+    stag = sum(e * (basis.bit(site) - 0.5) for site, e in enumerate(eps)) * psi
+    wave = sum(e * math.cos(2 * math.pi * coords[site][0] / L) * basis.bit(site)
+               for site, e in enumerate(eps)) * psi
+    start = ed.staggered_guess(lattice, basis, gs.vector)
+    np.testing.assert_allclose(start, stag + wave, rtol=0, atol=1e-14)
+    norms = []
+    for block in ed.gap_basis(basis):
+        isometry = np.column_stack([block.expand(e) for e in np.eye(len(block.representatives))])
+        np.testing.assert_allclose(block.project(start), isometry.T @ start, rtol=0, atol=1e-14)
+        norms.append([np.linalg.norm(isometry.T @ part) for part in (stag, wave)])
+    norms = np.array(norms)
+    assert norms[:, 0].max() > 0.1  # the single-mode state reaches the gap blocks
+    if spec.periodic:
+        assert np.all(np.sort(norms, axis=0)[0] < 1e-14)  # each part in one sector at most
 
 
 def test_a_guess_of_zero_norm_leaves_the_random_start():

@@ -46,8 +46,9 @@ def test_chain_extrapolation_script():
     proc = _run("chain_extrapolation.py", "--sizes", "4", "6", "8", "--degree", "2")
     assert proc.returncode == 0, proc.stderr
     assert "warning: no degrees of freedom left" in proc.stdout
-    # one distinct size cannot fix a quadratic, nor can any set a negative degree
-    for args in (["--sizes", "8", "8"], ["--degree", "-1"]):
+    # one distinct size cannot fix a quadratic, nor can any set a negative
+    # degree; an odd ring is refused before any size is solved
+    for args in (["--sizes", "8", "8"], ["--degree", "-1"], ["--sizes", "7", "8", "9", "10"]):
         proc = _run("chain_extrapolation.py", *args)
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout == ""
@@ -57,8 +58,9 @@ def test_lanczos_battery_script():
     proc = _run("lanczos_battery.py", "--lattices", "d1L8", "d1L9open", "d2L2",
                 "--deltas", "-1.5", "0", "1e6", "--tols", "1e-11", "1e-14")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    # d1L8 and d2L2 in both flip-parity blocks and their ground sector, d1L9open at M = 1/2
-    assert proc.stdout.splitlines()[-1] == "42 solves, 0 failed"
+    # d1L8 and d2L2 in the ground parity's block, their ground sector and
+    # the two gap sectors, d1L9open at M = 1/2: 9 blocks x 3 deltas x 2 tols
+    assert proc.stdout.splitlines()[-1] == "54 solves, 0 failed"
 
 
 def test_lanczos_battery_refuses_unusable_tols():
@@ -77,18 +79,21 @@ def test_stage_times_script(capsys):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].split() == ["stage", "wall_s", "cpu_s", "peak_rss_mb", "note"]
-    stages = [line.split()[0] for line in lines[2:]]
-    assert stages == ["lattice", "basis", "assembly", "lanczos", "correlators", "start",
-                      "assembly", "lanczos", "total"]
+    stages = [line[:20].rstrip() for line in lines[2:]]
+    assert stages == ["lattice", "basis", "assembly ground", "lanczos ground", "correlators",
+                      "start", "assembly gap 1", "lanczos gap 1", "assembly gap 2",
+                      "lanczos gap 2", "total"]
     # the peak resident set after each stage of the first run never falls
     rss = [float(line[20:].split()[2]) for line in lines[2:-1]]
     assert rss == sorted(rss) and rss[0] > 0
     assert "924 states" in proc.stdout
-    # the ground state's orbits of translations and the flip, then the gap block
-    assert "44 rows, 272 nnz" in proc.stdout and "462 rows, 3486 nnz" in proc.stdout
-    # the two timed runs are the ones `xxzent ed` reports
+    # the ground state's orbits of translations and the flip, then the two
+    # half-shift sectors of the other flip parity's 462 orbits
+    assert "44 rows, 272 nnz" in proc.stdout
+    assert "220 rows, 1540 nnz" in proc.stdout and "242 rows, 1682 nnz" in proc.stdout
+    # the three timed runs are the ones `xxzent ed` reports
     runs = [int(line.split()[-2]) for line in lines if line.endswith(" iterations")]
-    assert len(runs) == 2
+    assert len(runs) == 3
     assert cli.main(["ed", "--dim", "1", "--size", "12"]) == cli.EXIT_OK
     assert f"iterations: {sum(runs)}\n" in capsys.readouterr().out
 
