@@ -164,7 +164,6 @@ def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     assert int(report["iterations"]) == gs.iterations + sum(run.iterations for run in runs)
 
 
-
 def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
     # the bond tables of the RDM route are built only when an RDM is read
     def refuse(*args, **kwargs):
