@@ -93,8 +93,8 @@ class EdSolves:
     `curve` holds the samples at the deltas asked for, in their order,
     `energies` every solved delta's E0, and `kept` the ground states at the
     kept deltas, the only vectors kept, each with its bond means read off
-    the two-site RDMs. A failed solve is a gap in the curve, and `energy`
-    and `ground` raise its LanczosError when a caller reads that delta.
+    the two-site RDMs. A failed solve is a gap in the curve, is missing from
+    `energies` and `kept`, and keeps its LanczosError in `failures`.
     """
 
     sector: ed.Sector
@@ -102,17 +102,6 @@ class EdSolves:
     energies: dict[float, float]
     kept: dict[float, tuple[ed.GroundState, entanglement.BondCorrelators]]
     failures: dict[float, ed.LanczosError]
-
-    def energy(self, delta: float) -> float:
-        if delta in self.failures:
-            raise self.failures[delta]
-        return self.energies[delta]
-
-    def ground(self, delta: float) -> tuple[ed.GroundState, entanglement.BondCorrelators]:
-        """The kept ground state at delta and its bond means."""
-        if delta in self.failures:
-            raise self.failures[delta]
-        return self.kept[delta]
 
 
 def _sample(h: ed.SparseHamiltonian, outcome: ed.GroundState | ed.LanczosError,

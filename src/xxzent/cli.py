@@ -8,8 +8,9 @@ either engine), spinwave (single thermodynamic-limit evaluation), verify
 Exit codes: 0 success, 2 usage error (an --out that cannot be written
 included, and an unphysical spin-wave result), 3 an M = 0 sector above
 DEFAULT_BASIS_CAP states at any lattice size, refused before it is built,
-4 a failed point (a solver failure, or a scan's `:failed` rows), 5
-verification failure.
+4 a failed point (a solver failure in ed or verify, reported on one
+`solver failure:` line with nothing on stdout, or a scan's `:failed`
+rows), 5 verification failure.
 
 The CLI runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is already
 set. No kernel on its paths is a threaded BLAS call (the sparse matvec is
@@ -153,7 +154,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     sector = _ed_sector(args)
     lattice, basis, n_states = sector.lattice, sector.basis, len(sector.basis)
     h = sector.h.at(args.delta)
-    try:
+    try:  # main reports a LanczosError, for ed and verify alike
         gs = ed.lanczos_ground(h, seed=args.seed)
         g = entanglement.operator_bond_correlators(gs, h, lattice)
         start = ed.staggered_guess(lattice, basis, gs.vector)
@@ -165,9 +166,6 @@ def cmd_ed(args: argparse.Namespace) -> int:
             h, guess = ed.build_hamiltonian(lattice, block).at(args.delta), block.project(start)
             del block
             runs.append(ed.lanczos_ground(h, seed=args.seed, guess=guess))
-    except ed.LanczosError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ed.ScaleError as exc:
         print(f"error: --delta: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -334,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ed.LanczosError as exc:  # from cmd_ed, or verify.solve_lattice
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:  # ed.SectorError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,9 @@
 """Machine checks for the analytic claims, bundled into named suites.
 
 Each check returns CheckResult rows instead of raising, so the CLI can
-print one line per check and exit nonzero if any fail. Suites:
+print one line per check and exit nonzero if any fail. A failed solve is
+not a row: solve_lattice raises its LanczosError, which stops `verify`
+before any row (the CLI exits 4 on one `solver failure:` line). Suites:
 
   route-equivalence  four concurrence routes agree on ED ground states
   hellmann-feynman   dE0/ddelta matches N_B Gzz
@@ -79,13 +81,19 @@ def solve_lattice(sector: ed.Sector, suites) -> analysis.EdSolves:
     """The solves of sector.h that the ED suites named in suites read
     (analysis.solve_ed): the scan grid's curve for concavity and argmax,
     and kept states at ROUTE_DELTAS for route-equivalence and at HF_DELTAS,
-    with the energies at HF_DELTAS -+ HF_STEP, for hellmann-feynman."""
+    with the energies at HF_DELTAS -+ HF_STEP, for hellmann-feynman. A failed
+    solve raises: the lowest failed delta's LanczosError, named by lattice and delta."""
     suites = set(suites)
     grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP) if {"concavity", "argmax"} & suites else ()
     routes = ROUTE_DELTAS if "route-equivalence" in suites else ()
     hf = HF_DELTAS if "hellmann-feynman" in suites else ()
     sides = [d + s for d in hf for s in (-analysis.HF_STEP, analysis.HF_STEP)]
-    return analysis.solve_ed(sector, grid, keep=routes + hf, extra=sides)
+    solves = analysis.solve_ed(sector, grid, keep=routes + hf, extra=sides)
+    if solves.failures:
+        delta, exc = min(solves.failures.items())
+        raise ed.LanczosError(f"{_case_label(sector.lattice.spec)} delta={delta:.12g}: {exc}",
+                              best=exc.best) from exc
+    return solves
 
 
 def concurrence_routes(solves: analysis.EdSolves) -> dict[float, dict[str, float]]:
@@ -98,7 +106,7 @@ def concurrence_routes(solves: analysis.EdSolves) -> dict[float, dict[str, float
     bond = lattice.bonds[0]
     routes = {}
     for delta in ROUTE_DELTAS:
-        gs, g = solves.ground(delta)
+        gs, g = solves.kept[delta]
         rdm = entanglement.two_site_rdm(gs, basis, bond.i, bond.j)
         eps0 = gs.energy / lattice.n_bonds
         routes[delta] = {
@@ -128,8 +136,8 @@ def check_hellmann_feynman(solved: dict[LatticeSpec, analysis.EdSolves]) -> list
     for spec, solves in solved.items():
         n_bonds = solves.sector.lattice.n_bonds
         worst = max(
-            analysis.hellmann_feynman_residual(solves.energy(d - step), solves.energy(d + step),
-                                               solves.ground(d)[1].gzz, n_bonds)
+            analysis.hellmann_feynman_residual(solves.energies[d - step], solves.energies[d + step],
+                                               solves.kept[d][1].gzz, n_bonds)
             for d in HF_DELTAS
         )
         results.append(_at_most(f"hellmann-feynman {_case_label(spec)}", worst, HF_TOL,
@@ -137,18 +145,19 @@ def check_hellmann_feynman(solved: dict[LatticeSpec, analysis.EdSolves]) -> list
     return results
 
 
-def check_concavity(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
+def check_concavity(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
     results = []
-    for spec, curve in curves.items():
-        worst = float(analysis.concavity_check(curve).max())
+    for spec, solves in solved.items():
+        worst = float(analysis.concavity_check(solves.curve).max())
         results.append(_at_most(f"concavity {_case_label(spec)}", worst, CONCAVITY_TOL,
                                 f"max second difference of E0 on step-{ED_SCAN_STEP} grid"))
     return results
 
 
-def check_argmax(curves: dict[LatticeSpec, analysis.ConcurrenceCurve]) -> list[CheckResult]:
+def check_argmax(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
     results = []
-    for spec, curve in curves.items():
+    for spec, solves in solved.items():
+        curve = solves.curve
         report = analysis.extremum_and_derivative(curve)
         c = curve.concurrences()
         deltas = curve.deltas()
@@ -229,26 +238,20 @@ SUITES = {
 }
 
 
-def _run_ed_suites(names: list[str]) -> list[CheckResult]:
-    solved = {spec: solve_lattice(ed.build_ground_sector(spec), names) for spec in DEFAULT_ED_CASES}
-    curves = {spec: solves.curve for spec, solves in solved.items()}
-    inputs = {"route-equivalence": solved, "hellmann-feynman": solved,
-              "concavity": curves, "argmax": curves}
-    return [row for n in names for row in SUITES[n](inputs[n])]
-
-
 def run_suites(name: str = "all") -> list[CheckResult]:
     """Run the suite name (or all of them, in SUITES order) and collect its rows.
 
     The ED suites share one sector per lattice in DEFAULT_ED_CASES and one
-    solve per (lattice, delta) over the union of the deltas they read
-    (analysis.solve_ed, at the deltas solve_lattice names); that all goes
-    before the spinwave suite builds its default zones, which are built
-    only when it runs.
+    record of its solves (solve_lattice) over the union of the deltas they
+    read; that all goes before the spinwave suite builds its default zones,
+    which are built only when it runs. A failed solve raises its
+    LanczosError before any row is made.
     """
     selected = list(SUITES) if name == "all" else [name]
     ed_names = [n for n in selected if n != "spinwave"]
-    rows = _run_ed_suites(ed_names) if ed_names else []
+    solved = {spec: solve_lattice(ed.build_ground_sector(spec), ed_names)
+              for spec in DEFAULT_ED_CASES if ed_names}
+    rows = [row for n in ed_names for row in SUITES[n](solved)]
     if "spinwave" in selected:
         rows += check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
     return rows

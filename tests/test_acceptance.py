@@ -25,9 +25,10 @@ def sectors():
 
 
 @pytest.fixture(scope="module")
-def ed_curves(sectors):
-    grid = delta_grid(0.0, 2.0, 0.05)
-    return {spec: analysis.scan_ed(sector, grid) for spec, sector in sectors.items()}
+def ed_records(sectors):
+    # the step-0.05 curve on [0, 2] that the concavity and argmax checks read
+    return {spec: verify.solve_lattice(sector, ["concavity", "argmax"])
+            for spec, sector in sectors.items()}
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +104,15 @@ def test_criterion_02_route_equivalence(acceptance_log):
     )
 
 
-def test_criterion_03_argmax_at_isotropy(ed_curves, acceptance_log):
+def test_criterion_03_argmax_at_isotropy(ed_records, acceptance_log):
     # the argmax must sit on the delta = 1 grid point exactly, tighter than
     # the suite's ARGMAX_TOL; a row passes only if the rise and fall are
     # strictly monotone on each side
-    rows = verify.check_argmax(ed_curves)
+    rows = verify.check_argmax(ed_records)
     ok = all(r.passed and r.measured == 1.0 for r in rows)
     details = [
         f"d={spec.dimension} L={spec.linear_size}: argmax {r.measured:.2f}"
-        for spec, r in zip(ed_curves, rows)
+        for spec, r in zip(ed_records, rows)
     ]
     acceptance_log(
         "criterion 03 argmax at delta=1",
@@ -120,8 +121,8 @@ def test_criterion_03_argmax_at_isotropy(ed_curves, acceptance_log):
     )
 
 
-def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_curves, acceptance_log):
-    concavity = verify.check_concavity(ed_curves)
+def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_records, acceptance_log):
+    concavity = verify.check_concavity(ed_records)
     hf = verify.check_hellmann_feynman(
         {spec: verify.solve_lattice(sector, ["hellmann-feynman"]) for spec, sector in sectors.items()}
     )

@@ -771,25 +771,72 @@ def test_verify_solves_each_lattice_and_delta_once(monkeypatch):
 
 
 def test_verify_solver_failures_stay_explicit(monkeypatch):
-    # a failed grid point is a gap in the shared curve; route-equivalence and
-    # hellmann-feynman raise the failure of a point they read
+    # solve_ed keeps a failed grid point as a gap with its error, as scan
+    # writes it; solve_lattice raises the failure at the lowest failed delta
+    # of the suites it solves for, named by lattice and delta, best kept
     original = ed.lanczos_ground
     side = 0.5 + analysis.HF_STEP
     failing = {0.05, 1.0, side}
+    bests = {}
 
     def flaky(h, **kwargs):
         if h.delta in failing:
-            raise ed.LanczosError(f"injected at {h.delta}", best=None)
+            bests[h.delta] = original(h, **kwargs)
+            raise ed.LanczosError(f"injected at {h.delta}", best=bests[h.delta])
         return original(h, **kwargs)
 
     monkeypatch.setattr(ed, "lanczos_ground", flaky)
-    spec = LatticeSpec(1, 4)
-    solves = verify.solve_lattice(ed.build_sector(spec), list(verify.SUITES))
-    assert [s.delta for s in solves.curve.samples if not s.ok] == [0.05, 1.0]
-    with pytest.raises(ed.LanczosError, match="injected at 1.0"):
-        verify.check_route_equivalence({spec: solves})
-    with pytest.raises(ed.LanczosError, match=f"injected at {side}"):
-        verify.check_hellmann_feynman({spec: solves})
+    sector = ed.build_sector(LatticeSpec(1, 4))
+    grid = analysis.delta_grid(0.0, 2.0, verify.ED_SCAN_STEP)
+    solves = analysis.solve_ed(sector, grid, keep=verify.HF_DELTAS, extra=[side])
+    gaps = [s for s in solves.curve.samples if not s.ok]
+    assert [(s.delta, s.error) for s in gaps] == [(d, f"injected at {d}") for d in (0.05, 1.0)]
+    assert sorted(solves.failures) == sorted(failing)
+    assert failing.isdisjoint(solves.energies) and failing.isdisjoint(solves.kept)
+    for suites, lowest in ((list(verify.SUITES), 0.05), (["concavity"], 0.05),
+                           (["route-equivalence"], 1.0), (["hellmann-feynman"], side)):
+        message = f"d=1 L=4 delta={cli._fmt(lowest)}: injected at {lowest}"
+        with pytest.raises(ed.LanczosError, match=f"^{re.escape(message)}$") as info:
+            verify.solve_lattice(sector, suites)
+        assert info.value.best is bests[lowest]
+
+
+# delta -> the ED suites whose solves include it: 0.05 only the scan grid,
+# 1.0 the grid, the route deltas and a Hellmann-Feynman centre, 0.5 + HF_STEP
+# only a Hellmann-Feynman side
+_SOLVED_BY = {
+    0.05: {"all", "concavity", "argmax"},
+    1.0: {"all", "concavity", "argmax", "route-equivalence", "hellmann-feynman"},
+    0.5 + analysis.HF_STEP: {"all", "hellmann-feynman"},
+}
+
+
+@pytest.mark.parametrize("delta", list(_SOLVED_BY))
+@pytest.mark.parametrize("suite", ["all", "route-equivalence", "hellmann-feynman",
+                                   "concavity", "argmax"])
+def test_verify_solver_failure_exits_4_on_one_line(suite, delta, capsys, monkeypatch):
+    # a LanczosError at one delta of the 4-ring stops verify before any row,
+    # whichever suite reads that delta: one stderr line, nothing on stdout
+    original = ed.lanczos_ground
+    ring = ed.build_ground_sector(LatticeSpec(1, 4)).h.dimension
+    others = {ed.build_ground_sector(spec).h.dimension for spec in verify.DEFAULT_ED_CASES[1:]}
+    assert ring not in others  # the dimension names the lattice
+
+    def flaky(h, **kwargs):
+        if h.dimension == ring and h.delta == delta:
+            raise ed.LanczosError("injected", best=None)
+        return original(h, **kwargs)
+
+    monkeypatch.setattr(ed, "lanczos_ground", flaky)
+    rc = cli.main(["verify", "--suite", suite])
+    out, err = capsys.readouterr()
+    if suite in _SOLVED_BY[delta]:
+        assert rc == cli.EXIT_SOLVER
+        assert out == ""
+        assert err == f"solver failure: d=1 L=4 delta={cli._fmt(delta)}: injected\n"
+    else:  # the suite never solves that delta
+        assert rc == cli.EXIT_OK and err == ""
+        assert out.splitlines()[-1] == "3/3 checks passed"
 
 
 def test_verify_builds_each_lattice_once(monkeypatch):
