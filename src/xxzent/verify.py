@@ -252,6 +252,7 @@ def run_suites(name: str = "all") -> list[CheckResult]:
     solved = {spec: solve_lattice(ed.build_ground_sector(spec), ed_names)
               for spec in DEFAULT_ED_CASES if ed_names}
     rows = [row for n in ed_names for row in SUITES[n](solved)]
+    del solved  # the records and sectors go before the zones set the peak
     if "spinwave" in selected:
         rows += check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
     return rows
