@@ -6,7 +6,7 @@ the calls it makes: the lattice, the M = 0 basis, the ground sector's
 assembly (its orbits of translations and the flip included), the ground
 Lanczos run, the bond correlators, the gap runs' start (w |GS> on the M = 0
 states, see ed.staggered_guess), then each gap block's assembly and its
-Lanczos run from the block's projection of that start: gap 1 and gap 2 are
+ed.lanczos_level run from the block's projection of that start: gap 1 and gap 2 are
 the half-shift sectors sigma = +1 and -1 of a periodic lattice, an open
 lattice has gap 1 alone. xxzent.cli is imported before numpy, so the command
 runs under its own BLAS thread setting. Its report is not printed.
@@ -36,8 +36,9 @@ STAGES = [  # (module, function, the stage of each call, note on its result)
     (ed, "enumerate_basis", ["basis"], lambda b: f"{len(b)} states"),
     (ed, "build_hamiltonian", ["assembly ground", "assembly gap 1", "assembly gap 2"],
      lambda h: f"{h.dimension} rows, {h.nnz} nnz"),
-    (ed, "lanczos_ground", ["lanczos ground", "lanczos gap 1", "lanczos gap 2"],
-     lambda gs: f"{gs.iterations} iterations"),
+    (ed, "lanczos_ground", ["lanczos ground"], lambda gs: f"{gs.iterations} iterations"),
+    (ed, "lanczos_level", ["lanczos gap 1", "lanczos gap 2"],
+     lambda level: f"{level.iterations} iterations"),
     (entanglement, "operator_bond_correlators", ["correlators"], None),
     (ed, "staggered_guess", ["start"], None),
 ]

@@ -165,7 +165,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
             block = blocks.pop(0)
             h, guess = ed.build_hamiltonian(lattice, block).at(args.delta), block.project(start)
             del block
-            runs.append(ed.lanczos_ground(h, seed=args.seed, guess=guess))
+            runs.append(ed.lanczos_level(h, seed=args.seed, guess=guess))
+            del h, guess  # and its operator before the next block's assembly
     except ed.ScaleError as exc:
         print(f"error: --delta: {exc}", file=sys.stderr)
         return EXIT_USAGE

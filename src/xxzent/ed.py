@@ -20,8 +20,8 @@ flip alone. Each group element maps only the states still in the running
 for a representative, and H. Q. Lin's table indexes the states. `xxzent ed`
 solves the ground state in `build_ground_sector`'s block and its gap in
 `gap_basis`'s: the other parity's 352,716 orbits at L = 22, split by the
-half shift into sectors of 176,870 and 175,846 rows, each started from its
-part of `staggered_guess`'s w |GS>.
+half shift into sectors of 176,870 and 175,846 rows, each assembled once the
+previous one is freed and started from its part of `staggered_guess`'s w |GS>.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -30,8 +30,8 @@ reaches it. Residuals are judged against max(tol, RESIDUAL_FLOOR * eps *
 ||T||), since no residual can fall much below eps * ||H||. A step is one
 matvec, numpy-loop reductions, in-place updates and one LAPACK bisection;
 no reduction uses BLAS, so no result depends on its thread count. The
-vectors the recurrence makes are the Krylov basis: the Ritz vector is
-summed from them, and no copy is stored.
+vectors the recurrence makes are the Krylov basis, with no copy: the ground
+run sums its Ritz vector from them, and the gap runs (`lanczos_level`) keep none.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ScaleError(ValueError):
 class LanczosError(RuntimeError):
     """Lanczos failed to converge; carries the best estimate found."""
 
-    def __init__(self, message: str, best: "GroundState | None" = None):
+    def __init__(self, message: str, best: "GroundState | Level | None" = None):
         super().__init__(message)
         self.best = best
 
@@ -282,11 +282,11 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     1/2 between configurations differing by one antiparallel bond flip; a
     hop from representative a onto g r_b adds 0.5 chi(g) sqrt(sizes[a] /
     sizes[b]) at (a, b). Each hop's key from the orbit map, 2 * b + (chi(g) <
-    0), goes in its bond's row of a table with one column per row; sorting
-    each row's keys gives its CSR entries in column order, with no COO -> CSR sort.
-    sum_duplicates merges the hops of one row onto one orbit: translations,
-    and up to N = 4 sites the flip, reach one orbit twice. A hop onto a
-    dropped orbit's state (weight 0) makes no entry.
+    0), goes in its bond's column of a table with one row per orbit; sorting
+    each row in place gives its CSR entries in column order, with no COO -> CSR
+    sort. sum_duplicates merges the hops of one row onto one orbit (translations,
+    and up to N = 4 sites the flip, reach one orbit twice) before the scaling.
+    A hop onto a dropped orbit's state (weight 0) makes no entry.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
@@ -297,22 +297,29 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     # a hop's key by its target state
     state_keys = np.where(weight == 0, empty, 2 * orbit + (weight < 0)).astype(np.int32)
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its antiparallel bonds, each -1/4 in H_zz
-    keys = np.full((lattice.n_bonds, n), empty, dtype=np.int32)
+    keys = np.full((n, lattice.n_bonds), empty, dtype=np.int32)
     for slot, bond in enumerate(lattice.bonds):
         anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
         anti_bonds += anti
         src = np.flatnonzero(anti)
         mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        keys[slot, src] = state_keys[basis.index_of_many(states[src] ^ mask)]
-    keys = np.sort(keys.T, axis=1)
+        keys[src, slot] = state_keys[basis.index_of_many(states[src] ^ mask)]
+    del state_keys
+    keys.sort(axis=1)  # in place: each row is contiguous
     hops = keys != empty
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(hops, axis=1)))).astype(np.int32)
     keys = keys[hops]
+    del hops
     offdiag = sp.csr_matrix((np.where(keys & 1, -0.5, 0.5), keys >> 1, indptr), shape=(n, n))
+    del keys
     offdiag.sum_duplicates()
     if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
-        rows = np.repeat(sizes, np.diff(offdiag.indptr))
-        offdiag.data *= np.sqrt(rows / sizes[offdiag.indices])
+        lengths, codes = np.unique(sizes, return_inverse=True)  # the same float operations
+        codes = codes.astype(np.min_scalar_type(len(lengths) ** 2))  # on codes of lengths
+        flat = np.repeat(codes * len(lengths), np.diff(offdiag.indptr)) + codes[offdiag.indices]
+        table, step = np.sqrt(lengths[:, None] / lengths).ravel(), 1 << 18
+        for at in range(0, len(flat), step):  # by slices: no nnz-long float temporary
+            offdiag.data[at:at + step] *= table[flat[at:at + step]]
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
     return SparseHamiltonian(n, zz, offdiag, 0.0)
 
@@ -398,6 +405,16 @@ class GroundState:
     tolerance: float = math.nan  # the residual threshold applied: max(tol, the floor)
 
 
+@dataclass(frozen=True)
+class Level:
+    """Lowest level of one sector, without its vector (see lanczos_level)."""
+
+    energy: float
+    residual: float
+    iterations: int
+    tolerance: float
+
+
 def _sign_fix(v: np.ndarray) -> np.ndarray:
     # convention: largest-magnitude amplitude is positive
     k = int(np.argmax(np.abs(v)))
@@ -436,6 +453,67 @@ def _lowest_ritz_pair(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[fl
     return float(w[0]), z[:, 0]
 
 
+def _lanczos(h: SparseHamiltonian, tol: float, seed: int, guess: np.ndarray | None,
+             basis: list[np.ndarray] | None) -> tuple[float, np.ndarray, float, float]:
+    """lanczos_ground's run: (E0, y, threshold, Ritz estimate beta_k |y_k|). Its Krylov
+    vectors go to basis if one is given; else only the two the next step reads are kept."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    # max |H_ii| + nnz max |H_ij| bounds ||H|| with no nnz-long |data|: while
+    # its square is finite, no Krylov norm overflows
+    data = h.offdiag.data
+    largest = max(data.max(initial=0.0), -data.min(initial=0.0))
+    bound = float(np.max(np.abs(h.diagonal))) + len(data) * float(largest)
+    if not math.isfinite(bound * bound):
+        raise ScaleError(
+            f"delta={h.delta:g} puts the operator scale at {bound:.3g}, whose square overflows"
+        )
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(h.dimension)
+    q /= math.sqrt(_dot(q, q))
+    if guess is not None and (norm := math.sqrt(_dot(guess, guess))) > 0:
+        q = 0.1 * q + math.sqrt(0.99) / norm * guess
+        q /= math.sqrt(_dot(q, q))
+    scratch = np.empty_like(q)
+    # h.apply returns a new array that the step turns into the next q, so
+    # the recurrence's own vectors are the Krylov basis, with no copy
+    previous = q
+    alphas = np.empty(MAX_ITER)
+    betas = np.empty(MAX_ITER)
+    alpha_max = beta_max = 0.0  # running max |alpha| and beta: the scale ||T_k||
+    for j in range(MAX_ITER):
+        if basis is not None:
+            basis.append(q)
+        w = h.apply(q)
+        alpha = _dot(q, w)
+        alphas[j] = alpha
+        w -= np.multiply(alpha, q, out=scratch)
+        if j > 0:
+            w -= np.multiply(betas[j - 1], previous, out=scratch)
+        beta = math.sqrt(_dot(w, w))
+        alpha_max = max(alpha_max, abs(alpha))
+        scale = max(1.0, alpha_max + beta_max)
+        floor = max(tol, RESIDUAL_FLOOR * EPS * scale)
+        e0, y = _lowest_ritz_pair(alphas, betas, j + 1)
+        # breakdown (a vanishing beta: the Krylov space is numerically
+        # invariant) or a converged Ritz estimate beta |y_k|
+        if beta <= 1e-14 * scale or beta * abs(y[-1]) < floor:
+            break
+        betas[j] = beta
+        beta_max = max(beta_max, beta)
+        w /= beta
+        previous, q = q, w
+    return e0, y, floor, beta * abs(y[-1])
+
+
+def _checked(run):
+    """run, or LanczosError carrying it if its residual misses its threshold."""
+    if not run.residual < run.tolerance:
+        raise LanczosError(f"no convergence after {run.iterations} iterations "
+                           f"(residual {run.residual:.3e})", run)
+    return run
+
+
 def lanczos_ground(
     h: SparseHamiltonian,
     *,
@@ -455,7 +533,8 @@ def lanczos_ground(
     dimension: without reorthogonalization the recurrence is not bounded by
     it. The true residual ||H x - E x|| (absolute, energy units of the planar
     coupling) then decides convergence against the same threshold, which is
-    stored in `tolerance`. The floor replaces any smaller tol: the default 1e-11
+    stored in `tolerance`; `lanczos_level`'s run is judged on its Ritz
+    estimate instead. The floor replaces any smaller tol: the default 1e-11
     once ||T|| is above ~700, a tol of 1e-14 already at ||T|| ~ 1.
 
     Orthogonality is lost only along Ritz vectors that have converged
@@ -470,56 +549,16 @@ def lanczos_ground(
     LanczosError when the residual misses the threshold; the exception
     carries the best estimate.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
-    # a bound on ||H||: while its square is finite, no Krylov norm overflows
-    bound = float(np.max(np.abs(h.diagonal))) + float(np.abs(h.offdiag.data).sum())
-    if not math.isfinite(bound * bound):
-        raise ScaleError(
-            f"delta={h.delta:g} puts the operator scale at {bound:.3g}, whose square overflows"
-        )
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(h.dimension)
-    q /= math.sqrt(_dot(q, q))
-    if guess is not None and (norm := math.sqrt(_dot(guess, guess))) > 0:
-        q = 0.1 * q + math.sqrt(0.99) / norm * guess
-        q /= math.sqrt(_dot(q, q))
-    scratch = np.empty_like(q)
-    # h.apply returns a new array that the step turns into the next q, so
-    # the recurrence's own vectors are the Krylov basis, with no copy
     basis: list[np.ndarray] = []
-    alphas = np.empty(MAX_ITER)
-    betas = np.empty(MAX_ITER)
-    alpha_max = beta_max = 0.0  # running max |alpha| and beta: the scale ||T_k||
-    for j in range(MAX_ITER):
-        basis.append(q)
-        w = h.apply(q)
-        alpha = _dot(q, w)
-        alphas[j] = alpha
-        w -= np.multiply(alpha, q, out=scratch)
-        if j > 0:
-            w -= np.multiply(betas[j - 1], basis[-2], out=scratch)
-        beta = math.sqrt(_dot(w, w))
-        alpha_max = max(alpha_max, abs(alpha))
-        scale = max(1.0, alpha_max + beta_max)
-        floor = max(tol, RESIDUAL_FLOOR * EPS * scale)
-        e0, y = _lowest_ritz_pair(alphas, betas, j + 1)
-        # breakdown (a vanishing beta: the Krylov space is numerically
-        # invariant) or a converged Ritz estimate beta |y_k|
-        if beta <= 1e-14 * scale or beta * abs(y[-1]) < floor:
-            break
-        betas[j] = beta
-        beta_max = max(beta_max, beta)
-        w /= beta
-        q = w
-
+    e0, y, floor, _ = _lanczos(h, tol, seed, guess, basis)
     x = _sign_fix(_ritz_vector(basis, y))
     r = h.apply(x) - e0 * x
-    residual = math.sqrt(_dot(r, r))
-    k = len(y)
-    gs = GroundState(e0, x, m, residual, k, tolerance=floor)
-    if not residual < floor:
-        raise LanczosError(
-            f"no convergence after {k} iterations (residual {residual:.3e})", gs
-        )
-    return gs
+    return _checked(GroundState(e0, x, m, math.sqrt(_dot(r, r)), len(y), tolerance=floor))
+
+
+def lanczos_level(h: SparseHamiltonian, *, tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                  guess: np.ndarray | None = None) -> Level:
+    """lanczos_ground's run, bit for bit, keeping no Krylov basis, for a level whose vector
+    nobody reads: its residual is the Ritz estimate that stopped the run. Raises alike."""
+    e0, y, floor, estimate = _lanczos(h, tol, seed, guess, None)
+    return _checked(Level(e0, estimate, len(y), floor))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,23 +53,25 @@ def test_ed_report_four_ring(capsys):
 def test_ed_solves_once_on_the_lanczos_pair_path(capsys, monkeypatch):
     # 16-site ring: 12,870 states, too many for the dense oracle; one
     # Lanczos run in the ground state's orbits of translations and the flip,
-    # and one in each half-shift sector of the other flip parity for the
-    # gap: one assembly each
-    calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0}
+    # and one level run, which keeps no vector, in each half-shift sector of
+    # the other flip parity for the gap: one assembly each
+    calls = {"enumerate_basis": 0, "build_hamiltonian": 0, "lanczos_ground": 0,
+             "lanczos_level": 0}
     dimensions = []
     for name in calls:
         original = getattr(ed, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            if _name == "lanczos_ground":
+            if _name.startswith("lanczos"):
                 dimensions.append(args[0].dimension)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(ed, name, counted)
     rc = cli.main(["ed", "--dim", "1", "--size", "16"])
     assert rc == cli.EXIT_OK
-    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 3, "lanczos_ground": 3}
+    assert calls == {"enumerate_basis": 1, "build_hamiltonian": 3, "lanczos_ground": 1,
+                     "lanczos_level": 2}
     monkeypatch.undo()
     report = _parse_report(capsys.readouterr().out)
     assert int(report["sector_dimension"]) == 12870 > DENSE_DIM_LIMIT
@@ -140,7 +143,7 @@ def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     for block in ed.gap_basis(ground.basis):
         other = ed.build_hamiltonian(ground.lattice, block).at(1.0)
         want.append(block.project(start))
-        started, plain = ed.lanczos_ground(other, guess=want[-1]), ed.lanczos_ground(other)
+        started, plain = ed.lanczos_level(other, guess=want[-1]), ed.lanczos_level(other)
         assert started.iterations <= plain.iterations
         assert abs(started.energy - plain.energy) <= started.tolerance + plain.tolerance
         runs.append(started)
@@ -150,18 +153,34 @@ def test_ed_gap_run_starts_from_the_staggered_state(capsys, monkeypatch):
     assert runs[lowest].iterations < plain_runs[lowest].iterations
     # xxzent ed passes those starts to the gap runs, and only to them
     guesses = []
-    original = ed.lanczos_ground
+    for name in ("lanczos_ground", "lanczos_level"):
+        def recorded(h, _original=getattr(ed, name), **kwargs):
+            guesses.append(kwargs.get("guess"))
+            return _original(h, **kwargs)
 
-    def recorded(h, **kwargs):
-        guesses.append(kwargs.get("guess"))
-        return original(h, **kwargs)
-
-    monkeypatch.setattr(ed, "lanczos_ground", recorded)
+        monkeypatch.setattr(ed, name, recorded)
     assert cli.main(["ed", "--dim", "1", "--size", "16"]) == cli.EXIT_OK
     report = _parse_report(capsys.readouterr().out)
     assert guesses[0] is None and len(guesses) == 3
     assert all(np.array_equal(got, w) for got, w in zip(guesses[1:], want))
     assert int(report["iterations"]) == gs.iterations + sum(run.iterations for run in runs)
+
+
+def test_ed_frees_each_operator_before_the_next_assembly(capsys, monkeypatch):
+    # xxzent ed holds one operator at a time: when an assembly starts, the
+    # CSR of every operator built before it, the ground block's and the
+    # previous gap block's, has been freed
+    original, built = ed.build_hamiltonian, []
+
+    def tracked(lattice, basis):
+        assert [ref() for ref in built] == [None] * len(built)
+        h = original(lattice, basis)
+        built.append(weakref.ref(h.offdiag))
+        return h
+
+    monkeypatch.setattr(ed, "build_hamiltonian", tracked)
+    assert cli.main(["ed", "--dim", "1", "--size", "8"]) == cli.EXIT_OK
+    assert len(built) == 3
 
 
 def test_ed_and_scan_build_no_rdm_tables(capsys, monkeypatch):
@@ -327,8 +346,8 @@ def test_report_names_the_tolerance_the_floor_put_in_place(capsys):
     ground = ed.build_ground_sector(LatticeSpec(1, 8))
     gs = ed.lanczos_ground(ground.h.at(1e6))
     start = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
-    runs = [ed.lanczos_ground(ed.build_hamiltonian(ground.lattice, block).at(1e6),
-                              guess=block.project(start))
+    runs = [ed.lanczos_level(ed.build_hamiltonian(ground.lattice, block).at(1e6),
+                             guess=block.project(start))
             for block in ed.gap_basis(ground.basis)]
     assert len(runs) == 2
     assert report["tolerance"] == cli._fmt(max(run.tolerance for run in [gs, *runs]))

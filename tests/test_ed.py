@@ -270,13 +270,16 @@ def test_flipped_is_the_other_parity_block(spec):
         )
 
 
+GAP_SPECS = ([LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
+             + [LatticeSpec(2, 2), LatticeSpec(3, 2)])
+
+
+def _gap_spec_id(spec: LatticeSpec) -> str:
+    return f"d{spec.dimension}L{spec.linear_size}{'' if spec.periodic else 'open'}"
+
+
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
-@pytest.mark.parametrize(
-    "spec",
-    [LatticeSpec(1, n, periodic=p) for n in (2, 4, 6, 8, 10, 12) for p in (True, False)]
-    + [LatticeSpec(2, 2), LatticeSpec(3, 2)],
-    ids=lambda s: f"d{s.dimension}L{s.linear_size}{'' if s.periodic else 'open'}",
-)
+@pytest.mark.parametrize("spec", GAP_SPECS, ids=_gap_spec_id)
 def test_gap_sectors_split_the_flipped_block(spec):
     # gap_basis of the ground block: on a periodic lattice the half-shift
     # sectors, each V^T H V with V the isometry of its expansions, V's
@@ -308,6 +311,35 @@ def test_gap_sectors_split_the_flipped_block(spec):
         np.testing.assert_allclose(np.linalg.eigvalsh(split), want, rtol=0, atol=1e-12)
         lowest = min(np.linalg.eigvalsh(dense_matrix(h.at(delta)))[0] for h in ops)
         assert abs(lowest - want[0]) <= 1e-12
+
+
+def _outcome(solve, h, **kwargs):
+    """What a run returns, or the best estimate its LanczosError carries."""
+    try:
+        return solve(h, **kwargs)
+    except ed.LanczosError as exc:
+        return exc.best
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", GAP_SPECS, ids=_gap_spec_id)
+def test_level_run_is_the_ground_run_without_its_vector(spec):
+    # lanczos_level makes lanczos_ground's recurrence: from the same seed and
+    # start, each gap block's level has the same energy, iterations and
+    # threshold, bit for bit, and its Ritz estimate beta_k |y_k| passes the
+    # threshold exactly where the true residual ||H x - E x|| does
+    ground = ed.build_ground_sector(spec)
+    for delta in (-0.5, 0.0, 1.0, 2.5, 1e6):
+        gs = ed.lanczos_ground(ground.h.at(delta))
+        start = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
+        for block in ed.gap_basis(ground.basis):
+            h = ed.build_hamiltonian(ground.lattice, block).at(delta)
+            for seed, guess in ((ed.DEFAULT_SEED, block.project(start)), (7, None)):
+                full, level = (_outcome(solve, h, seed=seed, guess=guess)
+                               for solve in (ed.lanczos_ground, ed.lanczos_level))
+                assert ((level.energy, level.iterations, level.tolerance)
+                        == (full.energy, full.iterations, full.tolerance)), (delta, seed)
+                assert (level.residual < level.tolerance) == (full.residual < full.tolerance)
 
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
@@ -1026,10 +1058,12 @@ def test_staggered_guess_is_the_projected_single_mode_state(spec):
 
 
 def test_a_guess_of_zero_norm_leaves_the_random_start():
+    # the gap runs take the guess; a level has no vector, so the run is
+    # compared by its energy, iterations and Ritz estimate
     h = ed.build_sector(LatticeSpec(1, 10)).h.at(0.7)
-    plain, zero = ed.lanczos_ground(h), ed.lanczos_ground(h, guess=np.zeros(h.dimension))
-    assert (zero.energy, zero.iterations) == (plain.energy, plain.iterations)
-    assert np.array_equal(zero.vector, plain.vector)
+    plain, zero = ed.lanczos_level(h), ed.lanczos_level(h, guess=np.zeros(h.dimension))
+    assert (zero.energy, zero.iterations, zero.residual) == (
+        plain.energy, plain.iterations, plain.residual)
 
 
 def test_open_ground_sector_is_the_parity_block():
