@@ -6,8 +6,8 @@ a gap block as `xxzent ed` does, and compares its E0 with the lowest
 eigenvalue of the same sector from a dense `eigvalsh`. A solve fails when it
 raises LanczosError, or when its energy misses the dense one by more than
 the threshold it applied (`tolerance`): a Ritz value lies within its
-residual of an eigenvalue. Every failed solve is
-printed, and the exit code is 1 if any failed.
+residual of an eigenvalue. Every failed solve is printed, and the exit code
+is 1 if any failed.
 
 A lattice with an even number of sites is solved at M = 0 in the ground
 state's flip parity and in each block `xxzent ed` takes its gap from

@@ -6,9 +6,9 @@ the calls it makes: the lattice, the M = 0 basis, the ground sector's
 assembly (its orbits of translations and the flip included), the ground
 Lanczos run, the bond correlators, the gap runs' start (w |GS> on the M = 0
 states, see ed.staggered_guess), then each gap block's assembly and its
-ed.lanczos_level run from the block's projection of that start: gap 1 and gap 2 are
-the half-shift sectors sigma = +1 and -1 of a periodic lattice, an open
-lattice has gap 1 alone. xxzent.cli is imported before numpy, so the command
+ed.lanczos_level run from the block's projection of that start: gap 1 and
+gap 2 are the half-shift sectors sigma = +1 and -1 of a periodic lattice, an
+open lattice has gap 1 alone. xxzent.cli is imported before numpy, so the command
 runs under its own BLAS thread setting. Its report is not printed.
 
 The command is run --repeat times and each stage's median is printed; the

@@ -314,9 +314,10 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     del keys
     offdiag.sum_duplicates()
     if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
-        lengths, codes = np.unique(sizes, return_inverse=True)  # the same float operations
-        codes = codes.astype(np.min_scalar_type(len(lengths) ** 2))  # on codes of lengths
+        lengths, codes = np.unique(sizes, return_inverse=True)
+        codes = codes.astype(np.min_scalar_type(len(lengths) ** 2))
         flat = np.repeat(codes * len(lengths), np.diff(offdiag.indptr)) + codes[offdiag.indices]
+        # sqrt(a / b) per pair of lengths: the float operations of sqrt(sizes[a] / sizes[b])
         table, step = np.sqrt(lengths[:, None] / lengths).ravel(), 1 << 18
         for at in range(0, len(flat), step):  # by slices: no nnz-long float temporary
             offdiag.data[at:at + step] *= table[flat[at:at + step]]
@@ -503,7 +504,7 @@ def _lanczos(h: SparseHamiltonian, tol: float, seed: int, guess: np.ndarray | No
         beta_max = max(beta_max, beta)
         w /= beta
         previous, q = q, w
-    return e0, y, floor, beta * abs(y[-1])
+    return e0, y, floor, beta * abs(float(y[-1]))
 
 
 def _checked(run):

@@ -8,6 +8,7 @@ sector too large to diagonalize densely.
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -323,23 +324,27 @@ def _outcome(solve, h, **kwargs):
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize("spec", GAP_SPECS, ids=_gap_spec_id)
-def test_level_run_is_the_ground_run_without_its_vector(spec):
+def test_level_run_is_the_ground_run_without_its_vector(spec, monkeypatch):
     # lanczos_level makes lanczos_ground's recurrence: from the same seed and
     # start, each gap block's level has the same energy, iterations and
     # threshold, bit for bit, and its Ritz estimate beta_k |y_k| passes the
-    # threshold exactly where the true residual ||H x - E x|| does
+    # threshold exactly where the true residual ||H x - E x|| does. A cap of
+    # 12 steps stops the larger blocks' runs short, so both verdicts occur
     ground = ed.build_ground_sector(spec)
     for delta in (-0.5, 0.0, 1.0, 2.5, 1e6):
         gs = ed.lanczos_ground(ground.h.at(delta))
         start = ed.staggered_guess(ground.lattice, ground.basis, gs.vector)
         for block in ed.gap_basis(ground.basis):
             h = ed.build_hamiltonian(ground.lattice, block).at(delta)
-            for seed, guess in ((ed.DEFAULT_SEED, block.project(start)), (7, None)):
+            starts = ((ed.DEFAULT_SEED, block.project(start)), (7, None))
+            for cap, (seed, guess) in product((ed.MAX_ITER, 12), starts):
+                monkeypatch.setattr(ed, "MAX_ITER", cap)
                 full, level = (_outcome(solve, h, seed=seed, guess=guess)
                                for solve in (ed.lanczos_ground, ed.lanczos_level))
                 assert ((level.energy, level.iterations, level.tolerance)
-                        == (full.energy, full.iterations, full.tolerance)), (delta, seed)
+                        == (full.energy, full.iterations, full.tolerance)), (delta, cap, seed)
                 assert (level.residual < level.tolerance) == (full.residual < full.tolerance)
+            monkeypatch.undo()
 
 
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
