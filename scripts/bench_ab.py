@@ -10,10 +10,12 @@ holds:
               seed, order, and the BLAS thread count it reported
   workloads   per metric and side: median, quartiles and range; the pairs
               the change wins (strictly better) and ties; the ratio of the
-              medians against the metric's bound in BENCHMARK.json; whether
-              the change's median gain exceeds the parent's interquartile
-              range. setup_plus_wall_s (setup_s + wall_s of each run) is an
-              extra, unbounded metric.
+              medians against the metric's bound in BENCHMARK.json, as
+              within_bound (not worse by more than the bound) and past_bound
+              (better by more than the bound, the size a claimed gain needs);
+              whether the change's median gain exceeds the parent's
+              interquartile range. setup_plus_wall_s (setup_s + wall_s of
+              each run) is an extra, unbounded metric.
   provenance  both commits and source fingerprints, nproc, and each side's
               provenance line from run.py (Python, numpy, scipy, BLAS and
               its thread count)
@@ -108,11 +110,12 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "lower" else -1.0
         gain = sign * (parent["median"] - change["median"])
         ratio = change["median"] / parent["median"] if parent["median"] else None
+        bounded = m["bound"] is not None and ratio is not None
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": parent, "change": change, "ratio": ratio,
-            "within_bound": (None if m["bound"] is None or ratio is None
-                             else sign * (ratio - 1.0) <= m["bound"]),
+            "within_bound": sign * (ratio - 1.0) <= m["bound"] if bounded else None,
+            "past_bound": sign * (1.0 - ratio) > m["bound"] if bounded else None,
             "change_wins": sum(sign * (a - b) > 0 for a, b in both),
             "ties": sum(a == b for a, b in both),
             "pairs": len(both),
@@ -179,13 +182,14 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
 
     print(f"{'workload':18s} {'metric':18s} {'parent':>10s} {'change':>10s} {'ratio':>7s} "
-          f"{'wins':>6s} {'>IQR':>5s}")
+          f"{'wins':>6s} {'>IQR':>5s} {'>bound':>6s}")
     for name, w in report["workloads"].items():
         for metric, s in w["metrics"].items():
             ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
             print(f"{name:18s} {metric:18s} {s['parent']['median']:10.4g} "
                   f"{s['change']['median']:10.4g} {ratio:>7s} "
-                  f"{s['change_wins']:>3d}/{s['pairs']:<2d} {str(s['gain_exceeds_parent_iqr']):>5s}")
+                  f"{s['change_wins']:>3d}/{s['pairs']:<2d} {str(s['gain_exceeds_parent_iqr']):>5s} "
+                  f"{str(s['past_bound']):>6s}")
     return 0 if all(r["correct"] for r in runs) else 1
 
 

@@ -157,13 +157,14 @@ def cmd_ed(args: argparse.Namespace) -> int:
     try:  # main reports a LanczosError, for ed and verify alike
         gs = ed.lanczos_ground(h, seed=args.seed)
         g = entanglement.operator_bond_correlators(gs, h, lattice)
-        start = ed.staggered_guess(lattice, basis, gs.vector)
         blocks = ed.gap_basis(basis)
-        del sector, h, basis  # the ground block is freed before a gap block is built
+        start = ed.staggered_guess(lattice, basis, gs.vector)
+        guesses = [block.project(start) for block in blocks]
+        del sector, h, basis, start  # the ground block and start go before a gap block is built
         runs = []
         while blocks:  # one gap block at a time, freed with its orbit map before its run
-            block = blocks.pop(0)
-            h, guess = ed.build_hamiltonian(lattice, block).at(args.delta), block.project(start)
+            block, guess = blocks.pop(0), guesses.pop(0)
+            h = ed.build_hamiltonian(lattice, block).at(args.delta)
             del block
             runs.append(ed.lanczos_level(h, seed=args.seed, guess=guess))
             del h, guess  # and its operator before the next block's assembly

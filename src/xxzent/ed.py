@@ -17,11 +17,13 @@ real delta; both maps swap the sublattices, so its flip parity and its
 unit-translation eigenvalue are (-1)^(N/2). `build_ground_sector` solves in
 the orbits of both (441 at 4x4, 16,080 at L = 22); `build_sector` keeps the
 flip alone. Each group element maps only the states still in the running
-for a representative, and H. Q. Lin's table indexes the states. `xxzent ed`
-solves the ground state in `build_ground_sector`'s block and its gap in
-`gap_basis`'s: the other parity's 352,716 orbits at L = 22, split by the
-half shift into sectors of 176,870 and 175,846 rows, each assembled once the
-previous one is freed and started from its part of `staggered_guess`'s w |GS>.
+for a representative, H. Q. Lin's table indexes the states, and one int32
+key per state names its orbit's row and sign. `xxzent ed` solves the ground
+state in `build_ground_sector`'s block and its gap in `gap_basis`'s: the
+other parity's 352,716 orbits at L = 22, split by the half shift into
+sectors of 176,870 and 175,846 rows. Each starts from its projection of
+`staggered_guess`'s w |GS>, all made first, and is assembled once the
+previous one is freed. Passes over the states or rows go SLICE at a time.
 
 `lanczos_ground` is plain Lanczos: the three-term recurrence with no
 Gram-Schmidt pass, stopped as soon as the lowest Ritz pair converges, so
@@ -52,6 +54,7 @@ MAX_ITER = 600  # Lanczos steps before a run gives up with LanczosError
 DEFAULT_SEED = 1234
 EPS = float(np.finfo(float).eps)
 RESIDUAL_FLOOR = 64  # residuals below RESIDUAL_FLOOR * eps * ||T|| count as converged
+SLICE = 1 << 14  # states, rows or entries per pass of the sector-length loops
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.empty(1),))  # tridiagonal eigenpairs
 
 
@@ -108,10 +111,11 @@ class SectorBasis:
     def representatives(self) -> np.ndarray:
         """The states no g lowers, each g applied only to those still in the
         running, less the null orbits': sum_{g r = r} chi(g) is |Stab(r)| or 0."""
-        reps = self.states
-        for g, _ in self._group[1:]:
-            reps = reps[self._act(g, reps) >= reps]
-        return reps[sum(chi * (self._act(g, reps) == reps) for g, chi in self._group) > 0]
+        def own(reps: np.ndarray) -> np.ndarray:
+            for g, _ in self._group[1:]:
+                reps = reps[self._act(g, reps) >= reps]
+            return reps[sum(chi * (self._act(g, reps) == reps) for g, chi in self._group) > 0]
+        return np.concatenate([own(self.states[at:at + SLICE]) for at in range(0, len(self), SLICE)])
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -145,27 +149,41 @@ class SectorBasis:
         return x ^ np.uint64((1 << self.n_sites) - 1) if flip else x
 
     @cached_property
-    def _orbit_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per state: the row of its orbit and its amplitude in the orbit's
-        unit vector, scattered from the images g r of the representatives;
-        0 and 0 on a dropped orbit."""
-        index, weight = np.zeros(len(self), np.intp), np.zeros(len(self))
+    def _orbit_map(self) -> np.ndarray:
+        """Per state, the int32 key 2 * row + (chi(g) < 0) of its orbit's row
+        and its amplitude's sign, scattered from the images g r of the
+        representatives; 2 * len(representatives) on a dropped orbit."""
+        keys = np.full(len(self), 2 * len(self.representatives), np.int32)
+        rows = np.arange(0, 2 * len(self.representatives), 2, dtype=np.int32)
         for g, chi in self._group:
-            at = self.index_of_many(self._act(g, self.representatives))
-            index[at], weight[at] = np.arange(len(at)), chi / np.sqrt(self.sizes, dtype=float)
-        return index, weight
+            keys[self.index_of_many(self._act(g, self.representatives))] = rows + (chi < 0)
+        return keys
+
+    def _by_slices(self):
+        """(slice, rows, amplitudes) of the states, SLICE at a time, from the orbit map."""
+        keys = self._orbit_map  # a key's amplitude is +-1/sqrt(size), 0 on a dropped orbit
+        weights = np.append(np.outer(1 / np.sqrt(self.sizes, dtype=float), (1, -1)), 0.0)
+        for at in range(0, len(self), SLICE):
+            k = keys[at:at + SLICE]
+            yield slice(at, at + SLICE), k >> 1, weights[k]
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Full-sector amplitudes of a vector over the representatives."""
         if len(v) != len(self.representatives):
             raise ValueError("state length does not match the sector's representatives")
-        index, weight = self._orbit_map
-        return weight * v[index]
+        v, x = np.append(v, v[0]), np.empty(len(self))  # a dropped state reads 0 * v[0]
+        for at, rows, weights in self._by_slices():
+            np.multiply(weights, v[rows], out=x[at])
+        return x
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """The adjoint of expand: full-sector amplitudes onto the representatives."""
-        index, weight = self._orbit_map
-        return np.bincount(index, weight * x, len(self.representatives))
+        """The adjoint of expand, summed in state order."""
+        if len(x) != len(self):
+            raise ValueError("state length does not match the sector's states")
+        v = np.zeros(len(self.representatives) + 1)  # the last entry takes the dropped states
+        for at, rows, weights in self._by_slices():
+            np.add.at(v, rows, weights * x[at])
+        return v[:-1]
 
     def index_of_many(self, configs: np.ndarray) -> np.ndarray:
         """H. Q. Lin's index (PRB 42, 6561 (1990)), first[high half] + rank[low half]."""
@@ -281,46 +299,55 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     H_zz: sum_bonds sz_i sz_j with sz = +-1/2, diagonal on the orbits. H_xy:
     1/2 between configurations differing by one antiparallel bond flip; a
     hop from representative a onto g r_b adds 0.5 chi(g) sqrt(sizes[a] /
-    sizes[b]) at (a, b). Each hop's key from the orbit map, 2 * b + (chi(g) <
-    0), goes in its bond's column of a table with one row per orbit; sorting
-    each row in place gives its CSR entries in column order, with no COO -> CSR
-    sort. sum_duplicates merges the hops of one row onto one orbit (translations,
-    and up to N = 4 sites the flip, reach one orbit twice) before the scaling.
-    A hop onto a dropped orbit's state (weight 0) makes no entry.
+    sizes[b]) at (a, b). Each hop's key in the orbit map, 2 * b + (chi(g) <
+    0), goes in its bond's column of a table with SLICE rows of orbits at a
+    time; sorting each row in place gives its CSR entries in column order, with
+    no COO -> CSR sort. A hop onto a dropped orbit has an empty slot's key, 2 n,
+    and makes no entry. sum_duplicates merges the hops of one row onto one orbit
+    (translations, and up to N = 4 sites the flip, reach one orbit twice) before
+    the scaling.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
-    states, sizes = basis.representatives, basis.sizes
+    states, sizes, orbit = basis.representatives, basis.sizes, basis._orbit_map
     n = len(states)
-    orbit, weight = basis._orbit_map
-    empty = np.iinfo(np.int32).max  # a slot with no hop sorts last
-    # a hop's key by its target state
-    state_keys = np.where(weight == 0, empty, 2 * orbit + (weight < 0)).astype(np.int32)
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its antiparallel bonds, each -1/4 in H_zz
-    keys = np.full((n, lattice.n_bonds), empty, dtype=np.int32)
-    for slot, bond in enumerate(lattice.bonds):
-        anti = ((states >> np.uint64(bond.i)) ^ (states >> np.uint64(bond.j))) & np.uint64(1) == 1
-        anti_bonds += anti
-        src = np.flatnonzero(anti)
-        mask = np.uint64((1 << bond.i) | (1 << bond.j))
-        keys[src, slot] = state_keys[basis.index_of_many(states[src] ^ mask)]
-    del state_keys
-    keys.sort(axis=1)  # in place: each row is contiguous
-    hops = keys != empty
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(hops, axis=1)))).astype(np.int32)
-    keys = keys[hops]
-    del hops
-    offdiag = sp.csr_matrix((np.where(keys & 1, -0.5, 0.5), keys >> 1, indptr), shape=(n, n))
-    del keys
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    pieces = [np.empty(0, dtype=np.int32)]  # each slice's keys, in CSR order
+    for at in range(0, n, SLICE):
+        reps = states[at:at + SLICE]
+        keys = np.full((len(reps), lattice.n_bonds), 2 * n, dtype=np.int32)
+        for slot, bond in enumerate(lattice.bonds):
+            anti = ((reps >> np.uint64(bond.i)) ^ (reps >> np.uint64(bond.j))) & np.uint64(1) == 1
+            anti_bonds[at:at + SLICE] += anti
+            src = np.flatnonzero(anti)
+            mask = np.uint64((1 << bond.i) | (1 << bond.j))
+            keys[src, slot] = orbit[basis.index_of_many(reps[src] ^ mask)]
+        keys.sort(axis=1)  # in place: each row is contiguous
+        hops = keys < 2 * n
+        indptr[at + 1:at + 1 + len(reps)] = np.count_nonzero(hops, axis=1)
+        pieces.append(keys[hops])
+        del keys, hops
+    np.cumsum(indptr, out=indptr)
+    indices = np.concatenate(pieces)
+    del pieces
+    data = np.empty(len(indices))
+    for at in range(0, len(data), SLICE):
+        data[at:at + SLICE] = np.where(indices[at:at + SLICE] & 1, -0.5, 0.5)
+    indices >>= 1  # the keys become their columns
+    offdiag = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    del data, indices
     offdiag.sum_duplicates()
     if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
         lengths, codes = np.unique(sizes, return_inverse=True)
         codes = codes.astype(np.min_scalar_type(len(lengths) ** 2))
-        flat = np.repeat(codes * len(lengths), np.diff(offdiag.indptr)) + codes[offdiag.indices]
         # sqrt(a / b) per pair of lengths: the float operations of sqrt(sizes[a] / sizes[b])
-        table, step = np.sqrt(lengths[:, None] / lengths).ravel(), 1 << 18
-        for at in range(0, len(flat), step):  # by slices: no nnz-long float temporary
-            offdiag.data[at:at + step] *= table[flat[at:at + step]]
+        table, ptr = np.sqrt(lengths[:, None] / lengths).ravel(), offdiag.indptr
+        for at in range(0, n, SLICE):  # by row slices: no nnz-long temporary
+            lo, hi = ptr[at], ptr[min(at + SLICE, n)]
+            flat = (np.repeat(codes[at:at + SLICE] * len(lengths), np.diff(ptr[at:at + SLICE + 1]))
+                    + codes[offdiag.indices[lo:hi]])
+            offdiag.data[lo:hi] *= table[flat]
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
     return SparseHamiltonian(n, zz, offdiag, 0.0)
 
@@ -386,9 +413,12 @@ def staggered_guess(lattice: Lattice, basis: SectorBasis, vector: np.ndarray) ->
     # w of every low and every high half of a state, as in Lin's index
     low_w, high_w = (sum(ci * ((np.arange(1 << len(part)) >> b) & 1) for b, ci in enumerate(part))
                      for part in (c[:low], c[low:]))
-    w = (low_w[(basis.states & np.uint64((1 << low) - 1)).view(np.intp)]
-         + high_w[(basis.states >> np.uint64(low)).view(np.intp)])
-    return w * basis.expand(vector)
+    x = basis.expand(vector)
+    for at in range(0, len(x), SLICE):
+        states = basis.states[at:at + SLICE]
+        x[at:at + SLICE] *= (low_w[(states & np.uint64((1 << low) - 1)).view(np.intp)]
+                             + high_w[(states >> np.uint64(low)).view(np.intp)])
+    return x
 
 
 @dataclass(frozen=True)

@@ -971,19 +971,27 @@ def _orbit_blocks(spec: LatticeSpec) -> list[ed.SectorBasis]:
 @pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
 @pytest.mark.parametrize("spec", ORBIT_SPECS, ids=_spec_id)
 def test_orbit_bookkeeping_matches_brute_force(spec):
-    # representatives, sizes and expand, bit for bit, null orbits dropped.
-    # On the 4- and 8-site rings each half-shift sector has null orbits; on
-    # the 2-site ring S times the flip fixes both states, so sigma = -1 is empty
+    # representatives, sizes, the orbit map's keys (row, sign and the dropped
+    # orbits' key), expand and project, bit for bit, null orbits dropped. On
+    # the 4- and 8-site rings each half-shift sector has null orbits; on the
+    # 2-site ring S times the flip fixes both states, so sigma = -1 is empty
     for block in _orbit_blocks(spec):
         reps, sizes, index, weight = _reference_orbits(block)
         assert np.array_equal(block.representatives, reps)
         assert np.array_equal(block.sizes, sizes) and block.sizes.dtype == sizes.dtype
-        assert np.array_equal(block._orbit_map[1], weight)
+        keys, live = block._orbit_map, weight != 0
+        assert keys.dtype == np.int32 and keys.shape == (len(block),)
+        assert np.array_equal(keys[live] >> 1, index[live])
+        assert np.array_equal(keys[live] & 1, weight[live] < 0)
+        assert np.all(keys[~live] == 2 * len(reps))
         if block.half_shift and spec in (LatticeSpec(1, 4), LatticeSpec(1, 8)):
-            assert np.count_nonzero(weight == 0) > 0
+            assert np.count_nonzero(~live) > 0
         if len(reps):
-            v = np.random.default_rng(5).standard_normal(len(reps))
-            assert np.array_equal(block.expand(v), weight * v[index])
+            rng = np.random.default_rng(5)
+            v, x = rng.standard_normal(len(reps)), rng.standard_normal(len(block))
+            v[0] = -abs(v[0])  # a dropped state's 0 * v[0] is then -0.0
+            assert block.expand(v).tobytes() == (weight * v[index]).tobytes()
+            assert block.project(x).tobytes() == np.bincount(index, weight * x, len(reps)).tobytes()
         else:
             assert spec.n_sites == 2 and block.half_shift == -1
 
@@ -998,6 +1006,62 @@ def test_project_is_the_adjoint_of_expand(spec):
             v, x = rng.standard_normal(len(block.representatives)), rng.standard_normal(len(block))
             assert block.project(x).shape == v.shape
             assert abs(block.expand(v) @ x - v @ block.project(x)) <= 1e-12 * math.sqrt(len(x))
+
+
+def test_project_refuses_a_vector_of_another_length():
+    block = ed.gap_basis(replace(ed.enumerate_basis(8), translations=LatticeSpec(1, 8)))[0]
+    assert len(block.project(np.ones(len(block)))) == len(block.representatives)
+    for n in (len(block) - 1, len(block) + 1):
+        with pytest.raises(ValueError, match="sector's states"):
+            block.project(np.ones(n))
+
+
+@pytest.mark.filterwarnings("ignore::xxzent.lattice.DegenerateLatticeWarning")
+@pytest.mark.parametrize("spec", [LatticeSpec(1, 4), LatticeSpec(1, 10), LatticeSpec(2, 4),
+                                  LatticeSpec(1, 12, periodic=False)], ids=_spec_id)
+def test_slices_change_no_number(spec, monkeypatch):
+    # the sector-length passes and the assembly by slices of 7 states, rows or
+    # entries give the same bits as one slice over everything
+    lattice = build_lattice(spec)
+
+    def outputs():
+        ground = replace(ed.enumerate_basis(spec.n_sites),
+                         translations=spec if spec.periodic else None)
+        v = np.random.default_rng(9).standard_normal(len(ground.representatives))
+        start = ed.staggered_guess(lattice, ground, v)
+        out = [ground.representatives, start]
+        for block in (ground, *ed.gap_basis(ground)):
+            h = ed.build_hamiltonian(lattice, block)
+            out += [block._orbit_map, block.project(start),
+                    h.offdiag.indptr, h.offdiag.indices, h.offdiag.data, h.zz]
+        return [a.tobytes() for a in out]
+
+    whole = outputs()
+    monkeypatch.setattr(ed, "SLICE", 7)
+    assert outputs() == whole
+
+
+@pytest.mark.parametrize("spec, gap", [(LatticeSpec(1, 18), True), (LatticeSpec(2, 4), False)],
+                         ids=["d1L18-gap", "d2L4-ground"])
+def test_assembly_holds_little_beyond_its_operator(spec, gap):
+    # build_hamiltonian's peak above its input: the operator it returns, one
+    # slice's key table and a few int32 arrays over the states (the orbit map
+    # among them), with no nnz-long temporary beside the CSR
+    lattice = build_lattice(spec)
+    block = replace(ed.enumerate_basis(spec.n_sites), translations=spec)
+    if gap:
+        block = ed.gap_basis(block)[0]
+    block.sizes  # the representatives and their orbit lengths, as gap_basis leaves them
+    tracemalloc.start()
+    try:
+        h = ed.build_hamiltonian(lattice, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    operator = sum(a.nbytes for a in (h.offdiag.data, h.offdiag.indices, h.offdiag.indptr,
+                                      h.zz, h.diagonal))
+    table = min(ed.SLICE, h.dimension) * lattice.n_bonds * 4
+    assert peak <= operator + table + 3 * 4 * len(block), (peak - operator - table) / len(block)
 
 
 def test_orbit_bookkeeping_of_a_trivial_group():

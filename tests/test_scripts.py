@@ -1,6 +1,7 @@
 """Smoke tests for scripts/ and the README: each study runs on small inputs
 and exits 0, and the README's Python API example gives the numbers it states."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -112,6 +113,26 @@ def test_readme_python_api_example():
     assert names["g"].gamma.size == 32_896 and names["g"].k_points == 512
 
 
+def test_bench_ab_marks_a_gain_past_its_bound():
+    # past_bound: the change's median better than the parent's by more than
+    # the bound; within_bound: not worse by more than it
+    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "scripts" / "bench_ab.py")
+    bench_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_ab)
+    declared = [{"name": name, "unit": "", "better": better, "bound": bound}
+                for name, better, bound in (("rss", "lower", 0.1), ("small", "lower", 0.1),
+                                            ("worse", "lower", 0.25), ("frac", "higher", 0.1),
+                                            ("extra", "lower", None))]
+    parent = {"rss": 132.0, "small": 1.0, "worse": 1.0, "frac": 0.5, "extra": 1.0}
+    change = {"rss": 114.0, "small": 0.95, "worse": 1.2, "frac": 0.6, "extra": 0.5}
+    runs = [{"pair": pair, "side": side, "metrics": metrics}
+            for pair in range(10) for side, metrics in (("parent", parent), ("change", change))]
+    stats = bench_ab.summarize(runs, declared)
+    assert {m: (s["within_bound"], s["past_bound"]) for m, s in stats.items()} == {
+        "rss": (True, True), "small": (True, False), "worse": (True, False),
+        "frac": (True, True), "extra": (None, None)}
+
+
 def test_bench_ab_script(tmp_path):
     # one A/A pair: the checkout against itself, parent first
     out = tmp_path / "bench.json"
@@ -128,6 +149,8 @@ def test_bench_ab_script(tmp_path):
     assert set(stats) == {"wall_s", "setup_s", "cpu_s", "peak_rss_mb", "setup_plus_wall_s"}
     assert stats["cpu_s"]["pairs"] == 1 and stats["cpu_s"]["bound"] == 0.25
     assert stats["setup_plus_wall_s"]["bound"] is None
+    assert stats["setup_plus_wall_s"]["past_bound"] is None
+    assert all(isinstance(stats[m]["past_bound"], bool) for m in ("wall_s", "peak_rss_mb"))
     prov = report["provenance"]
     assert prov["parent"]["commit"] == prov["change"]["commit"]
     assert prov["nproc"] >= 1 and prov["change"]["blas_threads"]
