@@ -313,7 +313,7 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     n = len(states)
     anti_bonds = np.zeros(n, dtype=np.int32)  # per row: its antiparallel bonds, each -1/4 in H_zz
     indptr = np.zeros(n + 1, dtype=np.int32)
-    pieces = [np.empty(0, dtype=np.int32)]  # each slice's keys, in CSR order
+    pieces = []  # each slice's keys, in CSR order
     for at in range(0, n, SLICE):
         reps = states[at:at + SLICE]
         keys = np.full((len(reps), lattice.n_bonds), 2 * n, dtype=np.int32)
