@@ -16,9 +16,9 @@ holds:
               whether the change's median gain exceeds the parent's
               interquartile range. setup_plus_wall_s (setup_s + wall_s of
               each run) is an extra, unbounded metric.
-  provenance  both commits and source fingerprints, nproc, and each side's
-              provenance line from run.py (Python, numpy, scipy, BLAS and
-              its thread count)
+  provenance  both commits, source fingerprints and resolved checkout
+              paths (tree), nproc, and each side's provenance line from
+              run.py (Python, numpy, scipy, BLAS and its thread count)
 
     python scripts/bench_ab.py --parent ../parent --out BENCH_<n>.json
 
@@ -164,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     for side, tree in trees.items():
         mine = [r for r in runs if r["side"] == side]
         first = next((r for r in mine if "provenance" in r), {})
-        provenance[side] = {"commit": _commit(tree),
+        provenance[side] = {"commit": _commit(tree), "tree": str(tree),
                             "source": first.get("source"),
                             "run_provenance": first.get("provenance"),
                             "blas_threads": sorted({r["provenance"]["blas_threads"]

@@ -2,7 +2,7 @@
 
 Subcommands: ed (single ground-state report), scan (C(delta) curves from
 either engine), spinwave (single thermodynamic-limit evaluation), verify
-(one machine-check suite, or all of them). Lanczos runs at ed.DEFAULT_TOL
+(every machine check; it takes no option). Lanczos runs at ed.DEFAULT_TOL
 (or the residual floor above it); verify runs on the default spin-wave zones.
 
 Exit codes: 0 success, 2 usage error (an --out that cannot be written
@@ -110,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--delta", type=_finite_float, default=1.0)
     p_sw.add_argument("--kgrid", type=int, default=None)
 
-    p_ver = sub.add_parser("verify", help="run the machine-check suites")
-    p_ver.add_argument("--suite", choices=("all",) + tuple(verify.SUITES),
-                       default="all")
+    sub.add_parser("verify", help="run the machine-check suites")
     return parser
 
 
@@ -308,8 +306,8 @@ def cmd_spinwave(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suites(args.suite)
+def cmd_verify() -> int:
+    results = verify.run_suites()
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
@@ -330,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spinwave":
             return cmd_spinwave(args)
         if args.command == "verify":
-            return cmd_verify(args)
+            return cmd_verify()
     except Infeasible as exc:
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -197,7 +197,7 @@ class SectorBasis:
         """first counts the states below a high half, rank the smaller low
         halves of one popcount."""
         n, low = self.n_sites, self.n_sites // 2
-        pop = sum((np.arange(1 << (n - low)) >> b) & 1 for b in range(n - low))
+        pop = _popcounts(n - low)
         order = np.argsort(pop[: 1 << low], kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(1 << low) - np.searchsorted(pop[order], pop[order])
@@ -243,25 +243,28 @@ def sector_dimension(n_sites: int, m: float) -> int:
     return math.comb(n_sites, n_up)
 
 
-def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
-    """Enumerate the M sector in increasing configuration order.
+def _popcounts(bits: int) -> np.ndarray:
+    """The number of bits set in each integer below 2^bits."""
+    return sum(((np.arange(1 << bits) >> b) & 1 for b in range(bits)), np.zeros(1 << bits, int))
 
-    S(n, k), the increasing n-bit configurations with k bits set, is
-    S(n-1, k) followed by S(n-1, k-1) + 2^(n-1). Only the rows k that can
-    still reach n_up are kept. M = 0 gets the ground state's flip parity.
+
+def enumerate_basis(n_sites: int, m: float = 0.0) -> SectorBasis:
+    """Enumerate the M sector in increasing configuration order, in place:
+    for each high half in increasing order (Lin's split, low = n_sites // 2
+    bits below it), the low halves with the n_up - pop(high) bits it lacks,
+    in increasing order. M = 0 gets the ground state's flip parity.
     """
-    sector_dimension(n_sites, m)  # validates M
-    n_up = round(m + n_sites / 2)
-    empty = np.empty(0, dtype=np.uint64)
-    rows = {0: np.zeros(1, dtype=np.uint64)}  # S(0, 0)
-    for n in range(1, n_sites + 1):
-        top = np.uint64(1 << (n - 1))
-        rows = {
-            k: np.concatenate((rows.get(k, empty), rows[k - 1] + top if k else empty))
-            for k in range(max(0, n_up - (n_sites - n)), min(n, n_up) + 1)
-        }
+    states = np.empty(sector_dimension(n_sites, m), dtype=np.uint64)  # validates M
+    n_up, low = round(m + n_sites / 2), n_sites // 2
+    pop = _popcounts(low)
+    lows = [np.flatnonzero(pop == k).astype(np.uint64) for k in range(low + 1)]
+    at = 0
+    for high, k in enumerate((n_up - _popcounts(n_sites - low)).tolist()):
+        if 0 <= k <= low:
+            np.bitwise_or(lows[k], np.uint64(high << low), out=states[at:at + len(lows[k])])
+            at += len(lows[k])
     parity = (-1) ** (n_sites // 2) if 2 * n_up == n_sites else None
-    return SectorBasis(n_sites, n_up, rows[n_up], parity)
+    return SectorBasis(n_sites, n_up, states, parity)
 
 
 @dataclass(frozen=True)
@@ -304,8 +307,8 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     time; sorting each row in place gives its CSR entries in column order, with
     no COO -> CSR sort. A hop onto a dropped orbit has an empty slot's key, 2 n,
     and makes no entry. sum_duplicates merges the hops of one row onto one orbit
-    (translations, and up to N = 4 sites the flip, reach one orbit twice) before
-    the scaling.
+    (translations, and up to N = 4 sites the flip, reach one orbit twice); then
+    a row slice at a time forms sqrt(sizes[a] / sizes[b]) in place and scales.
     """
     if basis.n_sites != lattice.n_sites:
         raise ValueError("basis and lattice disagree on the number of sites")
@@ -339,15 +342,12 @@ def build_hamiltonian(lattice: Lattice, basis: SectorBasis) -> SparseHamiltonian
     del data, indices
     offdiag.sum_duplicates()
     if np.ptp(sizes):  # sqrt(sizes[a] / sizes[b]) is 1 between orbits of one length
-        lengths, codes = np.unique(sizes, return_inverse=True)
-        codes = codes.astype(np.min_scalar_type(len(lengths) ** 2))
-        # sqrt(a / b) per pair of lengths: the float operations of sqrt(sizes[a] / sizes[b])
-        table, ptr = np.sqrt(lengths[:, None] / lengths).ravel(), offdiag.indptr
+        ptr = offdiag.indptr
         for at in range(0, n, SLICE):  # by row slices: no nnz-long temporary
             lo, hi = ptr[at], ptr[min(at + SLICE, n)]
-            flat = (np.repeat(codes[at:at + SLICE] * len(lengths), np.diff(ptr[at:at + SLICE + 1]))
-                    + codes[offdiag.indices[lo:hi]])
-            offdiag.data[lo:hi] *= table[flat]
+            ratio = np.repeat(sizes[at:at + SLICE], np.diff(ptr[at:at + SLICE + 1])).astype(float)
+            ratio /= sizes[offdiag.indices[lo:hi]]
+            offdiag.data[lo:hi] *= np.sqrt(ratio, out=ratio)
     zz = 0.25 * lattice.n_bonds - 0.5 * anti_bonds
     return SparseHamiltonian(n, zz, offdiag, 0.0)
 

@@ -11,19 +11,18 @@ before any row (the CLI exits 4 on one `solver failure:` line). Suites:
   argmax             C(delta) peaks exactly at delta = 1 on the scan grid
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
-run_suites(name) runs one suite, or all, building only the inputs they read.
-The ED suites share one sector per lattice, the ground state's orbits under
-translations and the flip (ed.build_ground_sector, 441 at 4x4), and one
-solve per (lattice, delta): analysis.solve_ed, the loop `scan` uses too,
-solves the union of the deltas they read (the step-ED_SCAN_STEP grid on
-[0, 2], which holds ROUTE_DELTAS and HF_DELTAS, plus HF_DELTAS -+
-HF_STEP), 141 solves for all of them, and solve_lattice names those
-deltas. It keeps vectors only at ROUTE_DELTAS and HF_DELTAS, and reads
-their bond-averaged correlators once, through the sector's bond tables.
-Suites have no settings: they run at fixed deltas and steps, and the
-spinwave checks share one default zone per dimension (512^2 and 96^3,
-spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and CUSP_STABILITY were
-set for.
+run_suites() runs them all, in SUITES order. The ED suites share one
+sector per lattice, the ground state's orbits under translations and the
+flip (ed.build_ground_sector, 441 at 4x4), and one solve per (lattice,
+delta): analysis.solve_ed, the loop `scan` uses too, solves the deltas they
+read (the step-ED_SCAN_STEP grid on [0, 2], which holds ROUTE_DELTAS and
+HF_DELTAS, plus HF_DELTAS -+ HF_STEP), 47 per lattice and 141 in all, and
+solve_lattice names those deltas. It keeps vectors only at ROUTE_DELTAS and
+HF_DELTAS, and reads their bond-averaged correlators once, through the
+sector's bond tables. Suites have no settings: they run at fixed deltas and
+steps, and the spinwave checks share one default zone per dimension (512^2
+and 96^3, spinwave.DEFAULT_K_POINTS), the sizes BRANCH_TOL and
+CUSP_STABILITY were set for.
 
 Three rows pass whatever the pipeline does, so no injected fault fails
 them: `branch continuity d=2` and `d=3` compare energy_per_site_ising and
@@ -77,18 +76,15 @@ def _case_label(spec: LatticeSpec) -> str:
     return f"d={spec.dimension} L={spec.linear_size}"
 
 
-def solve_lattice(sector: ed.Sector, suites) -> analysis.EdSolves:
-    """The solves of sector.h that the ED suites named in suites read
-    (analysis.solve_ed): the scan grid's curve for concavity and argmax,
-    and kept states at ROUTE_DELTAS for route-equivalence and at HF_DELTAS,
-    with the energies at HF_DELTAS -+ HF_STEP, for hellmann-feynman. A failed
-    solve raises: the lowest failed delta's LanczosError, named by lattice and delta."""
-    suites = set(suites)
-    grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP) if {"concavity", "argmax"} & suites else ()
-    routes = ROUTE_DELTAS if "route-equivalence" in suites else ()
-    hf = HF_DELTAS if "hellmann-feynman" in suites else ()
-    sides = [d + s for d in hf for s in (-analysis.HF_STEP, analysis.HF_STEP)]
-    solves = analysis.solve_ed(sector, grid, keep=routes + hf, extra=sides)
+def solve_lattice(sector: ed.Sector) -> analysis.EdSolves:
+    """The solves of sector.h that the ED suites read (analysis.solve_ed):
+    the scan grid's curve for concavity and argmax, and kept states at
+    ROUTE_DELTAS for route-equivalence and at HF_DELTAS, with the energies
+    at HF_DELTAS -+ HF_STEP, for hellmann-feynman. A failed solve raises:
+    the lowest failed delta's LanczosError, named by lattice and delta."""
+    grid = analysis.delta_grid(0.0, 2.0, ED_SCAN_STEP)
+    sides = [d + s for d in HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP)]
+    solves = analysis.solve_ed(sector, grid, keep=ROUTE_DELTAS + HF_DELTAS, extra=sides)
     if solves.failures:
         delta, exc = min(solves.failures.items())
         raise ed.LanczosError(f"{_case_label(sector.lattice.spec)} delta={delta:.12g}: {exc}",
@@ -118,40 +114,37 @@ def concurrence_routes(solves: analysis.EdSolves) -> dict[float, dict[str, float
     return routes
 
 
+def _per_lattice(suite: str, solved: dict[LatticeSpec, analysis.EdSolves], measure,
+                 tolerance: float, detail: str) -> list[CheckResult]:
+    """One row per lattice, passing when measure(its solves) does not exceed tolerance."""
+    return [_at_most(f"{suite} {_case_label(spec)}", measure(solves), tolerance, detail)
+            for spec, solves in solved.items()]
+
+
 def check_route_equivalence(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
-    results = []
-    for spec, solves in solved.items():
-        worst = 0.0
-        for routes in concurrence_routes(solves).values():
-            vals = list(routes.values())
-            worst = max(worst, max(vals) - min(vals))
-        results.append(_at_most(f"route-equivalence {_case_label(spec)}", worst, ROUTE_TOL,
-                                f"max spread over deltas {ROUTE_DELTAS}"))
-    return results
+    def spread(solves: analysis.EdSolves) -> float:
+        return max(max(r.values()) - min(r.values()) for r in concurrence_routes(solves).values())
+
+    return _per_lattice("route-equivalence", solved, spread, ROUTE_TOL,
+                        f"max spread over deltas {ROUTE_DELTAS}")
 
 
 def check_hellmann_feynman(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
-    results = []
     step = analysis.HF_STEP
-    for spec, solves in solved.items():
-        n_bonds = solves.sector.lattice.n_bonds
-        worst = max(
-            analysis.hellmann_feynman_residual(solves.energies[d - step], solves.energies[d + step],
-                                               solves.kept[d][1].gzz, n_bonds)
-            for d in HF_DELTAS
-        )
-        results.append(_at_most(f"hellmann-feynman {_case_label(spec)}", worst, HF_TOL,
-                                f"max |dE0/ddelta - Nb*Gzz| at h={step}"))
-    return results
+
+    def residual(solves: analysis.EdSolves) -> float:
+        return max(analysis.hellmann_feynman_residual(
+            solves.energies[d - step], solves.energies[d + step], solves.kept[d][1].gzz,
+            solves.sector.lattice.n_bonds) for d in HF_DELTAS)
+
+    return _per_lattice("hellmann-feynman", solved, residual, HF_TOL,
+                        f"max |dE0/ddelta - Nb*Gzz| at h={step}")
 
 
 def check_concavity(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
-    results = []
-    for spec, solves in solved.items():
-        worst = float(analysis.concavity_check(solves.curve).max())
-        results.append(_at_most(f"concavity {_case_label(spec)}", worst, CONCAVITY_TOL,
-                                f"max second difference of E0 on step-{ED_SCAN_STEP} grid"))
-    return results
+    return _per_lattice("concavity", solved,
+                        lambda solves: float(analysis.concavity_check(solves.curve).max()),
+                        CONCAVITY_TOL, f"max second difference of E0 on step-{ED_SCAN_STEP} grid")
 
 
 def check_argmax(solved: dict[LatticeSpec, analysis.EdSolves]) -> list[CheckResult]:
@@ -238,21 +231,15 @@ SUITES = {
 }
 
 
-def run_suites(name: str = "all") -> list[CheckResult]:
-    """Run the suite name (or all of them, in SUITES order) and collect its rows.
+def run_suites() -> list[CheckResult]:
+    """Run every suite, in SUITES order, and collect their rows.
 
     The ED suites share one sector per lattice in DEFAULT_ED_CASES and one
-    record of its solves (solve_lattice) over the union of the deltas they
-    read; that all goes before the spinwave suite builds its default zones,
-    which are built only when it runs. A failed solve raises its
-    LanczosError before any row is made.
+    record of its solves (solve_lattice); that all goes before the spinwave
+    suite builds its default zones. A failed solve raises its LanczosError
+    before any row is made.
     """
-    selected = list(SUITES) if name == "all" else [name]
-    ed_names = [n for n in selected if n != "spinwave"]
-    solved = {spec: solve_lattice(ed.build_ground_sector(spec), ed_names)
-              for spec in DEFAULT_ED_CASES if ed_names}
-    rows = [row for n in ed_names for row in SUITES[n](solved)]
+    solved = {spec: solve_lattice(ed.build_ground_sector(spec)) for spec in DEFAULT_ED_CASES}
+    rows = [row for name, check in SUITES.items() if name != "spinwave" for row in check(solved)]
     del solved  # the records and sectors go before the zones set the peak
-    if "spinwave" in selected:
-        rows += check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
-    return rows
+    return rows + check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])

@@ -27,8 +27,8 @@ def sectors():
 @pytest.fixture(scope="module")
 def ed_records(sectors):
     # the step-0.05 curve on [0, 2] that the concavity and argmax checks read
-    return {spec: verify.solve_lattice(sector, ["concavity", "argmax"])
-            for spec, sector in sectors.items()}
+    grid = delta_grid(0.0, 2.0, verify.ED_SCAN_STEP)
+    return {spec: analysis.solve_ed(sector, grid) for spec, sector in sectors.items()}
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_criterion_02_route_equivalence(acceptance_log):
     worst = 0.0
     worst_at = None
     for spec in cases:
-        solves = verify.solve_lattice(ed.build_sector(spec), ["route-equivalence"])
+        solves = analysis.solve_ed(ed.build_sector(spec), (), keep=verify.ROUTE_DELTAS)
         for delta, routes in verify.concurrence_routes(solves).items():
             spread = max(routes.values()) - min(routes.values())
             if spread > worst:
@@ -123,8 +123,11 @@ def test_criterion_03_argmax_at_isotropy(ed_records, acceptance_log):
 
 def test_criterion_04_concavity_and_hellmann_feynman(sectors, ed_records, acceptance_log):
     concavity = verify.check_concavity(ed_records)
+    # the energies at HF_DELTAS -+ HF_STEP and the kept states at HF_DELTAS
+    sides = [d + s for d in verify.HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP)]
     hf = verify.check_hellmann_feynman(
-        {spec: verify.solve_lattice(sector, ["hellmann-feynman"]) for spec, sector in sectors.items()}
+        {spec: analysis.solve_ed(sector, (), keep=verify.HF_DELTAS, extra=sides)
+         for spec, sector in sectors.items()}
     )
     worst_d2 = max(r.measured for r in concavity)
     worst_hf = max(r.measured for r in hf)

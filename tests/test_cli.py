@@ -285,11 +285,17 @@ def test_overflowing_delta_is_a_usage_error(argv, flag, capsys):
 )
 def test_delta_at_or_below_minus_one_is_a_usage_error(argv, flag, capsys, monkeypatch):
     # M = 0 no longer holds the ground state there (the fully polarized
-    # states of the 8-ring lie at -4 for delta = -2); refused before any solve
+    # states of the 8-ring lie at -4 for delta = -2); refused before any
+    # sector is built or solved
     def refuse(*args, **kwargs):
-        raise AssertionError("solved a ferromagnetic delta")
+        raise AssertionError("built or solved at a ferromagnetic delta")
 
-    monkeypatch.setattr(ed, "build_sector", refuse)
+    # every module-level binding, so no caller can bypass the refusal
+    for name in ("build_ground_sector", "lanczos_ground"):
+        original = getattr(ed, name)
+        for module in (ed, analysis, entanglement, verify, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
     try:
         rc = cli.main(argv[:1] + ["--dim", "1"] + argv[1:])
     except SystemExit as exc:
@@ -751,12 +757,12 @@ def test_spinwave_is_a_one_point_scan(capsys, monkeypatch):
 # --------------------------------------------------------------- verify
 
 
-def test_verify_spinwave_suite_passes(capsys):
-    rc = cli.main(["verify", "--suite", "spinwave"])
-    assert rc == cli.EXIT_OK
-    out = capsys.readouterr().out
-    assert "[FAIL]" not in out
-    assert out.strip().splitlines()[-1].endswith("checks passed")
+def test_verify_takes_no_option(capsys):
+    # every run is the whole of verify: no suite can be picked out
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--suite", "spinwave"])
+    assert info.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --suite spinwave" in capsys.readouterr().err
 
 
 def test_verify_solves_each_lattice_and_delta_once(monkeypatch):
@@ -774,25 +780,18 @@ def test_verify_solves_each_lattice_and_delta_once(monkeypatch):
     for module in (ed, analysis, entanglement, verify, cli):
         if getattr(module, "lanczos_ground", None) is original:
             monkeypatch.setattr(module, "lanczos_ground", counted)
-    every = verify.run_suites("all")
+    rows = verify.run_suites()
     assert len(solves) == 141 == len(verify.DEFAULT_ED_CASES) * (41 + 6)
     assert len(set(solves)) == len(solves)
     assert len({dim for dim, _ in solves}) == 3  # the dimension names the lattice
-    # alone, each suite solves only what it reads, and its rows are those of "all"
-    alone = []
-    for suite, count in {"route-equivalence": 15, "hellmann-feynman": 27, "concavity": 123,
-                         "argmax": 123, "spinwave": 0}.items():
-        solves.clear()
-        alone += verify.run_suites(suite)
-        assert len(solves) == count, suite
-    assert alone == every
-    assert len(every) == 19 and all(r.passed for r in every)
+    assert len(rows) == 19 and all(r.passed for r in rows)
 
 
 def test_verify_solver_failures_stay_explicit(monkeypatch):
     # solve_ed keeps a failed grid point as a gap with its error, as scan
-    # writes it; solve_lattice raises the failure at the lowest failed delta
-    # of the suites it solves for, named by lattice and delta, best kept
+    # writes it; solve_lattice raises the failure at the lowest failed delta,
+    # a grid point, a kept delta or a Hellmann-Feynman side, named by lattice
+    # and delta, best kept
     original = ed.lanczos_ground
     side = 0.5 + analysis.HF_STEP
     failing = {0.05, 1.0, side}
@@ -812,28 +811,23 @@ def test_verify_solver_failures_stay_explicit(monkeypatch):
     assert [(s.delta, s.error) for s in gaps] == [(d, f"injected at {d}") for d in (0.05, 1.0)]
     assert sorted(solves.failures) == sorted(failing)
     assert failing.isdisjoint(solves.energies) and failing.isdisjoint(solves.kept)
-    for suites, lowest in ((list(verify.SUITES), 0.05), (["concavity"], 0.05),
-                           (["route-equivalence"], 1.0), (["hellmann-feynman"], side)):
+    for lowest, above in ((0.05, {1.0, side}), (side, {1.0}), (1.0, set())):
+        failing.clear()
+        failing.update({lowest} | above)
         message = f"d=1 L=4 delta={cli._fmt(lowest)}: injected at {lowest}"
         with pytest.raises(ed.LanczosError, match=f"^{re.escape(message)}$") as info:
-            verify.solve_lattice(sector, suites)
+            verify.solve_lattice(sector)
         assert info.value.best is bests[lowest]
 
 
-# delta -> the ED suites whose solves include it: 0.05 only the scan grid,
-# 1.0 the grid, the route deltas and a Hellmann-Feynman centre, 0.5 + HF_STEP
-# only a Hellmann-Feynman side
-_SOLVED_BY = {
-    0.05: {"all", "concavity", "argmax"},
-    1.0: {"all", "concavity", "argmax", "route-equivalence", "hellmann-feynman"},
-    0.5 + analysis.HF_STEP: {"all", "hellmann-feynman"},
-}
+# 0.05 only the scan grid reads, 1.0 the grid, the route deltas and a
+# Hellmann-Feynman centre, 0.5 + HF_STEP only a Hellmann-Feynman side; "all"
+# for the whole of verify, every suite
+_FAILED_DELTAS = (0.05, 1.0, 0.5 + analysis.HF_STEP)
 
 
-@pytest.mark.parametrize("delta", list(_SOLVED_BY))
-@pytest.mark.parametrize("suite", ["all", "route-equivalence", "hellmann-feynman",
-                                   "concavity", "argmax"])
-def test_verify_solver_failure_exits_4_on_one_line(suite, delta, capsys, monkeypatch):
+@pytest.mark.parametrize("delta", _FAILED_DELTAS, ids=[f"all-{d}" for d in _FAILED_DELTAS])
+def test_verify_solver_failure_exits_4_on_one_line(delta, capsys, monkeypatch):
     # a LanczosError at one delta of the 4-ring stops verify before any row,
     # whichever suite reads that delta: one stderr line, nothing on stdout
     original = ed.lanczos_ground
@@ -847,15 +841,11 @@ def test_verify_solver_failure_exits_4_on_one_line(suite, delta, capsys, monkeyp
         return original(h, **kwargs)
 
     monkeypatch.setattr(ed, "lanczos_ground", flaky)
-    rc = cli.main(["verify", "--suite", suite])
+    rc = cli.main(["verify"])
     out, err = capsys.readouterr()
-    if suite in _SOLVED_BY[delta]:
-        assert rc == cli.EXIT_SOLVER
-        assert out == ""
-        assert err == f"solver failure: d=1 L=4 delta={cli._fmt(delta)}: injected\n"
-    else:  # the suite never solves that delta
-        assert rc == cli.EXIT_OK and err == ""
-        assert out.splitlines()[-1] == "3/3 checks passed"
+    assert rc == cli.EXIT_SOLVER
+    assert out == ""
+    assert err == f"solver failure: d=1 L=4 delta={cli._fmt(delta)}: injected\n"
 
 
 def test_verify_builds_each_lattice_once(monkeypatch):
@@ -874,7 +864,7 @@ def test_verify_builds_each_lattice_once(monkeypatch):
         for module in (lattice, ed, analysis, verify, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    rows = verify.run_suites("all")
+    rows = verify.run_suites()
     n = len(verify.DEFAULT_ED_CASES)
     assert calls == {"build_lattice": n, "enumerate_basis": n, "build_hamiltonian": n}
     assert n == 3
@@ -886,7 +876,7 @@ def test_verify_builds_each_lattice_once(monkeypatch):
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     fake = [verify.CheckResult("synthetic", False, 1.0, 0.1, "injected failure")]
     monkeypatch.setattr(verify, "run_suites", lambda *a, **k: fake)
-    rc = cli.main(["verify", "--suite", "argmax"])
+    rc = cli.main(["verify"])
     assert rc == cli.EXIT_VERIFY
     out = capsys.readouterr().out
     assert "[FAIL] synthetic" in out
@@ -906,7 +896,8 @@ def test_fault_injection_breaks_derivative_identity(monkeypatch):
 
     monkeypatch.setattr(ed, "build_hamiltonian", flipped)
     spec = LatticeSpec(1, 6)
-    solves = verify.solve_lattice(ed.build_sector(spec), ["hellmann-feynman"])
+    sides = [d + s for d in verify.HF_DELTAS for s in (-analysis.HF_STEP, analysis.HF_STEP)]
+    solves = analysis.solve_ed(ed.build_sector(spec), (), keep=verify.HF_DELTAS, extra=sides)
     results = verify.check_hellmann_feynman({spec: solves})
     assert len(results) == 1
     assert not results[0].passed
@@ -967,10 +958,10 @@ def test_module_entry_point_without_install():
     [
         ["scan", "--engine", "spinwave", "--dim", "3", "--from", "0", "--to", "2",
          "--step", "0.01"],
-        ["verify", "--suite", "spinwave"],
+        ["verify"],
         ["ed", "--dim", "1", "--size", "18"],
     ],
-    ids=["scan-spinwave", "verify-spinwave", "ed"],
+    ids=["scan-spinwave", "verify", "ed"],
 )
 def test_output_does_not_depend_on_the_blas_thread_count(argv):
     # no reduction goes through BLAS, whose threaded sums split by thread count

@@ -93,6 +93,19 @@ def test_enumerate_basis_matches_gosper_order(n):
         assert basis.states.tolist() == _gosper(n, up), up
 
 
+@pytest.mark.parametrize("n, m", [(20, 0.0), (21, 0.5)])
+def test_enumerate_basis_holds_little_beyond_its_states(n, m):
+    # the states are allocated once and filled in place: beside them only
+    # the low-half tables, a few kB, and no copy of a row of states
+    tracemalloc.start()
+    try:
+        basis = ed.enumerate_basis(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * basis.states.nbytes, peak / basis.states.nbytes
+
+
 def test_flip_parity_only_at_m0():
     assert ed.enumerate_basis(4).parity == 1
     assert ed.enumerate_basis(6).parity == -1

@@ -153,4 +153,5 @@ def test_bench_ab_script(tmp_path):
     assert all(isinstance(stats[m]["past_bound"], bool) for m in ("wall_s", "peak_rss_mb"))
     prov = report["provenance"]
     assert prov["parent"]["commit"] == prov["change"]["commit"]
+    assert prov["parent"]["tree"] == prov["change"]["tree"] == str(ROOT)
     assert prov["nproc"] >= 1 and prov["change"]["blas_threads"]

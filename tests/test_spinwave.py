@@ -299,8 +299,8 @@ def test_gzz_rejects_wrong_branch():
 
 
 def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
-    # the grid is delta-independent: the spinwave suite builds each zone it
-    # reads once, and its branch-continuity and cusp checks share the
+    # the grid is delta-independent: verify builds each zone the spinwave
+    # suite reads once, and its branch-continuity and cusp checks share the
     # default (d, N) zones; only the cusp's grid-stability row needs (d, 2N)
     shapes = []
     original = sw.gamma_grid
@@ -311,9 +311,9 @@ def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
         return zone
 
     monkeypatch.setattr(sw, "gamma_grid", counted)
-    rows = run_suites("spinwave")
+    rows = run_suites()
     assert sorted(shapes) == [(2, 512), (2, 1024), (3, 96), (3, 192)]
-    assert len(rows) == 7
+    assert len(rows) == 19  # the last 7 the spinwave suite's
     assert all(r.passed for r in rows)
 
 
