@@ -875,7 +875,7 @@ def test_verify_builds_each_lattice_once(monkeypatch):
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     fake = [verify.CheckResult("synthetic", False, 1.0, 0.1, "injected failure")]
-    monkeypatch.setattr(verify, "run_suites", lambda *a, **k: fake)
+    monkeypatch.setattr(verify, "run_suites", lambda: fake)
     rc = cli.main(["verify"])
     assert rc == cli.EXIT_VERIFY
     out = capsys.readouterr().out
