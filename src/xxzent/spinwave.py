@@ -12,17 +12,19 @@ limit by Brillouin-zone quadrature (d >= 2):
 
 Here g is the structure factor (2/z) sum_m cos k_m, z = 2d, S = SPIN = 1/2
 (concurrence is a two-qubit measure), and <.> is the BZ average on a
-midpoint-shifted N^d grid, summed exactly over its irreducible wedge (g is
-even in each k_m and symmetric in the axes) with integer multiplicities,
-then divided by N^d (Monkhorst & Pack, PRB 13, 5188 (1976)). Both branches
-coincide at delta = 1. Gzz per bond is the derivative of the
-bond energy within the branch that delta implies (Ising at delta >= 1,
-one-sided at the branch edges), by finite differences of energy_per_site.
+midpoint-shifted N^d grid, summed over its irreducible wedge (g is even in
+each k_m and symmetric in the axes) with int8 multiplicities (at most
+d! 2^d = 48) as one pairwise sum, then divided by N^d (Monkhorst & Pack,
+PRB 13, 5188 (1976)). Both branches coincide at delta = 1. Gzz per bond is
+the derivative of the bond energy within the branch that delta implies
+(Ising at delta >= 1, one-sided at the branch edges), by finite
+differences of energy_per_site.
 
 The quadratures take the zone g = gamma_grid(d, k_points) as an argument
 and read d from g.dimension, so a caller builds it once for all deltas
 and passes it to analysis.scan_spinwave, which turns energy and Gzz into
-the nearest-neighbor concurrence.
+the nearest-neighbor concurrence. A zone keeps 9 B per wedge point, built
+BLOCK points at a time, and an average takes 8 B per point more.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
 FD_STEP = 1e-4
-MAX_ZONE_POINTS = 10_000_000  # wedge points; a build peaks near 100 B per point
+MAX_ZONE_POINTS = 10_000_000  # wedge points; a build holds 9 B per point, an average 8 B more
+BLOCK = 1 << 15  # wedge points per pass of a zone build or the planar integrand
 BOGOLIUBOV_EDGE = 1e-12
 
 
@@ -51,7 +54,8 @@ class ZoneGrid:
     """Structure factor on the irreducible wedge of the midpoint BZ grid.
 
     gamma[i] stands for multiplicity[i] points of the full k_points^dimension
-    grid; the multiplicities are positive integers summing to k_points^dimension.
+    grid; the multiplicities are positive int8 values summing to
+    k_points^dimension. Every average is one weighted pairwise sum.
     """
 
     gamma: np.ndarray
@@ -65,12 +69,14 @@ class ZoneGrid:
         return self.multiplicity.astype(float)
 
     def mean(self, f: np.ndarray) -> float:
-        """Full-grid average of f, given f on the wedge points.
+        """Full-grid average of f, given f on the wedge points."""
+        return self._weighted_mean(np.array(f, dtype=float))
 
-        numpy's pairwise sum, not a BLAS dot: within a few ulp of the exact
-        sum, and the same on any number of BLAS threads.
-        """
-        return float(np.add.reduce(self._weights * f)) / self.k_points**self.dimension
+    def _weighted_mean(self, product: np.ndarray) -> float:
+        """mean(product), weighting product in place. numpy's pairwise sum, not a BLAS
+        dot: within a few ulp of the exact sum, and the same on any number of threads."""
+        product *= self._weights
+        return float(np.add.reduce(product)) / self.k_points**self.dimension
 
 
 def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
@@ -95,30 +101,40 @@ def gamma_grid(dimension: int, k_points: int | None = None) -> ZoneGrid:
     if points > MAX_ZONE_POINTS:
         raise ValueError(f"{k_points}^{dimension} zone: {points} wedge points, above {MAX_ZONE_POINTS}")
     cosk = np.cos(bz_axis(k_points)[:half])
-    weight = np.full(half, 2, dtype=np.int64)
+    weight = np.full(half, 2, dtype=np.int8)
     weight[-1] -= k_points % 2  # k = 0 is its own mirror
-    # each tuple is carried as its last index, the sum of its cosines added
-    # column by column (the order of a row sum) and the product of its weights
-    last = np.arange(half)
-    cos_sum = cosk
-    weights = weight
-    perms = np.ones(half, dtype=np.int64)
-    run = np.ones(half, dtype=np.int64)
-    for length in range(2, dimension + 1):
-        reps = half - last  # a tuple ending in i extends by i, ..., half - 1
-        prev = np.repeat(last, reps)
-        last = prev + np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        run = np.where(last == prev, np.repeat(run, reps) + 1, 1)
-        # length!/prod(run!) grows by length/run when one index is appended
-        perms = np.repeat(perms, reps) * length // run
-        cos_sum = np.repeat(cos_sum, reps) + cosk[last]
-        weights = np.repeat(weights, reps) * weight[last]
-    return ZoneGrid(
-        gamma=cos_sum / dimension,
-        multiplicity=perms * weights,
-        dimension=dimension,
-        k_points=k_points,
-    )
+    gamma, multiplicity = np.empty(points), np.empty(points, dtype=np.int8)
+    # the tuples that lead with i fill C(half - i + d - 2, d - 1) consecutive
+    # rows; a block takes the leading indices whose rows fit in BLOCK, at least one
+    ends = np.cumsum([math.comb(half - i + dimension - 2, dimension - 1) for i in range(half)])
+    first = lo = 0
+    while first < half:
+        stop = max(first + 1, int(np.searchsorted(ends, lo + BLOCK, side="right")))
+        # each tuple is carried as its last index, the sum of its cosines added
+        # column by column (the order of a row sum) and the product of its weights
+        last, cos_sum, weights = np.arange(first, stop), cosk[first:stop], weight[first:stop]
+        perms = run = np.ones(stop - first, dtype=np.int8)
+        for length in range(2, dimension + 1):
+            reps = half - last  # a tuple ending in i extends by i, ..., half - 1
+            starts = np.cumsum(reps) - reps
+            last = np.repeat(last - starts, reps)
+            last += np.arange(last.size)
+            # only a tuple's first extension repeats its last index
+            run, parent_run = np.ones(last.size, dtype=np.int8), run
+            run[starts] += parent_run
+            # length!/prod(run!) grows by length/run when one index is appended
+            perms = np.repeat(perms, reps) * length // run
+            weights = np.repeat(weights, reps) * weight[last]
+            # the sums are written where the block's gammas go
+            cos_sum, parent = gamma[lo:lo + last.size], np.repeat(cos_sum, reps)
+            np.take(cosk, last, out=cos_sum, mode="clip")  # in range; "raise" would buffer out
+            cos_sum += parent
+        cos_sum /= dimension
+        hi = lo + cos_sum.size
+        np.multiply(perms, weights, out=multiplicity[lo:hi])
+        first, lo = stop, hi
+        del parent  # before the next block's indices are laid out
+    return ZoneGrid(gamma, multiplicity, dimension, k_points)
 
 
 def bogoliubov_factors(x_gamma: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +166,7 @@ def energy_per_site_ising(delta: float, g: ZoneGrid) -> float:
     np.maximum(fluct, 0.0, out=fluct)
     np.sqrt(fluct, out=fluct)
     fluct -= 1.0
-    return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(fluct))
+    return delta * (-(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g._weighted_mean(fluct))
 
 
 def energy_per_site_planar(delta: float, g: ZoneGrid) -> float:
@@ -163,18 +179,23 @@ def energy_per_site_planar(delta: float, g: ZoneGrid) -> float:
         raise ValueError(f"planar branch needs 0 <= delta <= 1, got {delta}")
     x = (1.0 + delta) / 2.0
     y = (1.0 - delta) / 2.0
-    # sqrt(max(a^2 - (x g)^2, 0)) - a with a = 1 + y g, in three buffers
-    a = np.multiply(g.gamma, y)
-    a += 1.0
-    term = np.square(a)
-    xg = np.multiply(g.gamma, x)
-    np.square(xg, out=xg)
-    term -= xg
-    np.maximum(term, 0.0, out=term)
-    np.sqrt(term, out=term)
-    term -= a
+    # sqrt(max(a^2 - (x g)^2, 0)) - a with a = 1 + y g, BLOCK points at a time
+    # through two scratch blocks made once (fresh ones per block cost page faults)
+    term = np.empty_like(g.gamma)
+    a_block, xg_block = np.empty((2, min(BLOCK, term.size)))
+    for lo in range(0, term.size, BLOCK):
+        gamma, out = g.gamma[lo:lo + BLOCK], term[lo:lo + BLOCK]
+        a = np.multiply(gamma, y, out=a_block[:gamma.size])
+        a += 1.0
+        np.square(a, out=out)
+        xg = np.multiply(gamma, x, out=xg_block[:gamma.size])
+        np.square(xg, out=xg)
+        out -= xg
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        out -= a
     z = 2 * g.dimension
-    return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g.mean(term)
+    return -(z / 2.0) * SPIN**2 + (z * SPIN / 2.0) * g._weighted_mean(term)
 
 
 def energy_per_site(delta: float, g: ZoneGrid) -> float:

@@ -11,7 +11,8 @@ before any row (the CLI exits 4 on one `solver failure:` line). Suites:
   argmax             C(delta) peaks exactly at delta = 1 on the scan grid
   spinwave           Bogoliubov constraints, branch continuity, cusp
 
-run_suites() runs them all, in SUITES order. The ED suites share one
+run_suites() runs the spinwave suite first and then the ED suites, and
+returns the rows in SUITES order. The ED suites share one
 sector per lattice, the ground state's orbits under translations and the
 flip (ed.build_ground_sector, 441 at 4x4), and one solve per (lattice,
 delta): analysis.solve_ed, the loop `scan` uses too, solves the deltas they
@@ -232,14 +233,15 @@ SUITES = {
 
 
 def run_suites() -> list[CheckResult]:
-    """Run every suite, in SUITES order, and collect their rows.
+    """Run every suite and collect their rows, in SUITES order.
 
-    The ED suites share one sector per lattice in DEFAULT_ED_CASES and one
-    record of its solves (solve_lattice); that all goes before the spinwave
-    suite builds its default zones. A failed solve raises its LanczosError
-    before any row is made.
+    The spinwave suite runs first, on its default zones, so its largest
+    arrays (the doubled cusp zones) are freed before the ED suites grow the
+    heap. The ED suites then share one sector per lattice in
+    DEFAULT_ED_CASES and one record of its solves (solve_lattice). A failed
+    solve raises its LanczosError, and no row is returned.
     """
+    sw_rows = check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
     solved = {spec: solve_lattice(ed.build_ground_sector(spec)) for spec in DEFAULT_ED_CASES}
-    rows = [row for name, check in SUITES.items() if name != "spinwave" for row in check(solved)]
-    del solved  # the records and sectors go before the zones set the peak
-    return rows + check_spinwave([spinwave.gamma_grid(d) for d in SW_DIMS])
+    return [row for name, check in SUITES.items() if name != "spinwave"
+            for row in check(solved)] + sw_rows

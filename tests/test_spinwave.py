@@ -6,6 +6,7 @@ N^-(d+1) in the per-axis point count N: N^-3 for d = 2, N^-4 for d = 3).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_gamma_grid, full_zone
+from xxzent import ed, verify
 from xxzent import spinwave as sw
 from xxzent.analysis import scan_spinwave
 from xxzent.verify import run_suites
@@ -127,17 +129,18 @@ def test_gamma_grid_is_bit_identical_to_the_index_table(d, n):
     assert np.array_equal(zone.gamma, gamma) and np.array_equal(zone.multiplicity, multiplicity)
 
 
-@pytest.mark.parametrize("d, n", [(2, 64), (3, 24)])
+@pytest.mark.parametrize("d, n", [(2, 64), (3, 24), (3, 192)])
 def test_branch_integrands_are_bit_identical_to_their_clipped_expressions(d, n, monkeypatch):
-    # the energies build their integrands in place and the zone average
-    # weights them by a float copy of the multiplicities; the plain
-    # expressions, with np.clip and the int64 weights, give the same bits
+    # the energies build their integrands in place, BLOCK points at a time
+    # (192^3 takes five blocks), and the zone average weights them by a
+    # float copy of the multiplicities; the plain expressions, with np.clip
+    # and the int8 weights, give the same bits
     zone = sw.gamma_grid(d, n)
     g = zone.gamma
     f = _planar_term(0.5, g)
     assert zone.mean(f) == float(np.add.reduce(zone.multiplicity * f)) / n**d
     seen = []
-    monkeypatch.setattr(sw.ZoneGrid, "mean", lambda self, f: seen.append(f.copy()) or 0.0)
+    monkeypatch.setattr(sw.ZoneGrid, "_weighted_mean", lambda self, f: seen.append(f.copy()) or 0.0)
     for delta in (0.0, 0.3, 0.75, 1.0):
         sw.energy_per_site_planar(delta, zone)
         assert np.array_equal(seen.pop(), _planar_term(delta, g))
@@ -155,16 +158,43 @@ def test_zone_mean_is_within_three_ulp_of_the_exact_sum(d, n, monkeypatch):
     worst = []
 
     def checked_mean(self, f):
-        got = mean(self, f)
-        exact = math.fsum(self.multiplicity * f) / n**d
+        exact = math.fsum(self.multiplicity * f) / n**d  # before f is weighted in place
+        got = weighted_mean(self, f)
         worst.append(abs(got - exact) / np.spacing(abs(exact)))
         return got
 
-    mean = sw.ZoneGrid.mean
-    monkeypatch.setattr(sw.ZoneGrid, "mean", checked_mean)
+    weighted_mean = sw.ZoneGrid._weighted_mean
+    monkeypatch.setattr(sw.ZoneGrid, "_weighted_mean", checked_mean)
     for delta in np.linspace(0.0, 3.0, 61):  # both branches' integrands
         sw.energy_per_site(float(delta), zone)
     assert len(worst) == 61 and max(worst) <= 3
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, n", [(3, 192), (2, 1024)])
+def test_zone_build_peaks_at_most_16_bytes_per_point(d, n):
+    # the zone keeps 9 B per wedge point and the build works one block of
+    # leading indices at a time; a whole-zone pass held 64 B per point
+    points = math.comb((n + 1) // 2 + d - 1, d)
+    assert _traced_peak(lambda: sw.gamma_grid(d, n)) <= 16 * points
+
+
+@pytest.mark.parametrize("d, n", [(3, 192), (2, 1024)])
+def test_energy_takes_at_most_16_bytes_per_point_above_the_zone(d, n):
+    # one product buffer for the weighted terms and one block of scratch;
+    # whole-zone temporaries held 32 B per point
+    zone = sw.gamma_grid(d, n)
+    for delta in (0.5, 1.5):  # both branches, after the float weights are cached
+        sw.energy_per_site(delta, zone)
+        assert _traced_peak(lambda: sw.energy_per_site(delta, zone)) <= 16 * zone.gamma.size
 
 
 # ------------------------------------------------------------- Bogoliubov
@@ -315,6 +345,33 @@ def test_one_zone_grid_per_scan_and_per_dimension(monkeypatch):
     assert sorted(shapes) == [(2, 512), (2, 1024), (3, 96), (3, 192)]
     assert len(rows) == 19  # the last 7 the spinwave suite's
     assert all(r.passed for r in rows)
+
+
+def test_verify_frees_the_zones_before_the_ed_suites_and_keeps_suite_order(monkeypatch):
+    # the doubled cusp zones are verify's largest arrays; built first, they
+    # are freed before the solves grow the heap, and the rows still come
+    # out with the spinwave suite's last
+    events = []
+    build_zone, build_sector = sw.gamma_grid, ed.build_ground_sector
+    monkeypatch.setattr(sw, "gamma_grid", lambda *a: events.append("zone") or build_zone(*a))
+    monkeypatch.setattr(ed, "build_ground_sector", lambda spec: events.append("sector") or build_sector(spec))
+    rows = run_suites()
+    assert events == ["zone"] * 4 + ["sector"] * 3
+    names = [r.name.split(" d=")[0] for r in rows]
+    assert names[:12] == [suite for suite in ("route-equivalence", "hellmann-feynman", "concavity",
+                                              "argmax") for _ in range(3)]
+    assert names[12:] == ["bogoliubov constraints"] + ["branch continuity"] * 2 + [
+        "cusp positive", "cusp grid-stable"] * 2
+
+
+def test_an_eight_point_zone_fails_cusp_grid_stability():
+    # at N = 8 the slope jump moves by 0.92 (d = 2) and 0.31 (d = 3) when
+    # the grid doubles, against the 0.05 bound
+    rows = {r.name: r for r in verify.check_cusp([sw.gamma_grid(2, 8), sw.gamma_grid(3, 8)])}
+    for d, drift in ((2, 0.915), (3, 0.311)):
+        row = rows[f"cusp grid-stable d={d}"]
+        assert not row.passed and row.tolerance == verify.CUSP_STABILITY
+        assert row.measured == pytest.approx(drift, abs=1e-3)
 
 
 # -------------------------------------------------------------- concurrence
