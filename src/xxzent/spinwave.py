@@ -38,7 +38,7 @@ import numpy as np
 SPIN = 0.5
 DEFAULT_K_POINTS = {2: 512, 3: 96}
 FD_STEP = 1e-4
-MAX_ZONE_POINTS = 10_000_000  # wedge points; a build holds 9 B per point, an average 8 B more
+MAX_ZONE_POINTS = 10_000_000  # wedge points; a zone keeps 9 B per point, 25 B while averaged
 BLOCK = 1 << 15  # wedge points per pass of a zone build or the planar integrand
 BOGOLIUBOV_EDGE = 1e-12
 
